@@ -1,7 +1,6 @@
 """Spectral solvers and phase diagnostics for dispersive propagation through
 highly oscillatory potentials."""
 
-from ._kernels import active_backend_name
 from .harness import (
     CellFailure,
     ErrorRecord,

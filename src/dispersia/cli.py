@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -40,7 +39,7 @@ from .harness import (
     regularity_normalizer,
     regularity_sweep,
 )
-from .integrators import NumericalBlowupError, SolveConfig, StepperKind, free_solution, solve
+from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
 from .model import (
     DispersiveModel,
     eval_p,
@@ -51,7 +50,7 @@ from .model import (
     verify_phase_lower_bound,
 )
 from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
-from .spectral import Grid, InitialDataSpec, PotentialSpec
+from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
 
 RESULT_COLUMNS = (
     "scheme", "kappa", "alpha", "epsilon", "tau", "z_final", "j",
@@ -335,11 +334,6 @@ def _report_failures(failures) -> int:
 # commands
 
 
-def _auto_grid_n(half_width: float, eps: float) -> int:
-    target = 2.0 * half_width / eps
-    return max(8, 2 ** math.ceil(math.log2(target)))
-
-
 def _run_solve(args) -> int:
     cfg = _resolve(args, {
         "kappa": "kappa", "alpha": "alpha", "deriv_order": "deriv_order",
@@ -367,7 +361,7 @@ def _run_solve(args) -> int:
     z_final = float(cfg.get("z_final", 1.0))
     stride = int(cfg.get("snapshot_stride", 0))
     j = int(cfg.get("deriv_order", 0))
-    grid_n = int(cfg.get("grid_n") or _auto_grid_n(half_width, eps))
+    grid_n = int(cfg.get("grid_n") or resolving_grid_n(half_width, eps))
     potential = _potential_from_dict(cfg.get("potential", {"kind": "gaussian"}))
     initial = _initial_from_dict(cfg.get("initial", {"kind": "gaussian"}))
 
@@ -471,7 +465,7 @@ def _sweep_config(args, cfg: dict, command: str) -> tuple[SweepConfig, dict]:
         "schemes": [s.value for s in sweep.schemes],
         "z_final": sweep.z_final, "reference_tau": sweep.reference_tau,
         "reference_scheme": sweep.reference_scheme.value,
-        "derivative_order": sweep.derivative_order,
+        "deriv_order": sweep.derivative_order,
         "normalization": sweep.normalization,
         "grid_n": sweep.grid().n, "workers": workers,
     }
@@ -559,6 +553,12 @@ def _run_verify_phase(args) -> int:
     xi_max = float(cfg.get("xi_max", 8.0))
     grid_points = int(cfg.get("grid_points", 400))
     n_samples = int(cfg.get("samples", 100000))
+    if n_samples < 1:
+        raise ConfigError(f"samples: must be an integer >= 1, got {n_samples}")
+    if grid_points < 1:
+        raise ConfigError(f"grid_points: must be an integer >= 1, got {grid_points}")
+    if not xi_max > 0:
+        raise ConfigError(f"xi_max: must be positive, got {xi_max}")
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 12345))
 
     try:
@@ -578,7 +578,7 @@ def _run_verify_phase(args) -> int:
     floor = 8.0 * np.finfo(float).eps * eps**alpha * p_big
     denom = np.maximum(np.maximum(np.abs(direct), np.abs(factored)), floor)
     dev = np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)
-    max_dev = float(np.max(dev)) if n_samples else 0.0
+    max_dev = float(np.max(dev))
     identity_ok = max_dev <= _IDENTITY_RTOL
 
     axis = np.linspace(-xi_max, xi_max, grid_points)

@@ -16,13 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .integrators import SolveConfig, SolveResult, StepperKind, free_solution, solve
-from .model import (
-    DispersiveModel,
-    expected_error_exponent,
-    expected_regularity_exponent,
+from .integrators import SolveConfig, StepperKind, free_solution, solve
+from .model import DispersiveModel, expected_regularity_exponent
+from .spectral import (
+    Grid,
+    InitialDataSpec,
+    PotentialSpec,
+    SpectralField,
+    resolving_grid_n,
+    x_norm,
 )
-from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, x_norm
 
 
 def error_x(a: SpectralField, b: SpectralField, j: int = 0) -> float:
@@ -187,8 +190,7 @@ class SweepConfig:
     def grid(self) -> Grid:
         n = self.grid_n
         if n is None:
-            target = 2.0 * self.half_width / min(self.epsilons)
-            n = max(8, 2 ** math.ceil(math.log2(target)))
+            n = resolving_grid_n(self.half_width, min(self.epsilons))
         return Grid(self.half_width, n)
 
     def model(self, eps: float) -> DispersiveModel:
@@ -250,6 +252,57 @@ def _run_cells(cells, worker, workers):
     return _sorted_records(records), sorted(failures, key=lambda f: f.cell)
 
 
+def _sweep_cell(cfg: SweepConfig, grid: Grid, scheme: StepperKind, eps: float,
+                taus, truth):
+    """One (scheme, eps) cell: a timed solve per tau, each measured against
+    truth(base), where base is the cell's reference-solve configuration.
+
+    A failure to build the truth fails the whole cell; a failing solve fails
+    only its own tau.
+    """
+    recs: list[ErrorRecord] = []
+    fails: list[CellFailure] = []
+    key = f"scheme={scheme.value},epsilon={eps:.6g}"
+    try:
+        base = SolveConfig(
+            model=cfg.model(eps),
+            grid=grid,
+            potential=cfg.potential,
+            initial=cfg.initial,
+            scheme=cfg.reference_scheme,
+            tau=cfg.reference_tau,
+            z_final=cfg.z_final,
+        )
+        exact = truth(base)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        fails.append(CellFailure(key, f"{type(exc).__name__}: {exc}"))
+        return recs, fails
+    for tau in taus:
+        tkey = f"{key},tau={tau:.6g}"
+        try:
+            t0 = time.perf_counter()
+            res = solve(replace(base, scheme=scheme, tau=tau))
+            wall = time.perf_counter() - t0
+            err = error_x(res.final, exact, cfg.derivative_order)
+            recs.append(
+                ErrorRecord(
+                    scheme=scheme.value,
+                    kappa=cfg.kappa,
+                    alpha=cfg.alpha,
+                    epsilon=eps,
+                    tau=tau,
+                    z_final=cfg.z_final,
+                    j=cfg.derivative_order,
+                    error_x=err,
+                    normalized_error=_normalize(cfg, eps, err),
+                    walltime_s=wall,
+                )
+            )
+        except Exception as exc:  # noqa: BLE001
+            fails.append(CellFailure(tkey, f"{type(exc).__name__}: {exc}"))
+    return recs, fails
+
+
 def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     """Error against a small-step reference for every (scheme, eps, tau)."""
     grid = cfg.grid()
@@ -258,48 +311,7 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
 
     def run_cell(cell):
         scheme, eps = cell
-        recs: list[ErrorRecord] = []
-        fails: list[CellFailure] = []
-        key = f"scheme={scheme.value},epsilon={eps:.6g}"
-        try:
-            model = cfg.model(eps)
-            base = SolveConfig(
-                model=model,
-                grid=grid,
-                potential=cfg.potential,
-                initial=cfg.initial,
-                scheme=cfg.reference_scheme,
-                tau=cfg.reference_tau,
-                z_final=cfg.z_final,
-            )
-            ref = solve(base).final
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            fails.append(CellFailure(key, f"{type(exc).__name__}: {exc}"))
-            return recs, fails
-        for tau in cfg.taus:
-            tkey = f"{key},tau={tau:.6g}"
-            try:
-                t0 = time.perf_counter()
-                res = solve(replace(base, scheme=scheme, tau=tau))
-                wall = time.perf_counter() - t0
-                err = error_x(res.final, ref, cfg.derivative_order)
-                recs.append(
-                    ErrorRecord(
-                        scheme=scheme.value,
-                        kappa=cfg.kappa,
-                        alpha=cfg.alpha,
-                        epsilon=eps,
-                        tau=tau,
-                        z_final=cfg.z_final,
-                        j=cfg.derivative_order,
-                        error_x=err,
-                        normalized_error=_normalize(cfg, eps, err),
-                        walltime_s=wall,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001
-                fails.append(CellFailure(tkey, f"{type(exc).__name__}: {exc}"))
-        return recs, fails
+        return _sweep_cell(cfg, grid, scheme, eps, cfg.taus, lambda base: solve(base).final)
 
     records, failures = _run_cells(cells, run_cell, workers)
     return SweepResult(records=records, failures=failures, grid_n=grid.n)
@@ -317,41 +329,8 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
         cfg = replace(cfg, normalization="regularity")
 
     def run_cell(eps):
-        recs: list[ErrorRecord] = []
-        fails: list[CellFailure] = []
-        key = f"scheme={cfg.reference_scheme.value},epsilon={eps:.6g}"
-        try:
-            model = cfg.model(eps)
-            base = SolveConfig(
-                model=model,
-                grid=grid,
-                potential=cfg.potential,
-                initial=cfg.initial,
-                scheme=cfg.reference_scheme,
-                tau=cfg.reference_tau,
-                z_final=cfg.z_final,
-            )
-            t0 = time.perf_counter()
-            res = solve(base)
-            wall = time.perf_counter() - t0
-            err = error_x(res.final, free_solution(base), cfg.derivative_order)
-            recs.append(
-                ErrorRecord(
-                    scheme=cfg.reference_scheme.value,
-                    kappa=cfg.kappa,
-                    alpha=cfg.alpha,
-                    epsilon=eps,
-                    tau=cfg.reference_tau,
-                    z_final=cfg.z_final,
-                    j=cfg.derivative_order,
-                    error_x=err,
-                    normalized_error=_normalize(cfg, eps, err),
-                    walltime_s=wall,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001
-            fails.append(CellFailure(key, f"{type(exc).__name__}: {exc}"))
-        return recs, fails
+        return _sweep_cell(cfg, grid, cfg.reference_scheme, eps, (cfg.reference_tau,),
+                           free_solution)
 
     records, failures = _run_cells(list(cfg.epsilons), run_cell, workers)
     return SweepResult(records=records, failures=failures, grid_n=grid.n)

@@ -24,13 +24,14 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import ACTIVE as _K
 from .model import DispersiveModel
 from .spectral import (
     Grid,
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
+    flow_phase,
+    free_propagator_symbol,
     phi1,
     sample_initial,
     sample_potential,
@@ -104,11 +105,6 @@ class PrecomputedStep:
     filtered_potential: np.ndarray | None = None
 
 
-def _flow_symbol(model: DispersiveModel, grid: Grid, t: float) -> np.ndarray:
-    p = np.asarray(_K.p_eval(model.coeff_array, model.kappa, grid.xi))
-    return np.exp(-1j * t * model.epsilon**model.alpha * p)
-
-
 def precompute(
     model: DispersiveModel,
     grid: Grid,
@@ -122,8 +118,7 @@ def precompute(
         raise ValueError("tau must be nonzero")
     r = sample_potential(potential, grid, model.epsilon)
     pc = PrecomputedStep(scheme=scheme, tau=float(tau), raw_potential=r)
-    p = np.asarray(_K.p_eval(model.coeff_array, model.kappa, grid.xi))
-    theta = tau * model.epsilon**model.alpha * p
+    theta = flow_phase(model, grid, tau)
     if scheme is StepperKind.STRANG:
         pc.half_flow = np.exp(-1j * (theta / 2.0))
         pc.potential_exp = np.exp(tau * r)
@@ -142,7 +137,7 @@ def precompute(
 def step_ei(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
     mu_hat = np.fft.fft(mu)
     rhs_hat = np.fft.fft(pc.raw_potential * mu)
-    return np.fft.ifft(_K.ei_update(pc.full_flow, mu_hat, pc.phi1_symbol, rhs_hat, pc.tau))
+    return np.fft.ifft(pc.full_flow * mu_hat + pc.tau * (pc.phi1_symbol * rhs_hat))
 
 
 def step_lt(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
@@ -156,7 +151,7 @@ def step_strang(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
 
 def step_lri(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
     flowed = np.fft.ifft(pc.full_flow * np.fft.fft(mu))
-    return _K.lri_update(flowed, pc.filtered_potential, mu, pc.tau)
+    return flowed + pc.tau * (pc.filtered_potential * mu)
 
 
 _STEPS = {
@@ -210,7 +205,7 @@ def free_solution(config: SolveConfig, z: float | None = None) -> SpectralField:
     """Potential-free flow of the configured initial state to z."""
     z = config.z_final if z is None else z
     mu0 = sample_initial(config.initial, config.grid)
-    sym = _flow_symbol(config.model, config.grid, z)
+    sym = free_propagator_symbol(config.model, config.grid, z)
     return SpectralField(config.grid, values=np.fft.ifft(sym * np.fft.fft(mu0)))
 
 

@@ -20,19 +20,16 @@ from numbers import Real
 
 import numpy as np
 
-from . import _kernels
-
 
 class DegenerateReductionError(ValueError):
     """Raised when a moment reduction leaves no derivative term."""
 
 
-def _as_scalar_or_array(x, template):
-    if np.isscalar(template) or (
-        isinstance(template, np.ndarray) and template.ndim == 0
-    ):
-        return float(x) if np.ndim(x) == 0 else float(np.asarray(x).item())
-    return x
+def _scalar_or_array(out, *inputs):
+    """A python float when every input is a scalar, the array otherwise."""
+    if all(np.ndim(x) == 0 for x in inputs):
+        return float(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,17 +62,33 @@ class DispersiveModel:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
-    @property
-    def coeff_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.float64)
-
 
 def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
-    """Dispersion polynomial P(y), vectorized over y."""
-    arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    out = _kernels.ACTIVE.p_eval(model.coeff_array, model.kappa, arr.ravel())
-    out = np.asarray(out).reshape(arr.shape)
-    return _as_scalar_or_array(out, np.asarray(y))
+    """Dispersion polynomial P(y), vectorized over y.
+
+    Nested form in y^2 times the parity factor (y for odd kappa, y^2 for even).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    y2 = y * y
+    acc = np.full_like(y2, model.coeffs[0])
+    for c in model.coeffs[1:]:
+        acc = acc * y2 + c
+    return _scalar_or_array(acc * (y if model.kappa % 2 else y2), y)
+
+
+def _q(r: int, x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    acc = np.zeros(np.broadcast(x, y).shape)
+    if r % 2 == 0:
+        p = r // 2
+        for j in range(p):
+            acc += math.comb(r, 2 * j + 1) * x**j * y ** (p - 1 - j)
+    else:
+        p = (r - 1) // 2
+        for j in range(p + 1):
+            acc += math.comb(r, 2 * j + 1) * x**j * y ** (p - j)
+    return acc
 
 
 def eval_q(r: int, x, y) -> np.ndarray | float:
@@ -86,12 +99,7 @@ def eval_q(r: int, x, y) -> np.ndarray | float:
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    out = _kernels.NUMPY_BACKEND.q_eval(r, xa, ya)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(np.asarray(out))
-    return out
+    return _scalar_or_array(_q(r, x, y), x, y)
 
 
 def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -100,21 +108,30 @@ def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     This is the defining subtractive form; for |xi1| << eps*|xi2| it loses
     digits to cancellation, which eval_phase_factored avoids.
     """
-    a = np.atleast_1d(np.asarray(xi1, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(xi2, dtype=np.float64))
-    a, b = np.broadcast_arrays(a, b)
-    out = _kernels.ACTIVE.phase_direct(
-        model.coeff_array,
-        model.kappa,
-        model.alpha,
-        model.epsilon,
-        np.ascontiguousarray(a.ravel()),
-        np.ascontiguousarray(b.ravel()),
-    )
-    out = np.asarray(out).reshape(a.shape)
-    if np.ndim(xi1) == 0 and np.ndim(xi2) == 0:
-        return float(out.ravel()[0])
-    return out
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    eps = model.epsilon
+    out = eps**model.alpha * (eval_p(model, xi1 / eps + xi2) - eval_p(model, xi2))
+    return _scalar_or_array(out, xi1, xi2)
+
+
+def _phase_core(model: DispersiveModel, xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
+    """The factored form of eval_phase_factored as (sum over j, F).
+
+    Their product is eps^(kappa-alpha) times the phase; they are returned
+    apart so that a caller can rescale the sum before the final product.
+    """
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    kappa, eps = model.kappa, model.epsilon
+    eta = xi1 + 2.0 * eps * xi2
+    x = xi1 * xi1
+    y = eta * eta
+    acc = np.zeros(np.broadcast(x, y).shape)
+    for j, d in enumerate(model.coeffs):
+        r = kappa - 2 * j
+        acc += eps ** (2 * j) * (d / 2.0 ** (r - 1)) * _q(r, x, y)
+    return acc, (xi1 * eta if kappa % 2 == 0 else xi1)
 
 
 def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -123,23 +140,14 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
         eps^(alpha-kappa) * sum_j eps^(2j) d~_{k-2j} Q_{k-2j}(xi1^2, eta^2) * F,
 
     with eta = xi1 + 2 eps xi2, F = xi1*eta (kappa even) or xi1 (odd), and
-    d~_r = d_r / 2^(r-1).  Algebraically identical to eval_phase.
+    d~_r = d_r / 2^(r-1).  Algebraically identical to eval_phase.  The
+    eps^(alpha-kappa) scale multiplies the sum before F does: scaling the
+    finished product instead lets a tiny xi1 drive it subnormal first, which
+    loses digits that the scale cannot bring back.
     """
-    a = np.atleast_1d(np.asarray(xi1, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(xi2, dtype=np.float64))
-    a, b = np.broadcast_arrays(a, b)
-    out = _kernels.ACTIVE.phase_factored(
-        model.coeff_array,
-        model.kappa,
-        model.alpha,
-        model.epsilon,
-        np.ascontiguousarray(a.ravel()),
-        np.ascontiguousarray(b.ravel()),
-    )
-    out = np.asarray(out).reshape(a.shape)
-    if np.ndim(xi1) == 0 and np.ndim(xi2) == 0:
-        return float(out.ravel()[0])
-    return out
+    acc, factor = _phase_core(model, xi1, xi2)
+    out = model.epsilon ** (model.alpha - model.kappa) * acc * factor
+    return _scalar_or_array(out, xi1, xi2)
 
 
 def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -148,20 +156,8 @@ def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     This is the natural quantity for lower-bound scans: it stays O(1) where
     the phase itself carries the eps^(alpha-kappa) amplification.
     """
-    a = np.atleast_1d(np.asarray(xi1, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(xi2, dtype=np.float64))
-    a, b = np.broadcast_arrays(a, b)
-    out = _kernels.ACTIVE.phase_scaled(
-        model.coeff_array,
-        model.kappa,
-        model.epsilon,
-        np.ascontiguousarray(a.ravel()),
-        np.ascontiguousarray(b.ravel()),
-    )
-    out = np.asarray(out).reshape(a.shape)
-    if np.ndim(xi1) == 0 and np.ndim(xi2) == 0:
-        return float(out.ravel()[0])
-    return out
+    acc, factor = _phase_core(model, xi1, xi2)
+    return _scalar_or_array(acc * factor, xi1, xi2)
 
 
 @dataclass(frozen=True)
@@ -190,22 +186,35 @@ def verify_phase_lower_bound(
     """
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0!r}")
-    xi1 = np.ascontiguousarray(np.asarray(xi1, dtype=np.float64).ravel())
-    xi2 = np.ascontiguousarray(np.asarray(xi2, dtype=np.float64).ravel())
+    xi1 = np.asarray(xi1, dtype=np.float64).ravel()
+    xi2 = np.asarray(xi2, dtype=np.float64).ravel()
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
-    best, w1, w2, n_adm = _kernels.ACTIVE.bound_scan(
-        model.coeff_array, model.kappa, model.epsilon, float(c0), xi1, xi2
-    )
+    kappa, eps = model.kappa, model.epsilon
+    g1, g2 = np.meshgrid(xi1, xi2, indexing="ij")
+    eta = g1 + 2.0 * eps * g2
+    sigma = 1 if kappa % 2 == 0 else 0
+    num = np.abs(eval_phase_scaled(model, g1, g2))
+    pw = kappa - 1 - sigma  # always even
+    denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
+    admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
+    n_adm = int(np.count_nonzero(admissible))
     if n_adm == 0:
         raise ValueError(
-            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * model.epsilon}"
+            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
         )
+    # points where the envelope vanishes identically carry no information
+    valid = admissible & (denom > 0.0)
+    best, w1, w2 = math.inf, math.nan, math.nan
+    if valid.any():
+        ratio = np.where(valid, num / np.where(denom > 0.0, denom, 1.0), math.inf)
+        i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+        best, w1, w2 = float(ratio[i, j]), float(g1[i, j]), float(g2[i, j])
     return PhaseBoundReport(
-        min_ratio=float(best),
-        worst_xi1=float(w1),
-        worst_xi2=float(w2),
-        admissible_count=int(n_adm),
+        min_ratio=best,
+        worst_xi1=w1,
+        worst_xi2=w2,
+        admissible_count=n_adm,
         c0=float(c0),
     )
 

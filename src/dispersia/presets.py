@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .integrators import SolveConfig, StepperKind
 from .model import DispersiveModel
-from .spectral import Grid, InitialDataSpec, PotentialSpec
+from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
 
 DESK_EPSILONS = (2.0**-8, 2.0**-7, 2.0**-6, 2.0**-5, 2.0**-4)
 DESK_TAUS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
@@ -37,11 +37,7 @@ class Preset:
         return DispersiveModel(self.kappa, self.coeffs, self.alpha, eps)
 
     def grid_for(self, min_epsilon: float) -> Grid:
-        import math
-
-        target = 2.0 * self.half_width / min_epsilon
-        n = max(8, 2 ** math.ceil(math.log2(target)))
-        return Grid(self.half_width, n)
+        return Grid(self.half_width, resolving_grid_n(self.half_width, min_epsilon))
 
     def solve_config(
         self,

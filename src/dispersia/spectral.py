@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ACTIVE as _K
-from .model import DispersiveModel
+from .model import DispersiveModel, eval_p
 
 
 class MeshResolutionWarning(UserWarning):
@@ -61,6 +60,11 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(half_width={self.half_width}, n={self.n})"
+
+
+def resolving_grid_n(half_width: float, epsilon: float) -> int:
+    """Smallest power of two n >= 8 whose spacing 2L/n resolves h <= epsilon."""
+    return max(8, 2 ** math.ceil(math.log2(2.0 * half_width / epsilon)))
 
 
 class SpectralField:
@@ -141,10 +145,14 @@ def phi1(z):
     return complex(out[0]) if scalar else out
 
 
+def flow_phase(model: DispersiveModel, grid: Grid, z: float) -> np.ndarray:
+    """theta = z eps^alpha P(xi): the free flow over z has symbol exp(-i theta)."""
+    return z * model.epsilon**model.alpha * eval_p(model, grid.xi)
+
+
 def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.ndarray:
     """Multiplier exp(-i z eps^alpha P(xi)) advancing the free flow by z."""
-    p = _K.p_eval(model.coeff_array, model.kappa, grid.xi)
-    return np.exp(-1j * z * model.epsilon**model.alpha * np.asarray(p))
+    return np.exp(-1j * flow_phase(model, grid, z))
 
 
 def apply_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:

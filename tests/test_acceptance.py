@@ -2,8 +2,7 @@
 
 Each test prints one `[criterion N] PASS/FAIL` line (replayed in the terminal
 summary by conftest) and asserts both the numerical claim and its runtime
-budget.  Budgets are wall-clock on a single desk core; the autouse fixture
-warms the jitted kernels first so compile time is not billed to any check.
+budget.  Budgets are wall-clock on a single desk core.
 """
 
 import math
@@ -34,7 +33,6 @@ from dispersia.model import (
 )
 from dispersia.presets import DESK_EPSILONS, DESK_TAUS, PRESETS, REFERENCE_TAU, get_preset
 from dispersia.spectral import (
-    Grid,
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
@@ -45,19 +43,6 @@ from dispersia.spectral import (
 GAUSS_WELL = PotentialSpec.gaussian(-1.0, 8.0)
 ROUGH_WELL = PotentialSpec.exp_abs(-1.0)
 GAUSS_INI = InitialDataSpec.gaussian()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    model = DispersiveModel(2, (1.0,), 1.0, 0.25)
-    xi = np.linspace(-2.0, 2.0, 16)
-    eval_phase(model, xi, xi)
-    eval_phase_factored(model, xi, xi)
-    search_lower_bound_constant(model, xi, xi, floor=0.0)
-    grid = Grid(4.0, 64)
-    for scheme in StepperKind:
-        solve(SolveConfig(model=model, grid=grid, potential=GAUSS_WELL,
-                          initial=GAUSS_INI, scheme=scheme, tau=0.5, z_final=1.0))
 
 
 def slope_for(result, **match):

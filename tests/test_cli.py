@@ -6,8 +6,9 @@ failure naming the cell.  Reruns must be byte-identical except walltime_s.
 
 import json
 import math
-import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +248,18 @@ def test_sweep_reruns_are_byte_identical_except_walltime(tmp_path):
     assert (tmp_path / "s1_rates").read_bytes() == (tmp_path / "s2_rates").read_bytes()
 
 
+def test_sweep_run_json_round_trip_keeps_deriv_order(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["sweep-convergence", "--config", write_config(tmp_path, SMALL_SWEEP),
+                 "--deriv-order", "1", "--out", str(out1)]) == 0
+    assert main(["sweep-convergence", "--config", str(out1 / "run.json"),
+                 "--out", str(out2)]) == 0
+    _, rows1 = read_rows(out1 / "results.csv")
+    _, rows2 = read_rows(out2 / "results.csv")
+    assert all(r[6] == "1" for r in rows1)
+    assert [r[:9] for r in rows1] == [r[:9] for r in rows2]
+
+
 def test_sweep_cell_failure_exit_code(tmp_path, capsys):
     doc = dict(SMALL_SWEEP)
     doc.update(half_width=16.0, grid_n=64, epsilons=[0.6, 0.1],
@@ -326,6 +339,18 @@ def test_verify_phase_quadratic(tmp_path, capsys):
     assert "minRatio=0.5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field,value", [
+    ("samples", -5), ("samples", 0), ("grid_points", 0), ("xi_max", 0), ("xi_max", -1.0),
+])
+def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, value):
+    doc = {"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 100, "grid_points": 11}
+    doc[field] = value
+    rc = main(["verify-phase", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
@@ -383,13 +408,16 @@ def test_version_flag(capsys):
 
 
 # ---------------------------------------------------------------------------
-# installed entry point
+# entry point
 
 
-@pytest.mark.skipif(shutil.which("dispersia") is None, reason="script not on PATH")
 def test_console_script_runs(tmp_path):
+    # the script entry declared in pyproject.toml, run as its own process
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'dispersia = "dispersia.cli:main"' in pyproject
     proc = subprocess.run(
-        ["dispersia", "reduce-moment", "--kappa", "3", "--beta", "1",
+        [sys.executable, "-c", "import sys; from dispersia.cli import main; sys.exit(main())",
+         "reduce-moment", "--kappa", "3", "--beta", "1",
          "--sign", "-", "--lambda", "2", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
