@@ -228,6 +228,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _int_field(cfg: dict, key: str, default):
+    """cfg[key] as an int (an integral float is accepted); missing or null
+    gives default, and a bool, a string or a fraction names the key."""
+    v = cfg.get(key)
+    if v is None:
+        return default
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{key}: expected an integer, got {v!r}")
+    return v
+
+
 def _model_fields(cfg: dict) -> tuple[int, tuple[float, ...], float]:
     kappa = _require(cfg, "kappa")
     if not isinstance(kappa, int):
@@ -240,10 +253,10 @@ def _model_fields(cfg: dict) -> tuple[int, tuple[float, ...], float]:
 def _resolved_workers(args, cfg: dict) -> int:
     w = getattr(args, "workers", None)
     if w is None:
-        w = cfg.get("workers")
+        w = _int_field(cfg, "workers", None)
     if w is None:
         w = default_workers()
-    if not isinstance(w, int) or w < 1:
+    if w < 1:
         raise ConfigError(f"workers: must be an integer >= 1, got {w!r}")
     return w
 
@@ -359,9 +372,9 @@ def _run_solve(args) -> int:
     tau = float(tau_list[0])
     half_width = float(cfg.get("half_width", 16.0))
     z_final = float(cfg.get("z_final", 1.0))
-    stride = int(cfg.get("snapshot_stride", 0))
-    j = int(cfg.get("deriv_order", 0))
-    grid_n = int(cfg.get("grid_n") or resolving_grid_n(half_width, eps))
+    stride = _int_field(cfg, "snapshot_stride", 0)
+    j = _int_field(cfg, "deriv_order", 0)
+    grid_n = _int_field(cfg, "grid_n", None) or resolving_grid_n(half_width, eps)
     potential = _potential_from_dict(cfg.get("potential", {"kind": "gaussian"}))
     initial = _initial_from_dict(cfg.get("initial", {"kind": "gaussian"}))
 
@@ -433,8 +446,7 @@ def _sweep_config(args, cfg: dict, command: str) -> tuple[SweepConfig, dict]:
         schemes = _as_list(cfg, "schemes", "scheme", default=default_schemes)
 
     workers = _resolved_workers(args, cfg)
-    j_flag = getattr(args, "deriv_order", None)
-    j = int(j_flag if j_flag is not None else cfg.get("deriv_order", 0))
+    j = _int_field(cfg, "deriv_order", 0)
 
     try:
         sweep = SweepConfig(
@@ -450,7 +462,7 @@ def _sweep_config(args, cfg: dict, command: str) -> tuple[SweepConfig, dict]:
             reference_scheme=cfg.get("reference_scheme", "ei"),
             derivative_order=j,
             normalization=cfg.get("normalization", "error"),
-            grid_n=cfg.get("grid_n"),
+            grid_n=_int_field(cfg, "grid_n", None),
             workers=workers,
         )
     except ValueError as exc:
@@ -473,7 +485,7 @@ def _sweep_config(args, cfg: dict, command: str) -> tuple[SweepConfig, dict]:
 
 
 def _run_sweep(args, command: str) -> int:
-    cfg = _resolve(args, {"kappa": "kappa", "alpha": "alpha"})
+    cfg = _resolve(args, {"kappa": "kappa", "alpha": "alpha", "deriv_order": "deriv_order"})
     sweep, resolved = _sweep_config(args, cfg, command)
 
     if command == "sweep-convergence":
@@ -551,15 +563,17 @@ def _run_verify_phase(args) -> int:
     else:
         eps = float(cfg.get("epsilon", 2.0**-6))
     xi_max = float(cfg.get("xi_max", 8.0))
-    grid_points = int(cfg.get("grid_points", 400))
-    n_samples = int(cfg.get("samples", 100000))
+    grid_points = _int_field(cfg, "grid_points", 400)
+    n_samples = _int_field(cfg, "samples", 100000)
     if n_samples < 1:
         raise ConfigError(f"samples: must be an integer >= 1, got {n_samples}")
     if grid_points < 1:
         raise ConfigError(f"grid_points: must be an integer >= 1, got {grid_points}")
     if not xi_max > 0:
         raise ConfigError(f"xi_max: must be positive, got {xi_max}")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 12345))
+    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 12345)
+    if seed < 0:
+        raise ConfigError(f"seed: must be an integer >= 0, got {seed}")
 
     try:
         model = DispersiveModel(kappa, coeffs, alpha, eps)

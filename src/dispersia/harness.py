@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 
 import numpy as np
 
@@ -237,32 +238,16 @@ def _sorted_records(records: list[ErrorRecord]) -> list[ErrorRecord]:
     return sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j))
 
 
-def _run_cells(cells, worker, workers):
-    """Run cell jobs concurrently; aggregation order is fixed by sorting."""
-    records: list[ErrorRecord] = []
-    failures: list[CellFailure] = []
-    if workers <= 1:
-        results = [worker(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, cells))
-    for recs, fails in results:
-        records.extend(recs)
-        failures.extend(fails)
-    return _sorted_records(records), sorted(failures, key=lambda f: f.cell)
+def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth):
+    """One eps cell: truth(base) once, where base is the reference-solve
+    configuration at eps, then a timed solve per scheme and tau, each
+    measured against that one truth.
 
-
-def _sweep_cell(cfg: SweepConfig, grid: Grid, scheme: StepperKind, eps: float,
-                taus, truth):
-    """One (scheme, eps) cell: a timed solve per tau, each measured against
-    truth(base), where base is the cell's reference-solve configuration.
-
-    A failure to build the truth fails the whole cell; a failing solve fails
-    only its own tau.
+    A failure to build the truth fails the cell once per scheme (keyed
+    scheme=<s>,epsilon=<e>); a failing solve fails only its own tau.
     """
     recs: list[ErrorRecord] = []
     fails: list[CellFailure] = []
-    key = f"scheme={scheme.value},epsilon={eps:.6g}"
     try:
         base = SolveConfig(
             model=cfg.model(eps),
@@ -275,10 +260,10 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, scheme: StepperKind, eps: float,
         )
         exact = truth(base)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        fails.append(CellFailure(key, f"{type(exc).__name__}: {exc}"))
-        return recs, fails
-    for tau in taus:
-        tkey = f"{key},tau={tau:.6g}"
+        msg = f"{type(exc).__name__}: {exc}"
+        return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg) for s in schemes]
+    for scheme, tau in product(schemes, taus):
+        tkey = f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}"
         try:
             t0 = time.perf_counter()
             res = solve(replace(base, scheme=scheme, tau=tau))
@@ -303,18 +288,30 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, scheme: StepperKind, eps: float,
     return recs, fails
 
 
-def convergence_sweep(cfg: SweepConfig) -> SweepResult:
-    """Error against a small-step reference for every (scheme, eps, tau)."""
+def _sweep(cfg: SweepConfig, schemes, taus, truth) -> SweepResult:
+    """Run one eps cell per epsilon, concurrently; aggregation order is
+    fixed by sorting."""
     grid = cfg.grid()
     workers = cfg.workers if cfg.workers is not None else default_workers()
-    cells = [(s, e) for s in cfg.schemes for e in cfg.epsilons]
 
-    def run_cell(cell):
-        scheme, eps = cell
-        return _sweep_cell(cfg, grid, scheme, eps, cfg.taus, lambda base: solve(base).final)
+    def run_cell(eps):
+        return _sweep_cell(cfg, grid, eps, schemes, taus, truth)
 
-    records, failures = _run_cells(cells, run_cell, workers)
-    return SweepResult(records=records, failures=failures, grid_n=grid.n)
+    if workers <= 1:
+        results = [run_cell(e) for e in cfg.epsilons]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_cell, cfg.epsilons))
+    records = [r for recs, _ in results for r in recs]
+    failures = [f for _, fails in results for f in fails]
+    return SweepResult(records=_sorted_records(records),
+                       failures=sorted(failures, key=lambda f: f.cell), grid_n=grid.n)
+
+
+def convergence_sweep(cfg: SweepConfig) -> SweepResult:
+    """Error against a small-step reference for every (scheme, eps, tau);
+    each eps solves its reference once for all schemes and taus."""
+    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: solve(base).final)
 
 
 def regularity_sweep(cfg: SweepConfig) -> SweepResult:
@@ -323,17 +320,9 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
     Runs the reference scheme at reference_tau and measures the j-th
     derivative of mu(z) - free(z); cfg.taus is ignored.
     """
-    grid = cfg.grid()
-    workers = cfg.workers if cfg.workers is not None else default_workers()
     if cfg.normalization == "error":
         cfg = replace(cfg, normalization="regularity")
-
-    def run_cell(eps):
-        return _sweep_cell(cfg, grid, cfg.reference_scheme, eps, (cfg.reference_tau,),
-                           free_solution)
-
-    records, failures = _run_cells(list(cfg.epsilons), run_cell, workers)
-    return SweepResult(records=records, failures=failures, grid_n=grid.n)
+    return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution)
 
 
 def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:

@@ -341,11 +341,29 @@ def test_verify_phase_quadratic(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("samples", -5), ("samples", 0), ("grid_points", 0), ("xi_max", 0), ("xi_max", -1.0),
+    # non-integers are refused by name, not truncated into run.json
+    ("samples", "many"), ("samples", 1.9), ("samples", True), ("grid_points", 12.7),
+    ("seed", -3),
 ])
 def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, value):
     doc = {"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 100, "grid_points": 11}
     doc[field] = value
     rc = main(["verify-phase", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("solve", "snapshot_stride", "many"),
+    ("sweep-convergence", "grid_n", "big"),
+    ("sweep-convergence", "workers", True),
+])
+def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
+    doc = dict(FREE_SOLVE if command == "solve" else SMALL_SWEEP)
+    doc[field] = value
+    rc = main([command, "--config", write_config(tmp_path, doc),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"config error: {field}:" in capsys.readouterr().err

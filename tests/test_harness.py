@@ -26,6 +26,7 @@ from dispersia.harness import (
     splitting_threshold,
 )
 from dispersia.integrators import SolveConfig, StepperKind, solve
+from dispersia.presets import get_preset
 from dispersia.spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField
 
 
@@ -239,17 +240,18 @@ def test_convergence_sweep_rate_slope(small_sweep):
 
 
 def test_sweep_cell_failure_continues():
-    # grid fixed too coarse for the small epsilon: that cell fails, the
-    # resolved cell still produces records
+    # grid fixed too coarse for the small epsilon: its reference fails once
+    # per scheme, the resolved epsilon still produces every record
     cfg = small_sweep_config(
-        half_width=16.0, epsilons=(0.6, 0.1), grid_n=64, taus=(0.05,)
+        half_width=16.0, epsilons=(0.6, 0.1), grid_n=64, taus=(0.05,),
+        schemes=("ei", "lt"),
     )
     result = convergence_sweep(cfg)
-    assert len(result.records) == 1
-    assert result.records[0].epsilon == 0.6
-    assert len(result.failures) == 1
-    assert "epsilon=0.1" in result.failures[0].cell
-    assert "MeshResolution" in result.failures[0].message
+    assert [(r.scheme, r.epsilon) for r in result.records] == [("ei", 0.6), ("lt", 0.6)]
+    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.1", "scheme=lt,epsilon=0.1"]
+    for f in result.failures:
+        assert f.message.startswith("MeshResolutionError: ")
+    assert result.failures[0].message == result.failures[1].message
 
 
 def test_sweep_workers_equivalence():
@@ -330,6 +332,28 @@ def test_compare_methods_regime_tags_and_strang_scaling():
     ]
     assert len(consts) >= 4
     assert max(consts) / min(consts) <= 5.0
+
+
+def test_compare_methods_shares_the_reference_exactly():
+    # every scheme and tau of an eps is measured against the one reference
+    # solve of that eps, so each error is bit-identical to a direct recompute
+    p = get_preset("schrodinger-a1")
+    cfg = SweepConfig(
+        kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+        initial=p.initial, half_width=p.half_width, epsilons=(0.125, 0.25),
+        taus=(0.005, 0.01), schemes=("ei", "lt", "strang", "lri"), z_final=0.01,
+        grid_n=256,
+    )
+    result = compare_methods(cfg)
+    assert not result.failures
+    assert len(result.records) == 2 * 2 * 4
+    grid = Grid(p.half_width, 256)
+    for r in result.records:
+        mk = lambda scheme, tau: SolveConfig(
+            model=cfg.model(r.epsilon), grid=grid, potential=p.potential,
+            initial=p.initial, scheme=scheme, tau=tau, z_final=0.01)
+        ref = solve(mk(cfg.reference_scheme, cfg.reference_tau)).final
+        assert r.error_x == error_x(solve(mk(r.scheme, r.tau)).final, ref)
 
 
 # ---------------------------------------------------------------------------
