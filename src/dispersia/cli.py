@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    ErrorRecord,
     SweepConfig,
     compare_methods,
     convergence_sweep,
@@ -39,7 +40,7 @@ from .harness import (
     regularity_normalizer,
     regularity_sweep,
 )
-from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
+from .integrators import NumericalBlowupError, SolveConfig, StepperKind, free_solution, solve
 from .model import (
     DispersiveModel,
     eval_p,
@@ -50,7 +51,7 @@ from .model import (
     verify_phase_lower_bound,
 )
 from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
-from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
+from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, resolving_grid_n, x_norm
 
 RESULT_COLUMNS = (
     "scheme", "kappa", "alpha", "epsilon", "tau", "z_final", "j",
@@ -77,88 +78,178 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}")
+# ---------------------------------------------------------------------------
+# config fields.  A reader turns one value given by a preset, a config file
+# or a flag (as text) into the value the run uses; a check is called with
+# that value and the fields read before it, and most checks build the
+# library object the value feeds.  What either raises is reported under the
+# field's key.
 
 
-def _str_list(text: str) -> list[str]:
-    return [p.strip() for p in text.split(",") if p.strip()]
+def _integer(v) -> int:
+    """An int; an integral float is accepted, a bool, a string or a fraction is not."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
 
 
-def _parse_beta(text: str):
-    """'3/2' stays an exact fraction, '1' an integer, '1.5' a float."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            return Fraction(s)
-        if s.lstrip("+-").isdigit():
-            return int(s)
-        return float(s)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"beta: cannot parse {text!r}")
+def _items(v) -> list:
+    """A list, a comma-separated string or one value, as a list."""
+    if isinstance(v, str):
+        return [p.strip() for p in v.split(",") if p.strip()]
+    return list(v) if isinstance(v, (list, tuple)) else [v]
+
+
+def _numbers(v) -> list[float]:
+    return [float(x) for x in _items(v)]
+
+
+def _one(read):
+    """read, then insist on exactly one value."""
+    def one(v):
+        values = read(v)
+        if len(values) != 1:
+            raise ValueError(f"needs exactly one value, got {values!r}")
+        return values[0]
+    return one
+
+
+def _beta(v):
+    """'3/2' stays an exact fraction; any other number is a float."""
+    return Fraction(v) if isinstance(v, str) and "/" in v else float(v)
+
+
+# the parameters of each potential and initial-data kind, in the order its
+# constructor takes them; one not given takes the spec's default
+_KINDS = {
+    PotentialSpec: {"gaussian": ("amplitude", "width_sq"), "exp_abs": ("amplitude",),
+                    "tabulated": ("samples",)},
+    InitialDataSpec: {"gaussian": (), "plane_wave": ("xi0",), "tabulated": ("samples",)},
+}
+
+
+def _spec(cls, d):
+    kinds = _KINDS[cls]
+    if not isinstance(d, dict) or d.get("kind") not in kinds:
+        raise ValueError(f"expected an object of kind {' or '.join(kinds)}, got {d!r}")
+    if d["kind"] == "tabulated":  # samples have no default; complex ones are [re, im] pairs
+        return cls.tabulated([complex(*s) if isinstance(s, list) else s for s in d["samples"]])
+    return getattr(cls, d["kind"])(*(d.get(p, getattr(cls, p)) for p in kinds[d["kind"]]))
+
+
+def _jsonable(v):
+    """The run.json form of a field value that json cannot write by itself."""
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, Fraction):
+        return str(v)
+    return {"kind": v.kind, **{p: getattr(v, p) for p in _KINDS[type(v)][v.kind]}}
+
+
+def _model_at(eps: float, fields: dict) -> DispersiveModel:
+    return DispersiveModel(fields["kappa"], fields["coeffs"], fields["alpha"], eps)
+
+
+def _check_epsilons(epsilons, fields) -> None:
+    if not epsilons:
+        raise ValueError("needs at least one value")
+    for eps in epsilons:
+        _model_at(eps, fields)
+
+
+def _above(lo):
+    def check(v, fields):
+        if not v > lo:
+            raise ValueError(f"must be > {lo}, got {v}")
+    return check
+
+
+def _pure_coeffs(kappa: int) -> list[float]:
+    return [1.0] + [0.0] * ((kappa + 1) // 2 - 1)
+
+
+_REQUIRED = object()
+
+
+def _field(key, read, default=_REQUIRED, flag=None, check=None, also=()) -> tuple:
+    """One row of a subcommand's table.  read(raw) gives the value; default (a
+    constant or a function of the fields before it) stands in when no source
+    gives one; check(value, fields) may raise; flag is the command-line flag,
+    if any; also lists keys accepted in place of key."""
+    return key, read, default, flag, check, also
+
+
+_KAPPA = _field("kappa", _integer, flag="--kappa",
+                check=lambda k, f: DispersiveModel(k, _pure_coeffs(k), 0.0, 1.0))
+_COEFFS = _field("coeffs", _numbers, lambda f: _pure_coeffs(f["kappa"]),
+                 check=lambda c, f: DispersiveModel(f["kappa"], c, 0.0, 1.0))
+_ALPHA = _field("alpha", float, flag="--alpha",
+                check=lambda a, f: DispersiveModel(f["kappa"], f["coeffs"], a, 1.0))
+_HALF_WIDTH = _field("half_width", float, 16.0, check=lambda hw, f: Grid(hw, 8))
+_Z_FINAL = _field("z_final", float, 1.0)
+# the X-norm's own check on the derivative order
+_DERIV_ORDER = _field("deriv_order", _integer, 0, "--deriv-order", check=lambda j, f: x_norm(
+    SpectralField(Grid(1.0, 8), coeffs=np.zeros(8)), j))
+_POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
+_INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
+# by default the grid resolves h <= the smallest eps
+_GRID_N = _field("grid_n", _integer, lambda f: resolving_grid_n(
+    f["half_width"], min(f["epsilons"]) if "epsilons" in f else f["epsilon"]),
+    check=lambda n, f: Grid(f["half_width"], n))
+
+
+# one table of fields per subcommand
+_SOLVE = (
+    _KAPPA, _COEFFS, _ALPHA,
+    _field("epsilon", _one(_numbers), flag="--epsilon", check=_model_at, also=("epsilons",)),
+    _field("tau", _one(_numbers), flag="--tau", also=("taus",)),
+    _field("scheme", _one(_items), "ei", "--scheme", lambda s, f: StepperKind(s),
+           also=("schemes",)),
+    _Z_FINAL,
+    _field("snapshot_stride", _integer, 0),
+    _DERIV_ORDER, _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
+)
+
+
+def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...]) -> tuple:
+    return (
+        _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
+        _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", _check_epsilons, also=eps_alias),
+        _field("taus", _numbers, DESK_TAUS, "--tau"),
+        _field("schemes", _items, schemes, "--scheme", also=("scheme",)),
+        _Z_FINAL,
+        _field("reference_tau", float, REFERENCE_TAU),
+        _field("reference_scheme", str, "ei"),
+        _DERIV_ORDER,
+        _field("normalization", str, "error"),
+        _GRID_N,
+        _field("workers", _integer, lambda f: default_workers(), "--workers", _above(0)),
+        _POTENTIAL, _INITIAL,
+    )
+
+
+_REDUCE_MOMENT = (
+    _field("kappa", _integer, flag="--kappa"),
+    _field("beta", _beta, flag="--beta"),
+    _field("sign", str, flag="--sign"),
+    _field("lambda", float, flag="--lambda"),
+)
+
+_VERIFY_PHASE = (
+    _KAPPA, _COEFFS, _ALPHA,
+    _field("epsilon", _one(_numbers), 2.0**-6, "--epsilon", _model_at),
+    _field("seed", _integer, 12345, "--seed", _above(-1)),
+    _field("samples", _integer, 100000, check=_above(0)),
+    _field("grid_points", _integer, 400, check=_above(0)),
+    _field("xi_max", float, 8.0, check=_above(0)),
+    _field("c0", float, None),  # null: search the lower-bound constant
+)
 
 
 # ---------------------------------------------------------------------------
 # configuration assembly: preset -> config file -> command-line flags
-
-
-def _potential_to_dict(spec: PotentialSpec) -> dict:
-    if spec.kind == "gaussian":
-        return {"kind": "gaussian", "amplitude": spec.amplitude, "width_sq": spec.width_sq}
-    if spec.kind == "exp_abs":
-        return {"kind": "exp_abs", "amplitude": spec.amplitude}
-    return {"kind": "tabulated", "samples": list(spec.samples or ())}
-
-
-def _initial_to_dict(spec: InitialDataSpec) -> dict:
-    if spec.kind == "gaussian":
-        return {"kind": "gaussian"}
-    if spec.kind == "plane_wave":
-        return {"kind": "plane_wave", "xi0": spec.xi0}
-    return {"kind": "tabulated", "samples": [[s.real, s.imag] for s in spec.samples or ()]}
-
-
-def _potential_from_dict(d) -> PotentialSpec:
-    if isinstance(d, PotentialSpec):
-        return d
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("potential: expected an object with a 'kind' field")
-    kind = d["kind"]
-    try:
-        if kind == "gaussian":
-            return PotentialSpec.gaussian(d.get("amplitude", -1.0), d.get("width_sq", 1.0))
-        if kind == "exp_abs":
-            return PotentialSpec.exp_abs(d.get("amplitude", -1.0))
-        if kind == "tabulated":
-            return PotentialSpec.tabulated(d["samples"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"potential: {exc}")
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
-
-
-def _initial_from_dict(d) -> InitialDataSpec:
-    if isinstance(d, InitialDataSpec):
-        return d
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("initial: expected an object with a 'kind' field")
-    kind = d["kind"]
-    try:
-        if kind == "gaussian":
-            return InitialDataSpec.gaussian()
-        if kind == "plane_wave":
-            return InitialDataSpec.plane_wave(d.get("xi0", 0.0))
-        if kind == "tabulated":
-            samples = [
-                complex(s[0], s[1]) if isinstance(s, (list, tuple)) else complex(s)
-                for s in d["samples"]
-            ]
-            return InitialDataSpec.tabulated(samples)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"initial: {exc}")
-    raise ConfigError(f"initial.kind: unknown kind {kind!r}")
 
 
 def _preset_dict(name: str) -> dict:
@@ -166,99 +257,47 @@ def _preset_dict(name: str) -> dict:
         p = get_preset(name)
     except KeyError as exc:
         raise ConfigError(f"preset: {exc.args[0]}")
-    return {
-        "kappa": p.kappa,
-        "coeffs": list(p.coeffs),
-        "alpha": p.alpha,
-        "half_width": p.half_width,
-        "potential": _potential_to_dict(p.potential),
-        "initial": _initial_to_dict(p.initial),
-        "epsilon": p.default_epsilon,
-        "tau": p.default_tau,
-        "z_final": p.z_final,
-    }
+    # the preset's field names are config keys, apart from its two defaults
+    return {**vars(p), "potential": _jsonable(p.potential), "initial": _jsonable(p.initial),
+            "epsilon": p.default_epsilon, "tau": p.default_tau}
 
 
 def _read_config_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not valid JSON
         raise ConfigError(f"config: cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
-    # provenance echoes from a previous run are not configuration
-    doc.pop("command", None)
-    doc.pop("meta", None)
     return doc
 
 
-def _resolve(args, flag_keys: dict) -> dict:
-    """Merge preset, config file and flags; later sources win."""
-    cfg: dict = {}
-    if getattr(args, "preset", None):
-        cfg.update(_preset_dict(args.preset))
-    if getattr(args, "config", None):
-        cfg.update(_read_config_file(args.config))
-    for key, attr in flag_keys.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
-def _as_list(cfg: dict, plural: str, singular: str, default=None):
-    if plural in cfg:
-        v = cfg[plural]
-        return list(v) if isinstance(v, (list, tuple)) else [v]
-    if singular in cfg:
-        v = cfg[singular]
-        return list(v) if isinstance(v, (list, tuple)) else [v]
-    return default
-
-
-def _pure_coeffs(kappa: int) -> list[float]:
-    return [1.0] + [0.0] * ((kappa + 1) // 2 - 1)
-
-
-def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
-        raise ConfigError(f"{key}: required but not provided (flag, config or preset)")
-    return cfg[key]
-
-
-def _int_field(cfg: dict, key: str, default):
-    """cfg[key] as an int (an integral float is accepted); missing or null
-    gives default, and a bool, a string or a fraction names the key."""
-    v = cfg.get(key)
-    if v is None:
-        return default
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key}: expected an integer, got {v!r}")
-    return v
-
-
-def _model_fields(cfg: dict) -> tuple[int, tuple[float, ...], float]:
-    kappa = _require(cfg, "kappa")
-    if not isinstance(kappa, int):
-        raise ConfigError(f"kappa: expected an integer, got {kappa!r}")
-    coeffs = cfg.get("coeffs") or _pure_coeffs(kappa)
-    alpha = float(_require(cfg, "alpha"))
-    return kappa, tuple(float(c) for c in coeffs), alpha
-
-
-def _resolved_workers(args, cfg: dict) -> int:
-    w = getattr(args, "workers", None)
-    if w is None:
-        w = _int_field(cfg, "workers", None)
-    if w is None:
-        w = default_workers()
-    if w < 1:
-        raise ConfigError(f"workers: must be an integer >= 1, got {w!r}")
-    return w
+def _read_fields(args, table) -> dict:
+    """Every field of the table, read and checked in table order.  A raw value
+    comes from the preset, the config file or the flag, the last one given
+    winning; other keys, such as a run.json's command and meta, are not read."""
+    sources = [
+        _preset_dict(args.preset) if args.preset else {},
+        _read_config_file(args.config) if args.config else {},
+        vars(args),  # a flag's dest is its field's key
+    ]
+    fields: dict = {}
+    for key, read, default, _, check, also in table:
+        raw = None
+        for src in sources:
+            raw = next((src[k] for k in (key, *also) if src.get(k) is not None), raw)
+        if raw is None and default is _REQUIRED:
+            raise ConfigError(f"{key}: required but not provided (flag, config or preset)")
+        try:
+            if raw is None:
+                raw = default(fields) if callable(default) else default
+            value = None if raw is None else read(raw)
+            if check and value is not None:
+                check(value, fields)
+        except (ValueError, TypeError, LookupError, ArithmeticError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        fields[key] = value
+    return fields
 
 
 def _out_dir(args) -> Path:
@@ -277,41 +316,18 @@ def _out_dir(args) -> Path:
 # artifact writers
 
 
+def _write_csv(path: Path, columns, rows) -> None:
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _write_results_csv(path: Path, records) -> None:
     ordered = sorted(
         records,
         key=lambda r: (r.scheme, r.kappa, r.alpha, r.epsilon, r.tau, r.j, r.regime),
     )
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in ordered:
-        lines.append(",".join((
-            r.scheme, str(r.kappa), _fmt(r.alpha), _fmt(r.epsilon), _fmt(r.tau),
-            _fmt(r.z_final), str(r.j), _fmt(r.error_x), _fmt(r.normalized_error),
-            _fmt(r.walltime_s),
-        )))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_rates_csv(path: Path, rates) -> None:
-    lines = [",".join(RATE_COLUMNS)]
-    for label, fit in rates:
-        # group labels use ';' so the CSV stays quote-free
-        lines.append(",".join((
-            label.replace(",", ";"), _fmt(fit.slope), _fmt(fit.intercept),
-            _fmt(fit.r_squared), str(fit.n_points),
-        )))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_run_json(path: Path, command: str, cfg: dict) -> None:
-    doc = dict(cfg)
-    doc["command"] = command
-    doc["meta"] = {
-        "package": "dispersia",
-        "version": __version__,
-        "written_unix": time.time(),
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # every result column is an ErrorRecord attribute of the same name
+    _write_csv(path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in ordered))
 
 
 def _write_plot_script(path: Path, records, x_field: str) -> None:
@@ -337,174 +353,56 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _report_failures(failures) -> int:
-    for f in failures:
-        print(f"numerical failure: cell {f.cell}: {f.message}", file=sys.stderr)
-    return 2 if failures else 0
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _run_solve(args) -> int:
-    cfg = _resolve(args, {
-        "kappa": "kappa", "alpha": "alpha", "deriv_order": "deriv_order",
-    })
-    eps_list = _as_list(cfg, "epsilons", "epsilon")
-    if getattr(args, "epsilon", None) is not None:
-        eps_list = args.epsilon
-    if not eps_list or len(eps_list) != 1:
-        raise ConfigError(f"epsilon: solve needs exactly one value, got {eps_list!r}")
-    tau_list = _as_list(cfg, "taus", "tau")
-    if getattr(args, "tau", None) is not None:
-        tau_list = args.tau
-    if not tau_list or len(tau_list) != 1:
-        raise ConfigError(f"tau: solve needs exactly one value, got {tau_list!r}")
-    schemes = _as_list(cfg, "schemes", "scheme", default=["ei"])
-    if getattr(args, "scheme", None) is not None:
-        schemes = args.scheme
-    if len(schemes) != 1:
-        raise ConfigError(f"scheme: solve needs exactly one value, got {schemes!r}")
-
-    kappa, coeffs, alpha = _model_fields(cfg)
-    eps = float(eps_list[0])
-    tau = float(tau_list[0])
-    half_width = float(cfg.get("half_width", 16.0))
-    z_final = float(cfg.get("z_final", 1.0))
-    stride = _int_field(cfg, "snapshot_stride", 0)
-    j = _int_field(cfg, "deriv_order", 0)
-    grid_n = _int_field(cfg, "grid_n", None) or resolving_grid_n(half_width, eps)
-    potential = _potential_from_dict(cfg.get("potential", {"kind": "gaussian"}))
-    initial = _initial_from_dict(cfg.get("initial", {"kind": "gaussian"}))
-
-    try:
-        model = DispersiveModel(kappa, coeffs, alpha, eps)
-        grid = Grid(half_width, grid_n)
-        solve_cfg = SolveConfig(
-            model=model, grid=grid, potential=potential, initial=initial,
-            scheme=schemes[0], tau=tau, z_final=z_final, snapshot_stride=stride,
-        )
-        solve_cfg.step_count()
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
+def _run_solve(args, f: dict, out: Path) -> int:
+    eps, j = f["epsilon"], f["deriv_order"]
+    grid = Grid(f["half_width"], f["grid_n"])
+    solve_cfg = SolveConfig(
+        model=_model_at(eps, f), grid=grid, potential=f["potential"], initial=f["initial"],
+        scheme=f["scheme"], tau=f["tau"], z_final=f["z_final"],
+        snapshot_stride=f["snapshot_stride"],
+    )
     result = solve(solve_cfg)
     err = error_x(result.final, free_solution(solve_cfg), j)
+    record = ErrorRecord(
+        scheme=solve_cfg.scheme.value, kappa=f["kappa"], alpha=f["alpha"], epsilon=eps,
+        tau=f["tau"], z_final=f["z_final"], j=j, error_x=err,
+        normalized_error=err / regularity_normalizer(f["kappa"], f["alpha"], j, eps),
+        walltime_s=result.walltime,
+    )
 
-    out = _out_dir(args)
-    record_row = ",".join((
-        str(solve_cfg.scheme.value), str(kappa), _fmt(alpha), _fmt(eps), _fmt(tau),
-        _fmt(z_final), str(j), _fmt(err),
-        _fmt(err / regularity_normalizer(kappa, alpha, j, eps)), _fmt(result.walltime),
-    ))
-    (out / "results.csv").write_text(",".join(RESULT_COLUMNS) + "\n" + record_row + "\n")
-
+    _write_results_csv(out / "results.csv", [record])
     vals = result.final.values
-    state_lines = ["x,re,im"]
-    for x, v in zip(grid.nodes, vals):
-        state_lines.append(f"{_fmt(float(x))},{_fmt(float(v.real))},{_fmt(float(v.imag))}")
-    (out / "final_state.csv").write_text("\n".join(state_lines) + "\n")
-
-    resolved = {
-        "kappa": kappa, "coeffs": list(coeffs), "alpha": alpha,
-        "epsilon": eps, "tau": tau, "scheme": str(solve_cfg.scheme.value),
-        "z_final": z_final, "snapshot_stride": stride, "deriv_order": j,
-        "half_width": half_width, "grid_n": grid_n,
-        "potential": _potential_to_dict(potential),
-        "initial": _initial_to_dict(initial),
-    }
-    _write_run_json(out / "run.json", "solve", resolved)
+    _write_csv(out / "final_state.csv", ("x", "re", "im"),
+               ((float(x), float(v.real), float(v.imag)) for x, v in zip(grid.nodes, vals)))
     print(f"solve: {len(vals)} nodes, error_x vs free flow = {err:.6g}")
     return 0
 
 
-def _sweep_config(args, cfg: dict, command: str) -> tuple[SweepConfig, dict]:
-    kappa, coeffs, alpha = _model_fields(cfg)
-    half_width = float(cfg.get("half_width", 16.0))
+def _run_sweep(args, f: dict, out: Path) -> int:
+    command = args.command
+    kwargs = dict(f)
+    kwargs["derivative_order"] = kwargs.pop("deriv_order")
+    sweep = SweepConfig(**kwargs)
 
-    eps_flag = getattr(args, "epsilon", None)
-    if eps_flag is not None:
-        epsilons = [float(e) for e in eps_flag]
-    elif command == "sweep-regularity":
-        # a rate in eps needs several eps values; scalar presets are ignored
-        epsilons = _as_list(cfg, "epsilons", "_none", default=list(DESK_EPSILONS))
-    else:
-        epsilons = _as_list(cfg, "epsilons", "epsilon", default=list(DESK_EPSILONS))
+    # built per call, so that a harness function replaced on this module is the one run
+    run, x_field, keys = {
+        "sweep-convergence": (convergence_sweep, "tau", ("scheme", "epsilon")),
+        "sweep-regularity": (regularity_sweep, "epsilon", ("scheme", "j")),
+        "compare": (compare_methods, "tau", ("scheme", "epsilon", "regime")),
+    }[command]
+    result = run(sweep)
+    rates = result.rates_by_group(x_field, keys)
 
-    tau_flag = getattr(args, "tau", None)
-    if tau_flag is not None:
-        taus = [float(t) for t in tau_flag]
-    else:
-        taus = _as_list(cfg, "taus", "_none", default=list(DESK_TAUS))
-
-    scheme_flag = getattr(args, "scheme", None)
-    if scheme_flag is not None:
-        schemes = list(scheme_flag)
-    else:
-        default_schemes = ["ei", "lt", "strang", "lri"] if command == "compare" else ["ei"]
-        schemes = _as_list(cfg, "schemes", "scheme", default=default_schemes)
-
-    workers = _resolved_workers(args, cfg)
-    j = _int_field(cfg, "deriv_order", 0)
-
-    try:
-        sweep = SweepConfig(
-            kappa=kappa, coeffs=coeffs, alpha=alpha,
-            potential=_potential_from_dict(cfg.get("potential", {"kind": "gaussian"})),
-            initial=_initial_from_dict(cfg.get("initial", {"kind": "gaussian"})),
-            half_width=half_width,
-            epsilons=tuple(float(e) for e in epsilons),
-            taus=tuple(float(t) for t in taus),
-            schemes=tuple(schemes),
-            z_final=float(cfg.get("z_final", 1.0)),
-            reference_tau=float(cfg.get("reference_tau", REFERENCE_TAU)),
-            reference_scheme=cfg.get("reference_scheme", "ei"),
-            derivative_order=j,
-            normalization=cfg.get("normalization", "error"),
-            grid_n=_int_field(cfg, "grid_n", None),
-            workers=workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    resolved = {
-        "kappa": kappa, "coeffs": list(coeffs), "alpha": alpha,
-        "half_width": half_width,
-        "potential": _potential_to_dict(sweep.potential),
-        "initial": _initial_to_dict(sweep.initial),
-        "epsilons": list(sweep.epsilons), "taus": list(sweep.taus),
-        "schemes": [s.value for s in sweep.schemes],
-        "z_final": sweep.z_final, "reference_tau": sweep.reference_tau,
-        "reference_scheme": sweep.reference_scheme.value,
-        "deriv_order": sweep.derivative_order,
-        "normalization": sweep.normalization,
-        "grid_n": sweep.grid().n, "workers": workers,
-    }
-    return sweep, resolved
-
-
-def _run_sweep(args, command: str) -> int:
-    cfg = _resolve(args, {"kappa": "kappa", "alpha": "alpha", "deriv_order": "deriv_order"})
-    sweep, resolved = _sweep_config(args, cfg, command)
-
-    if command == "sweep-convergence":
-        result = convergence_sweep(sweep)
-        rates = result.rates_by_group("tau", ("scheme", "epsilon"))
-        x_field = "tau"
-    elif command == "sweep-regularity":
-        result = regularity_sweep(sweep)
-        rates = result.rates_by_group("epsilon", ("scheme", "j"))
-        x_field = "epsilon"
-    else:
-        result = compare_methods(sweep)
-        rates = result.rates_by_group("tau", ("scheme", "epsilon", "regime"))
-        x_field = "tau"
-
-    out = _out_dir(args)
     _write_results_csv(out / "results.csv", result.records)
-    _write_rates_csv(out / "rates.csv", rates)
-    _write_run_json(out / "run.json", command, resolved)
+    # group labels use ';' so the CSV stays quote-free
+    _write_csv(out / "rates.csv", RATE_COLUMNS, (
+        (label.replace(",", ";"), fit.slope, fit.intercept, fit.r_squared, fit.n_points)
+        for label, fit in rates
+    ))
     if args.emit_plots:
         _write_plot_script(out / "plot.gp", result.records, x_field)
 
@@ -512,27 +410,16 @@ def _run_sweep(args, command: str) -> int:
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
     for label, fit in rates:
         print(f"  {label}: slope={fit.slope:.4f} r2={fit.r_squared:.5f}")
-    return _report_failures(result.failures)
+    for fail in result.failures:
+        print(f"numerical failure: cell {fail.cell}: {fail.message}", file=sys.stderr)
+    return 2 if result.failures else 0
 
 
-def _run_reduce(args) -> int:
-    cfg = _resolve(args, {"kappa": "kappa", "beta": "beta", "sign": "sign", "lambda": "lam"})
-    kappa = _require(cfg, "kappa")
-    beta = cfg.get("beta")
-    if beta is None:
-        raise ConfigError("beta: required for reduce-moment")
-    if isinstance(beta, str):
-        beta = _parse_beta(beta)
-    sign = _require(cfg, "sign")
-    lam = float(_require(cfg, "lambda"))
-    try:
-        red = reduce_moment(kappa, beta, sign, lam)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
+def _run_reduce(args, f: dict, out: Path) -> int:
+    red = reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"])
     doc = {
         "kappa": red.kappa,
-        "beta": str(red.beta) if isinstance(red.beta, Fraction) else red.beta,
+        "beta": red.beta,
         "sign": red.sign,
         "lambda": red.lam,
         "alpha": float(red.alpha),
@@ -542,50 +429,22 @@ def _run_reduce(args) -> int:
         "signFactor": red.sign_factor,
         "droppedConstant": red.dropped_constant,
     }
-    text = json.dumps(doc, indent=2)
-    out = _out_dir(args)
+    text = json.dumps(doc, indent=2, default=_jsonable)
     (out / "reduction.json").write_text(text + "\n")
-    _write_run_json(out / "run.json", "reduce-moment", {
-        "kappa": kappa, "beta": doc["beta"], "sign": sign, "lambda": lam,
-    })
     print(text)
     return 0
 
 
-def _run_verify_phase(args) -> int:
-    cfg = _resolve(args, {"kappa": "kappa", "alpha": "alpha"})
-    kappa, coeffs, alpha = _model_fields(cfg)
-    eps_flag = getattr(args, "epsilon", None)
-    if eps_flag is not None:
-        if len(eps_flag) != 1:
-            raise ConfigError(f"epsilon: verify-phase needs one value, got {eps_flag!r}")
-        eps = float(eps_flag[0])
-    else:
-        eps = float(cfg.get("epsilon", 2.0**-6))
-    xi_max = float(cfg.get("xi_max", 8.0))
-    grid_points = _int_field(cfg, "grid_points", 400)
-    n_samples = _int_field(cfg, "samples", 100000)
-    if n_samples < 1:
-        raise ConfigError(f"samples: must be an integer >= 1, got {n_samples}")
-    if grid_points < 1:
-        raise ConfigError(f"grid_points: must be an integer >= 1, got {grid_points}")
-    if not xi_max > 0:
-        raise ConfigError(f"xi_max: must be positive, got {xi_max}")
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 12345)
-    if seed < 0:
-        raise ConfigError(f"seed: must be an integer >= 0, got {seed}")
-
-    try:
-        model = DispersiveModel(kappa, coeffs, alpha, eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _run_verify_phase(args, f: dict, out: Path) -> int:
+    eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
+    model = _model_at(eps, f)
 
     # sampled identity check with a cancellation floor: the two evaluations
     # subtract P values of size eps^alpha * P(xi1/eps + xi2), so agreement is
     # only meaningful above roundoff of that magnitude
-    rng = np.random.default_rng(seed)
-    xi1 = rng.uniform(-xi_max, xi_max, n_samples)
-    xi2 = rng.uniform(-xi_max, xi_max, n_samples)
+    rng = np.random.default_rng(f["seed"])
+    xi1 = rng.uniform(-xi_max, xi_max, f["samples"])
+    xi2 = rng.uniform(-xi_max, xi_max, f["samples"])
     direct = eval_phase(model, xi1, xi2)
     factored = eval_phase_factored(model, xi1, xi2)
     p_big = np.abs(eval_p(model, xi1 / eps + xi2)) + np.abs(eval_p(model, xi2))
@@ -595,34 +454,27 @@ def _run_verify_phase(args) -> int:
     max_dev = float(np.max(dev))
     identity_ok = max_dev <= _IDENTITY_RTOL
 
-    axis = np.linspace(-xi_max, xi_max, grid_points)
-    c0 = cfg.get("c0")
+    axis = np.linspace(-xi_max, xi_max, f["grid_points"])
+    c0 = f["c0"]
     searched = c0 is None
     if searched:
         c0, report = search_lower_bound_constant(model, axis, axis)
     else:
-        c0 = float(c0)
         report = verify_phase_lower_bound(model, c0, axis, axis)
     bound_ok = report.min_ratio > 0.0
 
     doc = {
-        "kappa": kappa, "coeffs": list(coeffs), "alpha": alpha, "epsilon": eps,
-        "seed": seed, "samples": n_samples, "maxRelDeviation": max_dev,
+        "kappa": f["kappa"], "coeffs": list(f["coeffs"]), "alpha": alpha, "epsilon": eps,
+        "seed": f["seed"], "samples": f["samples"], "maxRelDeviation": max_dev,
         "identityOk": identity_ok,
         "c0": float(c0), "c0Searched": searched,
-        "gridPoints": grid_points, "xiMax": xi_max,
+        "gridPoints": f["grid_points"], "xiMax": xi_max,
         "minRatio": report.min_ratio,
         "worstPoint": [report.worst_xi1, report.worst_xi2],
         "admissibleCount": report.admissible_count,
         "lowerBoundOk": bound_ok,
     }
-    out = _out_dir(args)
     (out / "phase_report.json").write_text(json.dumps(doc, indent=2) + "\n")
-    _write_run_json(out / "run.json", "verify-phase", {
-        "kappa": kappa, "coeffs": list(coeffs), "alpha": alpha, "epsilon": eps,
-        "seed": seed, "samples": n_samples, "c0": float(c0),
-        "grid_points": grid_points, "xi_max": xi_max,
-    })
     print(f"verify-phase: maxRelDeviation={max_dev:.3e} minRatio={report.min_ratio:.6g} "
           f"(C0={float(c0):g}, {report.admissible_count} admissible)")
     if not identity_ok:
@@ -640,74 +492,51 @@ def _run_verify_phase(args) -> int:
 # parser
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--config", help="JSON configuration file")
-    sp.add_argument("--out", default="out", help="output directory (default: out)")
-    sp.add_argument("--workers", type=int, help="worker threads (default: DISPERSIA_WORKERS or 1)")
-    sp.add_argument("--emit-plots", action="store_true", dest="emit_plots",
-                    help="also write a plot.gp script")
-    sp.add_argument("--preset", help="named preset supplying model and domain defaults")
-    sp.add_argument("--seed", type=int, help="RNG seed for sampled verification")
-
-
-def _add_model_overrides(sp, with_lists: bool = True) -> None:
-    sp.add_argument("--kappa", type=int, help="dispersion order")
-    sp.add_argument("--alpha", type=float, help="oscillation exponent")
-    if with_lists:
-        sp.add_argument("--epsilon", type=_float_list, metavar="E[,E...]",
-                        help="epsilon value or comma list")
-        sp.add_argument("--tau", type=_float_list, metavar="T[,T...]",
-                        help="tau value or comma list")
-        sp.add_argument("--scheme", type=_str_list, metavar="S[,S...]",
-                        help="scheme name or comma list (ei, lt, strang, lri)")
-        sp.add_argument("--deriv-order", type=int, dest="deriv_order",
-                        help="derivative order used by the X-norm")
+_COMMANDS = {
+    "solve": (_SOLVE, _run_solve),
+    "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _run_sweep),
+    # a rate in eps needs several eps values; a preset's single epsilon is ignored
+    "sweep-regularity": (_sweep_table(("ei",), ()), _run_sweep),
+    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _run_sweep),
+    "reduce-moment": (_REDUCE_MOMENT, _run_reduce),
+    "verify-phase": (_VERIFY_PHASE, _run_verify_phase),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dispersia", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dispersia {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for name in ("solve", "sweep-convergence", "sweep-regularity", "compare"):
+    for name, (table, run) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
-        _add_model_overrides(sp)
-
-    sp = sub.add_parser("reduce-moment")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=int, help="moment order")
-    sp.add_argument("--beta", type=_parse_beta, help="scaling exponent (number or fraction like 3/2)")
-    sp.add_argument("--sign", choices=["+", "-"], help="moment branch")
-    sp.add_argument("--lambda", type=float, dest="lam", help="moment parameter")
-
-    sp = sub.add_parser("verify-phase")
-    _add_common(sp)
-    sp.add_argument("--kappa", type=int, help="dispersion order")
-    sp.add_argument("--alpha", type=float, help="oscillation exponent")
-    sp.add_argument("--epsilon", type=_float_list, metavar="E", help="epsilon value")
-
+        sp.add_argument("--config", help="JSON configuration file")
+        sp.add_argument("--out", default="out", help="output directory (default: out)")
+        sp.add_argument("--preset", help="named preset supplying model and domain defaults")
+        if run is _run_sweep:
+            sp.add_argument("--emit-plots", action="store_true", dest="emit_plots",
+                            help="also write a plot.gp script")
+        for key, read, _, flag, _, _ in table:
+            if flag:
+                # integers are typed here; every other flag reaches its reader as text
+                sp.add_argument(flag, dest=key, type=int if read is _integer else None,
+                                help=f"sets config key {key}")
     return parser
-
-
-_COMMANDS = {
-    "solve": _run_solve,
-    "sweep-convergence": lambda a: _run_sweep(a, "sweep-convergence"),
-    "sweep-regularity": lambda a: _run_sweep(a, "sweep-regularity"),
-    "compare": lambda a: _run_sweep(a, "compare"),
-    "reduce-moment": _run_reduce,
-    "verify-phase": _run_verify_phase,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        table, run = _COMMANDS[args.command]
+        fields = _read_fields(args, table)
+        out = _out_dir(args)
+        code = run(args, fields, out)
+        # run.json echoes every field as read, so it replays through --config
+        meta = {"package": "dispersia", "version": __version__, "written_unix": time.time()}
+        doc = {**fields, "command": args.command, "meta": meta}
+        (out / "run.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n")
+        return code
+    except (ConfigError, ValueError) as exc:
         # model/grid/sweep validation all raise ValueError naming the field
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -106,6 +106,14 @@ def test_reduce_moment_degenerate_is_config_error(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_reduce_moment_non_numeric_lambda_is_config_error(tmp_path, capsys):
+    doc = {"kappa": 2, "beta": 1, "sign": "+", "lambda": "x"}
+    rc = main(["reduce-moment", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error: lambda:" in capsys.readouterr().err
+
+
 def test_reduce_moment_requires_beta(tmp_path, capsys):
     rc = main([
         "reduce-moment", "--kappa", "2", "--sign", "+", "--lambda", "1",
@@ -344,6 +352,8 @@ def test_verify_phase_quadratic(tmp_path, capsys):
     # non-integers are refused by name, not truncated into run.json
     ("samples", "many"), ("samples", 1.9), ("samples", True), ("grid_points", 12.7),
     ("seed", -3),
+    # a value the field's reader cannot take names the field
+    ("alpha", "x"), ("epsilon", "x"), ("xi_max", "x"), ("c0", "x"), ("coeffs", 5),
 ])
 def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, value):
     doc = {"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 100, "grid_points": 11}
@@ -359,6 +369,12 @@ def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, valu
     ("solve", "snapshot_stride", "many"),
     ("sweep-convergence", "grid_n", "big"),
     ("sweep-convergence", "workers", True),
+    # a library check on one field is reported under the field's config key
+    ("solve", "grid_n", 12), ("sweep-convergence", "grid_n", 12),
+    ("solve", "deriv_order", -3), ("sweep-convergence", "deriv_order", -3),
+    ("solve", "coeffs", 5), ("sweep-convergence", "coeffs", 5),
+    ("solve", "alpha", "x"), ("solve", "epsilon", "x"), ("solve", "z_final", "x"),
+    ("sweep-convergence", "half_width", "x"), ("sweep-convergence", "reference_tau", "x"),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
     doc = dict(FREE_SOLVE if command == "solve" else SMALL_SWEEP)
@@ -404,8 +420,16 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_unknown_flag_is_config_error(tmp_path, capsys):
-    rc = main(["solve", "--frobnicate", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--frobnicate"],
+    # flags a subcommand has no use for are refused, not ignored
+    ["solve", "--preset", "schrodinger-a1", "--tau", "0.05", "--seed", "3"],
+    ["reduce-moment", "--kappa", "2", "--beta", "1", "--sign", "+", "--lambda", "1",
+     "--workers", "2"],
+    ["verify-phase", "--kappa", "2", "--alpha", "1", "--emit-plots"],
+], ids=["frobnicate", "solve-seed", "reduce-moment-workers", "verify-phase-emit-plots"])
+def test_unknown_flag_is_config_error(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
 
@@ -423,6 +447,55 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "dispersia" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# replay through run.json
+
+REPLAY_CASES = {
+    "solve": (FREE_SOLVE, "results.csv"),
+    "sweep-convergence": (SMALL_SWEEP, "results.csv"),
+    "sweep-regularity": (dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[]), "results.csv"),
+    "compare": (dict(SMALL_SWEEP, taus=[0.05, 0.025]), "results.csv"),
+    "reduce-moment": ({"kappa": 3, "beta": "3/2", "sign": "-", "lambda": 2.0},
+                      "reduction.json"),
+    # c0 is left to the search, which run.json must echo as such
+    "verify-phase": ({"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 500,
+                      "grid_points": 21}, "phase_report.json"),
+}
+
+
+def _without_timing(path):
+    if path.suffix == ".csv":
+        return [row[:9] for row in read_rows(path)[1]]  # all columns except walltime_s
+    doc = json.loads(path.read_text())
+    doc.get("meta", {}).pop("written_unix", None)
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_CASES))
+def test_run_json_replay_reproduces_the_run(tmp_path, command):
+    doc, primary = REPLAY_CASES[command]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out1)]) == 0
+    assert main([command, "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
+    for name in ("run.json", primary):
+        assert _without_timing(out1 / name) == _without_timing(out2 / name), name
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize("command,workload", [
+    ("compare", "compare-schrodinger"), ("sweep-convergence", "convergence-kdv"),
+])
+def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, workload):
+    # the fixtures carry the legacy derivative_order key, so this also pins old-file replay
+    fixture = FIXTURES / workload
+    out = tmp_path / "out"
+    assert main([command, "--config", str(fixture / "run.json"), "--out", str(out)]) == 0
+    assert _without_timing(out / "results.csv") == _without_timing(fixture / "results.csv")
+    assert (out / "rates.csv").read_bytes() == (fixture / "rates.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
