@@ -63,6 +63,14 @@ class DispersiveModel:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
 
+def _nested(coeffs, y2):
+    """sum_j coeffs[j] * y2^(n-1-j) in nested form."""
+    acc = np.full_like(y2, coeffs[0])
+    for c in coeffs[1:]:
+        acc = acc * y2 + c
+    return acc
+
+
 def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
     """Dispersion polynomial P(y), vectorized over y.
 
@@ -70,24 +78,15 @@ def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
     """
     y = np.asarray(y, dtype=np.float64)
     y2 = y * y
-    acc = np.full_like(y2, model.coeffs[0])
-    for c in model.coeffs[1:]:
-        acc = acc * y2 + c
-    return _scalar_or_array(acc * (y if model.kappa % 2 else y2), y)
+    return _scalar_or_array(_nested(model.coeffs, y2) * (y if model.kappa % 2 else y2), y)
 
 
 def _q(r: int, x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    acc = np.zeros(np.broadcast(x, y).shape)
-    if r % 2 == 0:
-        p = r // 2
-        for j in range(p):
-            acc += math.comb(r, 2 * j + 1) * x**j * y ** (p - 1 - j)
-    else:
-        p = (r - 1) // 2
-        for j in range(p + 1):
-            acc += math.comb(r, 2 * j + 1) * x**j * y ** (p - j)
+    """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2, for float arrays or Fractions."""
+    m = (r - 1) // 2
+    acc = r * x**0 * y**m
+    for j in range(1, m + 1):
+        acc += math.comb(r, 2 * j + 1) * x**j * y ** (m - j)
     return acc
 
 
@@ -95,43 +94,166 @@ def eval_q(r: int, x, y) -> np.ndarray | float:
     """Q_r(x, y): the odd-column binomial sum entering the phase factorization.
 
     Q_1 is identically 1; for r >= 2 all terms carry positive binomial
-    weights, which is what makes the factored phase cancellation-free.
+    weights, so Q_r itself never cancels.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     return _scalar_or_array(_q(r, x, y), x, y)
+
+
+# Both phase evaluations below carry a running bound on their rounding error.
+# Where the bound is not small against the value, the point is evaluated again
+# in exact rational arithmetic and rounded once: the plain float forms lose
+# digits where P(xi1/eps + xi2) and P(xi2), or the signed terms of the factored
+# sum, nearly cancel, and where squares of tiny inputs leave the normal range.
+_U = 2.0**-53  # unit roundoff
+_TRUST_RTOL = 2.0**-36  # largest error bound, relative to the value, kept as is
+_MAX_SHIFT = 2.0**-20  # largest relative input error the linear bound covers
+_TINY_INPUT = 2.0**-500  # smaller inputs square below the normal range
+_TINY_SIZE = 2.0**-900  # smaller term sizes may have lost digits to underflow
+_CHUNK = 1 << 16  # points per pass, which bounds the size of the temporaries
+
+
+def _chunked(f, xi1, xi2) -> np.ndarray:
+    """f over the broadcast (xi1, xi2), in flat passes of at most _CHUNK points."""
+    xi1, xi2 = np.broadcast_arrays(xi1, xi2)
+    if xi1.size <= _CHUNK:
+        return np.asarray(f(xi1, xi2), dtype=np.float64)
+    out = np.empty(xi1.shape)
+    flat1, flat2, flat_out = xi1.ravel(), xi2.ravel(), out.reshape(-1)
+    for s in range(0, flat1.size, _CHUNK):
+        flat_out[s : s + _CHUNK] = f(flat1[s : s + _CHUNK], flat2[s : s + _CHUNK])
+    return out
+
+
+def _round_scaled(r: Fraction, scale: float) -> float:
+    """The float nearest r * scale, rounded once where the result is subnormal."""
+    if r == 0:
+        return 0.0
+    k = r.denominator.bit_length() - r.numerator.bit_length()  # |r| 2^k near 1
+    try:
+        return math.ldexp(float(r * Fraction(2) ** k) * scale, -k)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
+def _certified(out, bound, size, inputs, exact, xi1, xi2) -> np.ndarray:
+    """out, with the points whose bound exceeds _TRUST_RTOL * |out|, whose
+    term size is below _TINY_SIZE, or that square an input below _TINY_INPUT
+    replaced by exact(xi1, xi2); xi1 and xi2 have the shape of out."""
+    out = np.asarray(out, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        redo = ~(bound <= _TRUST_RTOL * np.abs(out)) | (size < _TINY_SIZE)
+        for v in inputs:
+            redo |= np.abs(v) < _TINY_INPUT
+    redo &= np.isfinite(out)
+    for i in np.flatnonzero(redo):
+        out.flat[i] = exact(float(xi1.flat[i]), float(xi2.flat[i]))
+    return out
+
+
+def _shift_bound(size, theta, k: int, evaluation: float):
+    """Error bound for terms of total size `size` and degree <= k, evaluated
+    with `evaluation` unit roundoffs from an argument off by relative theta."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(theta <= _MAX_SHIFT, size * (evaluation * _U + 2 * k * theta), np.inf)
+
+
+def _p_and_size(model: DispersiveModel, y):
+    """P(y) and T(y) = sum_j |d_j| |y|^(kappa-2j), which sizes its rounding error."""
+    y2 = y * y
+    parity = y if model.kappa % 2 else y2
+    size = _nested([abs(c) for c in model.coeffs], y2) * np.abs(parity)
+    return _nested(model.coeffs, y2) * parity, size
+
+
+def _phase_exact(model: DispersiveModel, xi1: float, xi2: float) -> float:
+    coeffs = [Fraction(c) for c in model.coeffs]
+
+    def p(y):
+        y2 = y * y
+        acc = Fraction(0)
+        for c in coeffs:
+            acc = acc * y2 + c
+        return acc * (y if model.kappa % 2 else y2)
+
+    b = Fraction(xi2)
+    diff = p(Fraction(xi1) / Fraction(model.epsilon) + b) - p(b)
+    return _round_scaled(diff, model.epsilon**model.alpha)
 
 
 def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     """Oscillatory phase eps^alpha * (P(xi1/eps + xi2) - P(xi2)).
 
-    This is the defining subtractive form; for |xi1| << eps*|xi2| it loses
-    digits to cancellation, which eval_phase_factored avoids.
+    This is the defining subtractive form.  Where it loses digits to
+    cancellation (|xi1| << eps*|xi2|, or xi1/eps + xi2 near a root of the
+    difference), the point is evaluated exactly instead.
+    """
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    out = _chunked(lambda u, v: _phase_certified(model, u, v), xi1, xi2)
+    return _scalar_or_array(out, xi1, xi2)
+
+
+def _phase_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
+    eps, kappa = model.epsilon, model.kappa
+    scale = eps**model.alpha
+    h = xi1 / eps
+    a = h + xi2
+    pa, ta = _p_and_size(model, a)
+    pb, tb = _p_and_size(model, xi2)
+    out = scale * (pa - pb)
+    # a is off by up to 2u (|xi1/eps| + |xi2|), which moves every term of P(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = 2 * _U * (np.abs(h) + np.abs(xi2)) / np.abs(a)
+    ta, tb = scale * ta, scale * tb
+    bound = _shift_bound(ta, theta, kappa, 4 * kappa + 8) + (4 * kappa + 8) * _U * tb
+    return _certified(out, bound, np.maximum(ta, tb), (a, xi2),
+                      lambda u, v: _phase_exact(model, u, v), xi1, xi2)
+
+
+def _factored_coeffs(model: DispersiveModel, exact: bool = False):
+    """(c_j, r) with the factored sum = sum_j c_j Q_r(xi1^2, eta^2), r = kappa - 2j,
+    as floats or as exact Fractions."""
+    num = Fraction if exact else float
+    eps = num(model.epsilon)
+    for j, d in enumerate(model.coeffs):
+        r = model.kappa - 2 * j
+        yield eps ** (2 * j) * (num(d) / 2 ** (r - 1)), r
+
+
+def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
+    """The factored form of eval_phase_factored as (sum over j, F, eta, size).
+
+    The product of the sum and F is eps^(kappa-alpha) times the phase; they
+    are returned apart so that a caller can rescale the sum before the final
+    product.  With sizes, size is the sum taken with |c_j| (None otherwise).
     """
     xi1 = np.asarray(xi1, dtype=np.float64)
     xi2 = np.asarray(xi2, dtype=np.float64)
     eps = model.epsilon
-    out = eps**model.alpha * (eval_p(model, xi1 / eps + xi2) - eval_p(model, xi2))
-    return _scalar_or_array(out, xi1, xi2)
-
-
-def _phase_core(model: DispersiveModel, xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
-    """The factored form of eval_phase_factored as (sum over j, F).
-
-    Their product is eps^(kappa-alpha) times the phase; they are returned
-    apart so that a caller can rescale the sum before the final product.
-    """
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    xi2 = np.asarray(xi2, dtype=np.float64)
-    kappa, eps = model.kappa, model.epsilon
     eta = xi1 + 2.0 * eps * xi2
-    x = xi1 * xi1
-    y = eta * eta
-    acc = np.zeros(np.broadcast(x, y).shape)
-    for j, d in enumerate(model.coeffs):
-        r = kappa - 2 * j
-        acc += eps ** (2 * j) * (d / 2.0 ** (r - 1)) * _q(r, x, y)
-    return acc, (xi1 * eta if kappa % 2 == 0 else xi1)
+    x, y = xi1 * xi1, eta * eta
+    acc = np.zeros(np.broadcast(xi1, eta).shape)
+    size = np.zeros_like(acc) if sizes else None
+    for c, r in _factored_coeffs(model):
+        q = _q(r, x, y)
+        acc += c * q
+        if sizes:
+            size += abs(c) * q
+        del q  # a scan's Q is large: drop it before forming the next
+    return acc, (xi1 * eta if model.kappa % 2 == 0 else xi1), eta, size
+
+
+def _phase_factored_exact(model: DispersiveModel, xi1: float, xi2: float) -> float:
+    eps, x1 = Fraction(model.epsilon), Fraction(xi1)
+    eta = x1 + 2 * eps * Fraction(xi2)
+    x, y = x1 * x1, eta * eta
+    acc = sum(c * _q(r, x, y) for c, r in _factored_coeffs(model, exact=True))
+    factor = x1 * eta if model.kappa % 2 == 0 else x1
+    return _round_scaled(acc * factor, model.epsilon ** (model.alpha - model.kappa))
 
 
 def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -143,11 +265,26 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     d~_r = d_r / 2^(r-1).  Algebraically identical to eval_phase.  The
     eps^(alpha-kappa) scale multiplies the sum before F does: scaling the
     finished product instead lets a tiny xi1 drive it subnormal first, which
-    loses digits that the scale cannot bring back.
+    loses digits that the scale cannot bring back.  Q_r never cancels, but
+    the sum over j does when the d_r differ in sign, and eta does when
+    xi1 ~ -2 eps xi2; such points are evaluated exactly instead.
     """
-    acc, factor = _phase_core(model, xi1, xi2)
-    out = model.epsilon ** (model.alpha - model.kappa) * acc * factor
+    xi1 = np.asarray(xi1, dtype=np.float64)
+    xi2 = np.asarray(xi2, dtype=np.float64)
+    out = _chunked(lambda u, v: _phase_factored_certified(model, u, v), xi1, xi2)
     return _scalar_or_array(out, xi1, xi2)
+
+
+def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
+    scale = model.epsilon ** (model.alpha - model.kappa)
+    acc, factor, eta, size = _phase_core(model, xi1, xi2, sizes=True)
+    out = scale * acc * factor
+    size = scale * size * np.abs(factor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = 2 * _U * (np.abs(xi1) + 2.0 * model.epsilon * np.abs(xi2)) / np.abs(eta)
+    bound = _shift_bound(size, theta, model.kappa, 4 * model.kappa + 16)
+    return _certified(out, bound, size, (xi1, eta),
+                      lambda u, v: _phase_factored_exact(model, u, v), xi1, xi2)
 
 
 def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -156,7 +293,7 @@ def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     This is the natural quantity for lower-bound scans: it stays O(1) where
     the phase itself carries the eps^(alpha-kappa) amplification.
     """
-    acc, factor = _phase_core(model, xi1, xi2)
+    acc, factor, _, _ = _phase_core(model, xi1, xi2)
     return _scalar_or_array(acc * factor, xi1, xi2)
 
 

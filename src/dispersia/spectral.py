@@ -129,9 +129,11 @@ def x_norm(f: SpectralField, j: int = 0) -> float:
 def phi1(z):
     """phi1(z) = (e^z - 1)/z, with a 4-term Taylor branch for |z| < 1e-4.
 
-    The direct quotient loses about |log10(eps/|z|)| digits to cancellation
-    near 0; at the branch point the Taylor truncation error is below 1e-17
-    relative, so the switch is seamless.
+    The quotient loses about |log10(eps/|z|)| digits near 0; at the branch
+    point the Taylor truncation error is below 1e-17 relative, so the switch
+    is seamless.  Near z = 2*pi*i*k, k != 0, e^z - 1 cancels as well, in its
+    real part cos(y) - 1: there the numerator is recomputed by expm1, and the
+    recomputed value is taken where the two differ by more than 2^-45.
     """
     za = np.asarray(z, dtype=np.complex128)
     scalar = za.ndim == 0
@@ -141,7 +143,12 @@ def phi1(z):
     zs = za[small]
     out[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = za[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
+    num = np.exp(zb) - 1.0
+    near = (np.abs(num) < 2.0**-9) & (np.abs(zb) > 1.0)
+    fixed = np.expm1(zb[near])
+    lost = np.abs(num[near] - fixed) > 2.0**-45 * np.abs(fixed)
+    num[np.flatnonzero(near)[lost]] = fixed[lost]
+    out[~small] = num / zb
     return complex(out[0]) if scalar else out
 
 

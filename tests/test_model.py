@@ -198,12 +198,48 @@ def _identity_gap(model, xi1, xi2):
 @settings(deadline=None, max_examples=150)
 # a subnormal xi1: scaling the finished factored product lost digits here
 @example(kappa=5, tail=[0.0, 1.0], alpha_frac=0.0, eps=0.25, xi1=2.2e-313, xi2=0.0)
+# P(xi1/eps + xi2) and P(xi2) subnormal: each rounded apart, their difference
+# was off by a whole subnormal step
+@example(kappa=5, tail=[0.0, 6.189363410061298e-173], alpha_frac=0.0, eps=1.0,
+         xi1=3.3386074114889146e-152, xi2=3.3386074114889146e-152)
+# xi1 * eta subnormal before the scale: the factored product lost digits
+@example(kappa=2, tail=[0.0, 0.0], alpha_frac=0.7758745223329808, eps=2.0**-6,
+         xi1=-3.1962140877627566e-160, xi2=-3.1962140877627566e-160)
+# 1 + xi2 rounds to 1, a root of P = y^3 - y: both forms lost every digit
+@example(kappa=3, tail=[-1.0, 0.0], alpha_frac=0.0, eps=1.0,
+         xi1=1.0, xi2=1.9186903436356264e-202)
 def test_phase_identity_random(kappa, tail, alpha_frac, eps, xi1, xi2):
     n = (kappa + 1) // 2
     coeffs = tuple([1.0] + tail)[:n]
     m = DispersiveModel(kappa, coeffs, alpha_frac * kappa, eps)
     gap, tol = _identity_gap(m, xi1, xi2)
     assert gap <= tol
+
+
+def exact_phase(model, xi1, xi2):
+    """eps^alpha (P(xi1/eps + xi2) - P(xi2)) in Fractions, for integer alpha."""
+    p = lambda y: sum(Fraction(d) * y ** (model.kappa - 2 * j) for j, d in enumerate(model.coeffs))
+    eps, b = Fraction(model.epsilon), Fraction(xi2)
+    return float(eps ** int(model.alpha) * (p(Fraction(xi1) / eps + b) - p(b)))
+
+
+@pytest.mark.parametrize(
+    "kappa, coeffs, alpha, eps, xi1, xi2",
+    [
+        (3, (1.0, -1.0), 0.0, 1.0, 1.0, 1.9186903436356264e-202),  # 1 + xi2 == 1
+        (4, (1.0, -2.0), 1.0, 0.25, 0.25, 1e-9),  # P(y) = y^4 - 2y^2 flat at y = 1
+        (3, (1.0, 2.0), 0.0, 1.0, -5e-324, -5e-324),  # subnormal throughout
+        (2, (1.0,), 1.0, 2.0**-6, -3.2e-160, -3.2e-160),  # xi1 * eta subnormal
+        (5, (1.0, -1.0, 0.25), 2.0, 0.5, 1e-12, 3.0),  # |xi1| << eps |xi2|
+    ],
+)
+def test_phase_forms_match_exact_value(kappa, coeffs, alpha, eps, xi1, xi2):
+    m = DispersiveModel(kappa, coeffs, alpha, eps)
+    want = exact_phase(m, xi1, xi2)
+    assert eval_phase(m, xi1, xi2) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert eval_phase_factored(m, xi1, xi2) == pytest.approx(want, rel=1e-13, abs=0.0)
+    arr = eval_phase(m, np.array([xi1, 1.0]), np.array([xi2, 2.0]))
+    assert arr[0] == eval_phase(m, xi1, xi2)
 
 
 def test_phase_vanishes_at_zero_xi1():

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersia.model import DispersiveModel
@@ -226,12 +226,22 @@ def test_phi1_real_axis_matches_expm1(t):
 
 @given(y=st.floats(-50, 50))
 @settings(deadline=None, max_examples=200)
+# e^(iy) - 1 cancels in its real part near y = 2 pi
+@example(y=6.283203125)
 def test_phi1_imag_axis_matches_half_angle(y):
     if y == 0.0:
         return
     assert phi1(1j * y) == pytest.approx(
         phi1_imag_oracle(y), rel=full_branch_tol(abs(y)), abs=1e-300
     )
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, -3])
+def test_phi1_keeps_digits_near_imag_period(k):
+    # phi1(iy) vanishes at y = 2 pi k; e^(iy) - 1 cancels in its real part there
+    for d in (3e-4, -1e-6, 2e-9):
+        y = 2.0 * math.pi * k + d
+        assert phi1(1j * y) == pytest.approx(phi1_imag_oracle(y), rel=1e-13, abs=1e-300)
 
 
 def test_phi1_is_seamless_across_taylor_boundary():
