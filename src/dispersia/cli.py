@@ -46,6 +46,7 @@ from .model import (
     eval_p,
     eval_phase,
     eval_phase_factored,
+    expected_regularity_exponent,
     reduce_moment,
     search_lower_bound_constant,
     verify_phase_lower_bound,
@@ -189,9 +190,21 @@ _ALPHA = _field("alpha", float, flag="--alpha",
                 check=lambda a, f: DispersiveModel(f["kappa"], f["coeffs"], a, 1.0))
 _HALF_WIDTH = _field("half_width", float, 16.0, check=lambda hw, f: Grid(hw, 8))
 _Z_FINAL = _field("z_final", float, 1.0)
-# the X-norm's own check on the derivative order
-_DERIV_ORDER = _field("deriv_order", _integer, 0, "--deriv-order", check=lambda j, f: x_norm(
-    SpectralField(Grid(1.0, 8), coeffs=np.zeros(8)), j))
+
+
+def _deriv_order(rate_norms: tuple[str, ...]) -> tuple:
+    """The deriv_order row.  Its check is the X-norm's own on j and, where the
+    normalization is one of rate_norms and so divides by the regularity rate
+    (solve has no normalization and always does), that rate's too (j < kappa),
+    so such a config fails before any solve."""
+    def check(j, fields):
+        x_norm(SpectralField(Grid(1.0, 8), coeffs=np.zeros(8)), j)
+        if fields.get("normalization", "regularity") in rate_norms:
+            expected_regularity_exponent(fields["kappa"], fields["alpha"], j)
+    return _field("deriv_order", _integer, 0, "--deriv-order", check=check)
+
+
+_DERIV_ORDER = _deriv_order(("regularity",))
 _POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
 _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
 # by default the grid resolves h <= the smallest eps
@@ -213,7 +226,8 @@ _SOLVE = (
 )
 
 
-def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...]) -> tuple:
+def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
+                 deriv_order: tuple = _DERIV_ORDER) -> tuple:
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
         _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", _check_epsilons, also=eps_alias),
@@ -222,8 +236,8 @@ def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...]) -> tuple:
         _Z_FINAL,
         _field("reference_tau", float, REFERENCE_TAU),
         _field("reference_scheme", str, "ei"),
-        _DERIV_ORDER,
         _field("normalization", str, "error"),
+        deriv_order,
         _GRID_N,
         _field("workers", _integer, lambda f: default_workers(), "--workers", _above(0)),
         _POTENTIAL, _INITIAL,
@@ -496,7 +510,9 @@ _COMMANDS = {
     "solve": (_SOLVE, _run_solve),
     "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _run_sweep),
     # a rate in eps needs several eps values; a preset's single epsilon is ignored
-    "sweep-regularity": (_sweep_table(("ei",), ()), _run_sweep),
+    # its "error" normalization is the regularity rate
+    "sweep-regularity": (_sweep_table(("ei",), (), _deriv_order(("error", "regularity"))),
+                         _run_sweep),
     "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT, _run_reduce),
     "verify-phase": (_VERIFY_PHASE, _run_verify_phase),

@@ -1,18 +1,24 @@
 """Time steppers for the oscillatory-potential propagation problem.
 
 All four schemes advance mu' = i eps^alpha D mu + R(x/eps) mu with D the
-Fourier multiplier -P(xi):
+Fourier multiplier -P(xi); F = flow(tau) has symbol exp(-i tau eps^a P(xi)):
 
-    ei     exponential integrator
-               mu+ = flow(tau) mu + tau phi1(i tau eps^a D) (R_eps mu)
-    lt     Lie splitting       mu+ = flow(tau) exp(tau R_eps) mu
-    strang symmetric splitting mu+ = flow(tau/2) exp(tau R_eps) flow(tau/2) mu
-    lri    low-regularity variant
-               mu+ = flow(tau) mu + tau (phi1(-i tau eps^a D) R_eps) * mu
+    ei     exponential integrator  mu+ = F mu + tau phi1(i tau eps^a D) (R_eps mu)
+    lt     Lie splitting           mu+ = F exp(tau R_eps) mu
+    strang symmetric splitting     mu+ = H exp(tau R_eps) H mu,  H = flow(tau/2)
+    lri    low-regularity variant  mu+ = F mu + tau (phi1(-i tau eps^a D) R_eps) * mu
 
-where flow(t) has symbol exp(-i t eps^a P(xi)).  Steppers work on raw value
-arrays with plain transforms; the h and origin-phase factors of the field
-convention cancel for pure multipliers.
+solve() marches the raw transform v = fft(mu) and forms values only at
+snapshots and at the end, so every step is one of two in-place kernels of
+exactly 2 FFTs (a solve of N steps costs 2N + 2):
+
+    dressed (ei, lri)   v <- F v + G fft(g ifft(v)), G = tau phi1 and g = R_eps
+                        for ei, G = tau and g = the filtered R_eps for lri
+    split (lt, strang)  v <- F fft(E ifft(v)), E = exp(tau R_eps)
+
+Strang marches v = H fft(mu): as |H| = 1, H E H = H^-1 (F E) H is a Lie step
+entered with H and left with conj(H).  Plain transforms suffice: the h and
+origin-phase factors of the field convention cancel for pure multipliers.
 """
 
 from __future__ import annotations
@@ -25,17 +31,8 @@ from enum import Enum
 import numpy as np
 
 from .model import DispersiveModel
-from .spectral import (
-    Grid,
-    InitialDataSpec,
-    PotentialSpec,
-    SpectralField,
-    flow_phase,
-    free_propagator_symbol,
-    phi1,
-    sample_initial,
-    sample_potential,
-)
+from .spectral import (Grid, InitialDataSpec, PotentialSpec, SpectralField, flow_phase,
+                       free_propagator_symbol, phi1, sample_initial, sample_potential)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -69,9 +66,8 @@ class SolveConfig:
         if not self.z_final >= 0:
             raise ValueError(f"z_final must be non-negative, got {self.z_final!r}")
         if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 0:
-            raise ValueError(
-                f"snapshot_stride must be a non-negative integer, got {self.snapshot_stride!r}"
-            )
+            raise ValueError("snapshot_stride must be a non-negative integer, "
+                             f"got {self.snapshot_stride!r}")
 
     def step_count(self) -> int:
         if self.z_final == 0:
@@ -80,20 +76,15 @@ class SolveConfig:
         n = round(r)
         # tolerate the rounding of the division itself, not fractional steps
         if n < 1 or not math.isclose(r, n, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                f"z_final/tau = {r} is not an integer step count "
-                f"(tau={self.tau}, z_final={self.z_final})"
-            )
+            raise ValueError(f"z_final/tau = {r} is not an integer step count "
+                             f"(tau={self.tau}, z_final={self.z_final})")
         return n
 
 
 @dataclass
 class PrecomputedStep:
-    """Per-step symbols and physical-space factors for one (model, grid, tau).
-
-    Only the pieces the configured scheme consumes are populated; the rest
-    stay None.
-    """
+    """Per-step symbols and physical-space factors for one (model, grid, tau);
+    only the pieces the configured scheme consumes are set, the rest stay None."""
 
     scheme: StepperKind
     tau: float
@@ -105,13 +96,8 @@ class PrecomputedStep:
     filtered_potential: np.ndarray | None = None
 
 
-def precompute(
-    model: DispersiveModel,
-    grid: Grid,
-    potential: PotentialSpec,
-    scheme: StepperKind,
-    tau: float,
-) -> PrecomputedStep:
+def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
+               scheme: StepperKind, tau: float) -> PrecomputedStep:
     scheme = StepperKind(scheme)
     if tau == 0:
         # negative tau is legitimate (adjoint/time-reversal checks)
@@ -134,32 +120,50 @@ def precompute(
     return pc
 
 
-def step_ei(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-    mu_hat = np.fft.fft(mu)
-    rhs_hat = np.fft.fft(pc.raw_potential * mu)
-    return np.fft.ifft(pc.full_flow * mu_hat + pc.tau * (pc.phi1_symbol * rhs_hat))
+def _dressed(flow, gain, weight):
+    def step(v, s):  # v <- flow v + gain fft(weight ifft(v)), s is scratch
+        np.fft.ifft(v, out=s)
+        s *= weight
+        np.fft.fft(s, out=s)
+        s *= gain
+        v *= flow
+        v += s
+    return step
 
 
-def step_lt(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-    return np.fft.ifft(pc.full_flow * np.fft.fft(pc.potential_exp * mu))
+def _split(flow, factor):
+    def step(v, s):  # v <- flow fft(factor ifft(v)), s is scratch
+        np.fft.ifft(v, out=s)
+        s *= factor
+        np.fft.fft(s, out=v)
+        v *= flow
+    return step
 
 
-def step_strang(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-    half = np.fft.ifft(pc.half_flow * np.fft.fft(mu))
-    return np.fft.ifft(pc.half_flow * np.fft.fft(pc.potential_exp * half))
+def _kernel(pc: PrecomputedStep):
+    """pc's step as a kernel on v = entry fft(mu), and that entry factor."""
+    if pc.scheme is StepperKind.STRANG:
+        return _split(pc.half_flow * pc.half_flow, pc.potential_exp), pc.half_flow
+    if pc.scheme is StepperKind.LT:
+        return _split(pc.full_flow, pc.potential_exp), 1.0
+    if pc.scheme is StepperKind.EI:
+        return _dressed(pc.full_flow, pc.tau * pc.phi1_symbol, pc.raw_potential), 1.0
+    return _dressed(pc.full_flow, pc.tau, pc.filtered_potential), 1.0
 
 
-def step_lri(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-    flowed = np.fft.ifft(pc.full_flow * np.fft.fft(mu))
-    return flowed + pc.tau * (pc.filtered_potential * mu)
+def _one_step(kind: StepperKind):
+    def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
+        """One step from values mu through the kernel solve() marches."""
+        if pc.scheme is not kind:
+            raise ValueError(f"a {kind.value} step got a {pc.scheme.value} precompute")
+        kernel, entry = _kernel(pc)
+        v = entry * np.fft.fft(mu)
+        kernel(v, np.empty_like(v))
+        return np.fft.ifft(np.conj(entry) * v)
+    return step
 
 
-_STEPS = {
-    StepperKind.EI: step_ei,
-    StepperKind.LT: step_lt,
-    StepperKind.STRANG: step_strang,
-    StepperKind.LRI: step_lri,
-}
+step_ei, step_lt, step_strang, step_lri = map(_one_step, StepperKind)
 
 
 @dataclass
@@ -175,30 +179,30 @@ def solve(config: SolveConfig) -> SolveResult:
     n_steps = config.step_count()
     grid = config.grid
     pc = precompute(config.model, grid, config.potential, config.scheme, config.tau)
-    step = _STEPS[config.scheme]
+    kernel, entry = _kernel(pc)
     mu = sample_initial(config.initial, grid).copy()
+    v = entry * np.fft.fft(mu)
+    scratch = np.empty_like(v)
     snapshots: list[tuple[float, SpectralField]] = []
     stride = config.snapshot_stride
     if stride:
         snapshots.append((0.0, SpectralField(grid, values=mu.copy())))
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
-        mu = step(mu, pc)
-        if not np.all(np.isfinite(mu.view(np.float64))):
+        kernel(v, scratch)
+        if not np.all(np.isfinite(v.view(np.float64))):
             raise NumericalBlowupError(
                 f"non-finite values at step {k}/{n_steps} (z={k * config.tau:.6g}, "
                 f"scheme={config.scheme.value}, epsilon={config.model.epsilon:.6g}, "
                 f"tau={config.tau:.6g})"
             )
         if stride and (k % stride == 0 or k == n_steps):
+            mu = np.fft.ifft(np.conj(entry) * v)
             snapshots.append((k * config.tau, SpectralField(grid, values=mu.copy())))
+    if n_steps and not stride:
+        mu = np.fft.ifft(np.conj(entry) * v)
     walltime = time.perf_counter() - t0
-    return SolveResult(
-        final=SpectralField(grid, values=mu),
-        snapshots=snapshots,
-        steps=n_steps,
-        walltime=walltime,
-    )
+    return SolveResult(SpectralField(grid, values=mu), snapshots, n_steps, walltime)
 
 
 def free_solution(config: SolveConfig, z: float | None = None) -> SpectralField:
@@ -209,12 +213,8 @@ def free_solution(config: SolveConfig, z: float | None = None) -> SpectralField:
     return SpectralField(config.grid, values=np.fft.ifft(sym * np.fft.fft(mu0)))
 
 
-def lri_filter_rescaled(
-    model: DispersiveModel,
-    grid: Grid,
-    potential: PotentialSpec,
-    tau: float,
-) -> np.ndarray:
+def lri_filter_rescaled(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
+                        tau: float) -> np.ndarray:
     """The LRI filtered potential via the stretched-variable route.
 
     Working at y = x/eps, the filter phi1(-i tau eps^a D) applied to R(x/eps)
@@ -229,7 +229,6 @@ def lri_filter_rescaled(
     # P~(xi) = sum_j d_{k-2j} eps^(2j) xi^(k-2j), evaluated directly
     p = np.zeros_like(sgrid.xi)
     for j, d in enumerate(model.coeffs):
-        r_ord = model.kappa - 2 * j
-        p += d * eps ** (2 * j) * sgrid.xi**r_ord
+        p += d * eps ** (2 * j) * sgrid.xi ** (model.kappa - 2 * j)
     theta = tau * eps ** (model.alpha - model.kappa) * p
     return np.fft.ifft(phi1(1j * theta) * np.fft.fft(r.astype(np.complex128)))

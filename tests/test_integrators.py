@@ -368,12 +368,58 @@ def test_solve_determinism():
     np.testing.assert_array_equal(a.final.values, b.final.values)
 
 
-def test_blowup_detection_names_the_step():
+# The step each scheme names for R = 700, tau = 1.  lri's state after step
+# 108 is fft(mu_108), whose sum overflows although mu_108 itself is finite; a
+# loop that held values would name step 109, whose first transform overflows.
+BLOWUP_STEP = {StepperKind.EI: 108, StepperKind.LT: 2, StepperKind.STRANG: 2,
+               StepperKind.LRI: 108}
+
+
+@pytest.mark.parametrize("scheme", list(StepperKind))
+def test_blowup_detection_names_the_step(scheme):
     pot = PotentialSpec.tabulated(np.full(GRID.n, 700.0))
-    cfg = make_config(scheme=StepperKind.LT, potential=pot, tau=1.0, z_final=4.0)
+    cfg = make_config(scheme=scheme, potential=pot, tau=1.0, z_final=200.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalBlowupError, match=r"step \d+/4.*scheme=lt"):
+        with pytest.raises(NumericalBlowupError,
+                           match=rf"step {BLOWUP_STEP[scheme]}/200 .*scheme={scheme.value},"):
             solve(cfg)
+
+
+def physical_step(scheme, mu, pc):
+    """One step marched in values, with the transforms the formulas name:
+    3 FFTs for ei, 4 for strang, 2 for lt and lri."""
+    fft, ifft = np.fft.fft, np.fft.ifft
+    if scheme is StepperKind.EI:
+        rhs_hat = fft(pc.raw_potential * mu)
+        return ifft(pc.full_flow * fft(mu) + pc.tau * (pc.phi1_symbol * rhs_hat))
+    if scheme is StepperKind.LT:
+        return ifft(pc.full_flow * fft(pc.potential_exp * mu))
+    if scheme is StepperKind.STRANG:
+        half = ifft(pc.half_flow * fft(mu))
+        return ifft(pc.half_flow * fft(pc.potential_exp * half))
+    return ifft(pc.full_flow * fft(mu)) + pc.tau * (pc.filtered_potential * mu)
+
+
+@pytest.mark.parametrize("scheme", list(StepperKind))
+def test_fourier_state_loop_matches_physical_space_steps(scheme):
+    cfg = make_config(scheme=scheme, tau=0.005, z_final=1.0, snapshot_stride=50)
+    pc = precompute(MODEL, GRID, GAUSS_POT, scheme, cfg.tau)
+    mu = sample_initial(GAUSS_INI, GRID)
+    want = {}
+    for k in range(1, cfg.step_count() + 1):
+        mu = physical_step(scheme, mu, pc)
+        if k % 50 == 0:
+            want[k] = mu
+    res = solve(cfg)
+    assert res.steps == 200 and len(res.snapshots) == 5
+    for (z, field), k in zip(res.snapshots[1:], want):
+        assert z == pytest.approx(k * cfg.tau)
+        assert diff_norm(GRID, field.values, want[k]) <= 1e-11, (scheme, k)
+    np.testing.assert_array_equal(res.snapshots[-1][1].values, res.final.values)
+    again = solve(cfg)
+    np.testing.assert_array_equal(again.final.values, res.final.values)
+    for (_, a), (_, b) in zip(again.snapshots, res.snapshots):
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_all_schemes_hit_their_global_order_at_eps_one():
