@@ -116,6 +116,12 @@ _TINY_SIZE = 2.0**-900  # smaller term sizes may have lost digits to underflow
 _CHUNK = 1 << 16  # points per pass, which bounds the size of the temporaries
 
 
+def blocks(n: int, size: int = _CHUNK):
+    """Consecutive slices of range(n), each of at most size items."""
+    for s in range(0, n, size):
+        yield slice(s, s + size)
+
+
 def _chunked(f, xi1, xi2) -> np.ndarray:
     """f over the broadcast (xi1, xi2), in flat passes of at most _CHUNK points."""
     xi1, xi2 = np.broadcast_arrays(xi1, xi2)
@@ -123,8 +129,8 @@ def _chunked(f, xi1, xi2) -> np.ndarray:
         return np.asarray(f(xi1, xi2), dtype=np.float64)
     out = np.empty(xi1.shape)
     flat1, flat2, flat_out = xi1.ravel(), xi2.ravel(), out.reshape(-1)
-    for s in range(0, flat1.size, _CHUNK):
-        flat_out[s : s + _CHUNK] = f(flat1[s : s + _CHUNK], flat2[s : s + _CHUNK])
+    for b in blocks(flat1.size):
+        flat_out[b] = f(flat1[b], flat2[b])
     return out
 
 
@@ -320,6 +326,12 @@ def verify_phase_lower_bound(
     even kappa, 0 for odd, and pw = kappa - 1 - sigma (always even).  Points
     are admissible when |xi1| >= c0*eps or |eta| >= c0*eps; a strictly
     positive min ratio certifies the non-resonance bound on that grid.
+
+    The grid is walked in blocks of whole xi1 rows of at most _CHUNK points
+    (one row when xi2 alone is longer), so no array of grid size is formed.
+    The result is that of one argmin over the whole grid in C order: the
+    first NaN ratio wins, ties go to the earliest point, and when every
+    valid ratio is inf the worst point is the grid's first point.
     """
     if c0 <= 0:
         raise ValueError(f"c0 must be positive, got {c0!r}")
@@ -328,25 +340,36 @@ def verify_phase_lower_bound(
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
     kappa, eps = model.kappa, model.epsilon
-    g1, g2 = np.meshgrid(xi1, xi2, indexing="ij")
-    eta = g1 + 2.0 * eps * g2
     sigma = 1 if kappa % 2 == 0 else 0
-    num = np.abs(eval_phase_scaled(model, g1, g2))
     pw = kappa - 1 - sigma  # always even
-    denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
-    admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
-    n_adm = int(np.count_nonzero(admissible))
+    n_adm, any_valid = 0, False
+    best, w1, w2 = math.inf, float(xi1[0]), float(xi2[0])
+    for rows in blocks(xi1.size, max(1, _CHUNK // xi2.size)):
+        # a column of xi1 against the xi2 row: what depends on xi1 alone is
+        # computed once per row, and the rest broadcasts to the block
+        g1 = xi1[rows, None]
+        eta = g1 + 2.0 * eps * xi2
+        num = np.abs(eval_phase_scaled(model, g1, xi2))
+        denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
+        admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
+        n_adm += int(np.count_nonzero(admissible))
+        # points where the envelope vanishes identically carry no information
+        valid = admissible & (denom > 0.0)
+        if not valid.any():
+            continue
+        any_valid = True
+        ratio = np.where(valid, num / np.where(denom > 0.0, denom, 1.0), math.inf)
+        i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+        r = float(ratio[i, j])
+        # strictly smaller, or the first NaN: what one argmin over the grid picks
+        if r < best or (math.isnan(r) and not math.isnan(best)):
+            best, w1, w2 = r, float(g1[i, 0]), float(xi2[j])
     if n_adm == 0:
         raise ValueError(
             f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
         )
-    # points where the envelope vanishes identically carry no information
-    valid = admissible & (denom > 0.0)
-    best, w1, w2 = math.inf, math.nan, math.nan
-    if valid.any():
-        ratio = np.where(valid, num / np.where(denom > 0.0, denom, 1.0), math.inf)
-        i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-        best, w1, w2 = float(ratio[i, j]), float(g1[i, j]), float(g2[i, j])
+    if not any_valid:
+        best, w1, w2 = math.inf, math.nan, math.nan
     return PhaseBoundReport(
         min_ratio=best,
         worst_xi1=w1,

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,9 @@ def test_verify_phase_quadratic(tmp_path, capsys):
     ("seed", -3),
     # a value the field's reader cannot take names the field
     ("alpha", "x"), ("epsilon", "x"), ("xi_max", "x"), ("c0", "x"), ("coeffs", 5),
+    # refused by the table before any sampling, not by the sampler or the scan
+    ("xi_max", math.inf), ("xi_max", math.nan),
+    ("c0", math.nan), ("c0", math.inf), ("c0", -1.0), ("c0", 0.0),
 ])
 def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, value):
     doc = {"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 100, "grid_points": 11}
@@ -363,6 +367,21 @@ def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, valu
     assert rc == 1
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_verify_phase_memory_stays_block_sized(tmp_path):
+    doc = {"kappa": 5, "alpha": 1.0, "epsilon": 2.0**-6, "samples": 500_000,
+           "grid_points": 1500, "xi_max": 8.0}
+    tracemalloc.start()
+    try:
+        rc = main(["verify-phase", "--config", write_config(tmp_path, doc),
+                   "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # the two sample arrays are 8 MB; one 1500 x 1500 float array is 18 MB
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("command,field,value", [

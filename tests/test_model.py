@@ -5,7 +5,9 @@ a surd identity for Q, exact Fraction arithmetic for the moment reduction,
 and pure-python grid scans for the phase lower bound.
 """
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 from dispersia.model import (
     DegenerateReductionError,
     DispersiveModel,
+    PhaseBoundReport,
+    _CHUNK,
     eval_p,
     eval_phase,
     eval_phase_factored,
@@ -360,6 +364,154 @@ def test_search_reports_failure_when_floor_unreachable():
     axis = np.linspace(-4, 4, 60)
     with pytest.raises(ValueError):
         search_lower_bound_constant(m, axis, axis, floor=10.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked scan against the full-grid scan it replaced
+
+
+def full_grid_scan(model, c0, xi1, xi2):
+    """The scan over one meshgrid of the whole grid, as it was before the scan
+    was blocked: the oracle for the blocked scan, bit for bit."""
+    if c0 <= 0:
+        raise ValueError(f"c0 must be positive, got {c0!r}")
+    xi1 = np.asarray(xi1, dtype=np.float64).ravel()
+    xi2 = np.asarray(xi2, dtype=np.float64).ravel()
+    if xi1.size == 0 or xi2.size == 0:
+        raise ValueError("sample axes must be non-empty")
+    kappa, eps = model.kappa, model.epsilon
+    g1, g2 = np.meshgrid(xi1, xi2, indexing="ij")
+    eta = g1 + 2.0 * eps * g2
+    sigma = 1 if kappa % 2 == 0 else 0
+    num = np.abs(eval_phase_scaled(model, g1, g2))
+    pw = kappa - 1 - sigma
+    denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
+    admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
+    n_adm = int(np.count_nonzero(admissible))
+    if n_adm == 0:
+        raise ValueError(
+            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
+        )
+    valid = admissible & (denom > 0.0)
+    best, w1, w2 = math.inf, math.nan, math.nan
+    if valid.any():
+        ratio = np.where(valid, num / np.where(denom > 0.0, denom, 1.0), math.inf)
+        i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+        best, w1, w2 = float(ratio[i, j]), float(g1[i, j]), float(g2[i, j])
+    return PhaseBoundReport(min_ratio=best, worst_xi1=w1, worst_xi2=w2,
+                            admissible_count=n_adm, c0=float(c0))
+
+
+def bits(report):
+    """The report's fields with every float as its exact hex form (nan, -0.0 kept)."""
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+def rows_per_block(xi2):
+    return max(1, _CHUNK // np.size(xi2))
+
+
+def assert_scan_matches_full_grid(model, c0, xi1, xi2):
+    rep = verify_phase_lower_bound(model, c0, xi1, xi2)
+    assert np.size(xi1) > rows_per_block(xi2), "the grid must span several blocks"
+    assert bits(rep) == bits(full_grid_scan(model, c0, xi1, xi2))
+    return rep
+
+
+SCAN_MODELS = [
+    DispersiveModel(2, (1.0,), 1.0, 2.0**-6),
+    DispersiveModel(3, (1.0, 0.5), 1.5, 2.0**-5),
+    DispersiveModel(4, (1.0, -1.0), 1.0, 2.0**-6),
+    DispersiveModel(5, (1.0, 1.0, -2.0), 1.0, 2.0**-4),
+]
+
+
+@pytest.mark.parametrize("model", SCAN_MODELS, ids=lambda m: f"kappa{m.kappa}")
+def test_blocked_scan_is_the_full_grid_scan_with_a_partial_last_block(model):
+    xi2 = np.linspace(-8, 8, 1000)
+    xi1 = np.random.default_rng(model.kappa).uniform(-8, 8, 200)
+    assert xi1.size % rows_per_block(xi2) != 0
+    for c0 in (1.0, 32.0):
+        assert_scan_matches_full_grid(model, c0, xi1, xi2)
+
+
+def test_blocked_scan_takes_one_row_per_block_when_xi2_is_long():
+    xi2 = np.linspace(-8, 8, _CHUNK + 4465)
+    assert rows_per_block(xi2) == 1
+    for model in (SCAN_MODELS[1], SCAN_MODELS[3]):
+        assert_scan_matches_full_grid(model, 4.0, np.array([-3.0, 0.01, 5.5]), xi2)
+
+
+def test_blocked_scan_tie_across_blocks_goes_to_the_earliest_point():
+    # the scaled phase of an odd kappa is odd under (xi1, xi2) -> (-xi1, -xi2)
+    # and the envelope is even, so on mirrored axes every ratio recurs at the
+    # mirrored point; 436 xi2 points make blocks of 150 rows, so the negative
+    # xi1 rows are the first block and the positive ones the second
+    model = DispersiveModel(3, (1.0, 0.5), 1.0, 2.0**-5)
+    mirror = lambda half: np.concatenate([-half[::-1], half])  # noqa: E731
+    xi1, xi2 = mirror(np.linspace(0.05, 6, 150)), mirror(np.linspace(0.05, 6, 218))
+    assert rows_per_block(xi2) == 150
+    rep = assert_scan_matches_full_grid(model, 4.0, xi1, xi2)
+    mirrored = verify_phase_lower_bound(model, 4.0, [-rep.worst_xi1], [-rep.worst_xi2])
+    assert mirrored.min_ratio == rep.min_ratio  # the tie is exact
+    assert rep.worst_xi1 < 0  # the earlier of the two blocks
+
+
+def test_blocked_scan_first_nan_in_a_later_block_wins():
+    model = SCAN_MODELS[0]
+    xi2 = np.linspace(-8, 8, 1000)
+    xi1 = np.linspace(-8, 8, 300)
+    rows = rows_per_block(xi2)
+    # an infinite xi1 makes its whole row inf / inf; -inf comes first in C order
+    xi1[2 * rows + 3], xi1[3 * rows + 1] = -math.inf, math.inf
+    with np.errstate(invalid="ignore"):
+        rep = assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+    assert math.isnan(rep.min_ratio) and rep.worst_xi1 == -math.inf
+
+
+def test_blocked_scan_all_inf_ratios_report_the_grid_first_point():
+    # d_1 = 1.5e308 overflows the scaled phase where |eta| ~ 1e154, while the
+    # envelope |xi1| (xi1^2 + eta^2) stays finite for |xi1| ~ 1e-3; the first
+    # block's xi1 = 0 rows are admissible but carry no valid point
+    model = DispersiveModel(3, (1.0, 1.5e308), 1.0, 1.0)
+    xi2 = np.linspace(5e153, 6e153, 1000)
+    rows = rows_per_block(xi2)
+    xi1 = np.concatenate([np.zeros(rows), np.linspace(1e-3, 2e-3, 2 * rows + 7)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+    assert rep.min_ratio == math.inf
+    assert (rep.worst_xi1, rep.worst_xi2) == (0.0, xi2[0])
+
+
+def test_blocked_scan_with_no_valid_point_reports_none():
+    # xi1 = 0 leaves the envelope zero, yet |eta| = 2 eps |xi2| is admissible
+    xi2 = np.linspace(1, 8, 1000)
+    rep = assert_scan_matches_full_grid(SCAN_MODELS[2], 1.0, np.zeros(200), xi2)
+    assert rep.admissible_count == 200_000
+    assert math.isinf(rep.min_ratio) and math.isnan(rep.worst_xi1)
+
+
+def test_blocked_scan_with_no_admissible_point_raises_the_same_error():
+    model = SCAN_MODELS[2]
+    axis = np.linspace(-1e-3, 1e-3, 1000)
+    with pytest.raises(ValueError) as blocked:
+        verify_phase_lower_bound(model, 1.0, axis[:200], axis)
+    with pytest.raises(ValueError) as full:
+        full_grid_scan(model, 1.0, axis[:200], axis)
+    assert str(blocked.value) == str(full.value)
+
+
+def test_blocked_scan_memory_stays_block_sized():
+    model = DispersiveModel(5, (1.0, 1.0, -2.0), 1.0, 2.0**-6)
+    axis = np.linspace(-8, 8, 2000)
+    tracemalloc.start()
+    try:
+        verify_phase_lower_bound(model, 1.0, axis, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2000 x 2000 float array alone is 32 MB
+    assert peak < 16e6
 
 
 def test_g_ratio_sampled_lower_bound():
