@@ -62,8 +62,6 @@ from .spectral import (
     phi1,
     sample_initial,
     sample_potential,
-    to_frequency,
-    to_physical,
     twist,
     x_norm,
 )

@@ -36,7 +36,6 @@ from .harness import (
     SweepConfig,
     compare_methods,
     convergence_sweep,
-    default_workers,
     error_x,
     regularity_normalizer,
     regularity_sweep,
@@ -228,7 +227,6 @@ _SOLVE = (
     _field("scheme", _one(_items), "ei", "--scheme", lambda s, f: StepperKind(s),
            also=("schemes",)),
     _Z_FINAL,
-    _field("snapshot_stride", _integer, 0),
     _DERIV_ORDER, _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
 )
 
@@ -246,7 +244,7 @@ def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
         _field("normalization", str, "error"),
         deriv_order,
         _GRID_N,
-        _field("workers", _integer, lambda f: default_workers(), "--workers", _above(0)),
+        _field("workers", _integer, 1, "--workers", _above(0)),
         _POTENTIAL, _INITIAL,
     )
 
@@ -343,12 +341,9 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _write_results_csv(path: Path, records) -> None:
-    ordered = sorted(
-        records,
-        key=lambda r: (r.scheme, r.kappa, r.alpha, r.epsilon, r.tau, r.j, r.regime),
-    )
-    # every result column is an ErrorRecord attribute of the same name
-    _write_csv(path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in ordered))
+    # every result column is an ErrorRecord attribute of the same name; the
+    # harness fixes the row order
+    _write_csv(path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in records))
 
 
 def _write_plot_script(path: Path, records, x_field: str) -> None:
@@ -384,7 +379,6 @@ def _run_solve(args, f: dict, out: Path) -> int:
     solve_cfg = SolveConfig(
         model=_model_at(eps, f), grid=grid, potential=f["potential"], initial=f["initial"],
         scheme=f["scheme"], tau=f["tau"], z_final=f["z_final"],
-        snapshot_stride=f["snapshot_stride"],
     )
     result = solve(solve_cfg)
     err = error_x(result.final, free_solution(solve_cfg), j)

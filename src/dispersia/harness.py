@@ -9,7 +9,6 @@ the predicted eps-rate so that curves for different eps collapse.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -118,19 +117,6 @@ def fit_rate(x, y) -> RateFit:
     return RateFit(float(slope), float(intercept), r2, int(x.size))
 
 
-def default_workers() -> int:
-    env = os.environ.get("DISPERSIA_WORKERS", "").strip()
-    if env:
-        try:
-            w = int(env)
-        except ValueError as exc:
-            raise ValueError(f"DISPERSIA_WORKERS must be an integer, got {env!r}") from exc
-        if w < 1:
-            raise ValueError(f"DISPERSIA_WORKERS must be >= 1, got {w}")
-        return w
-    return 1
-
-
 @dataclass
 class SweepConfig:
     """Cross-product sweep description over (scheme, epsilon, tau).
@@ -156,7 +142,7 @@ class SweepConfig:
     derivative_order: int = 0
     normalization: str = "error"
     grid_n: int | None = None
-    workers: int | None = None
+    workers: int = 1
 
     def __post_init__(self):
         names = [k.value for k in StepperKind]
@@ -292,15 +278,14 @@ def _sweep(cfg: SweepConfig, schemes, taus, truth) -> SweepResult:
     """Run one eps cell per epsilon, concurrently; aggregation order is
     fixed by sorting."""
     grid = cfg.grid()
-    workers = cfg.workers if cfg.workers is not None else default_workers()
 
     def run_cell(eps):
         return _sweep_cell(cfg, grid, eps, schemes, taus, truth)
 
-    if workers <= 1:
+    if cfg.workers <= 1:
         results = [run_cell(e) for e in cfg.epsilons]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_cell, cfg.epsilons))
     records = [r for recs, _ in results for r in recs]
     failures = [f for _, fails in results for f in fails]

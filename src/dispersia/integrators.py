@@ -8,9 +8,9 @@ Fourier multiplier -P(xi); F = flow(tau) has symbol exp(-i tau eps^a P(xi)):
     strang symmetric splitting     mu+ = H exp(tau R_eps) H mu,  H = flow(tau/2)
     lri    low-regularity variant  mu+ = F mu + tau (phi1(-i tau eps^a D) R_eps) * mu
 
-solve() marches the raw transform v = fft(mu) and forms values only at
-snapshots and at the end, so every step is one of two in-place kernels of
-exactly 2 FFTs (a solve of N steps costs 2N + 2):
+solve() marches the raw transform v = fft(mu) and forms values only at the
+end, so every step is one of two in-place kernels of exactly 2 FFTs (a solve
+of N steps costs 2N + 2):
 
     dressed (ei, lri)   v <- F v + G fft(g ifft(v)), G = tau phi1 and g = R_eps
                         for ei, G = tau and g = the filtered R_eps for lri
@@ -55,7 +55,6 @@ class SolveConfig:
     scheme: StepperKind
     tau: float
     z_final: float
-    snapshot_stride: int = 0
 
     def __post_init__(self):
         if isinstance(self.scheme, str):
@@ -65,9 +64,6 @@ class SolveConfig:
         # z_final = 0 is the degenerate no-op solve returning the sampled data
         if not self.z_final >= 0:
             raise ValueError(f"z_final must be non-negative, got {self.z_final!r}")
-        if not isinstance(self.snapshot_stride, int) or self.snapshot_stride < 0:
-            raise ValueError("snapshot_stride must be a non-negative integer, "
-                             f"got {self.snapshot_stride!r}")
 
     def step_count(self) -> int:
         if self.z_final == 0:
@@ -169,7 +165,6 @@ step_ei, step_lt, step_strang, step_lri = map(_one_step, StepperKind)
 @dataclass
 class SolveResult:
     final: SpectralField
-    snapshots: list[tuple[float, SpectralField]]
     steps: int
     walltime: float
 
@@ -183,10 +178,6 @@ def solve(config: SolveConfig) -> SolveResult:
     mu = sample_initial(config.initial, grid).copy()
     v = entry * np.fft.fft(mu)
     scratch = np.empty_like(v)
-    snapshots: list[tuple[float, SpectralField]] = []
-    stride = config.snapshot_stride
-    if stride:
-        snapshots.append((0.0, SpectralField(grid, values=mu.copy())))
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
         kernel(v, scratch)
@@ -196,13 +187,10 @@ def solve(config: SolveConfig) -> SolveResult:
                 f"scheme={config.scheme.value}, epsilon={config.model.epsilon:.6g}, "
                 f"tau={config.tau:.6g})"
             )
-        if stride and (k % stride == 0 or k == n_steps):
-            mu = np.fft.ifft(np.conj(entry) * v)
-            snapshots.append((k * config.tau, SpectralField(grid, values=mu.copy())))
-    if n_steps and not stride:
+    if n_steps:
         mu = np.fft.ifft(np.conj(entry) * v)
     walltime = time.perf_counter() - t0
-    return SolveResult(SpectralField(grid, values=mu), snapshots, n_steps, walltime)
+    return SolveResult(SpectralField(grid, values=mu), n_steps, walltime)
 
 
 def free_solution(config: SolveConfig, z: float | None = None) -> SpectralField:

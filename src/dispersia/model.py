@@ -82,7 +82,7 @@ def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
 
 
 def _q(r: int, x, y):
-    """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2, for float arrays or Fractions."""
+    """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2."""
     m = (r - 1) // 2
     acc = r * x**0 * y**m
     for j in range(1, m + 1):
@@ -120,18 +120,6 @@ def blocks(n: int, size: int = _CHUNK):
     """Consecutive slices of range(n), each of at most size items."""
     for s in range(0, n, size):
         yield slice(s, s + size)
-
-
-def _chunked(f, xi1, xi2) -> np.ndarray:
-    """f over the broadcast (xi1, xi2), in flat passes of at most _CHUNK points."""
-    xi1, xi2 = np.broadcast_arrays(xi1, xi2)
-    if xi1.size <= _CHUNK:
-        return np.asarray(f(xi1, xi2), dtype=np.float64)
-    out = np.empty(xi1.shape)
-    flat1, flat2, flat_out = xi1.ravel(), xi2.ravel(), out.reshape(-1)
-    for b in blocks(flat1.size):
-        flat_out[b] = f(flat1[b], flat2[b])
-    return out
 
 
 def _round_scaled(r: Fraction, scale: float) -> float:
@@ -175,7 +163,12 @@ def _p_and_size(model: DispersiveModel, y):
     return _nested(model.coeffs, y2) * parity, size
 
 
-def _phase_exact(model: DispersiveModel, xi1: float, xi2: float) -> float:
+def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> float:
+    """The float nearest eps^alpha (P(xi1/eps + xi2) - P(xi2)), formed as the
+    exact rational eps^m (P(xi1/eps + xi2) - P(xi2)) and rounded once with the
+    float scale eps^(alpha-m): m = 0 is the subtractive form's scale and
+    m = kappa the factored form's, whose sum times F is that rational."""
+    eps = Fraction(model.epsilon)
     coeffs = [Fraction(c) for c in model.coeffs]
 
     def p(y):
@@ -186,8 +179,8 @@ def _phase_exact(model: DispersiveModel, xi1: float, xi2: float) -> float:
         return acc * (y if model.kappa % 2 else y2)
 
     b = Fraction(xi2)
-    diff = p(Fraction(xi1) / Fraction(model.epsilon) + b) - p(b)
-    return _round_scaled(diff, model.epsilon**model.alpha)
+    diff = p(Fraction(xi1) / eps + b) - p(b)
+    return _round_scaled(eps**m * diff, model.epsilon ** (model.alpha - m))
 
 
 def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -197,10 +190,9 @@ def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     cancellation (|xi1| << eps*|xi2|, or xi1/eps + xi2 near a root of the
     difference), the point is evaluated exactly instead.
     """
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    xi2 = np.asarray(xi2, dtype=np.float64)
-    out = _chunked(lambda u, v: _phase_certified(model, u, v), xi1, xi2)
-    return _scalar_or_array(out, xi1, xi2)
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
+                                   np.asarray(xi2, dtype=np.float64))
+    return _scalar_or_array(_phase_certified(model, xi1, xi2), xi1, xi2)
 
 
 def _phase_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
@@ -217,17 +209,14 @@ def _phase_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     ta, tb = scale * ta, scale * tb
     bound = _shift_bound(ta, theta, kappa, 4 * kappa + 8) + (4 * kappa + 8) * _U * tb
     return _certified(out, bound, np.maximum(ta, tb), (a, xi2),
-                      lambda u, v: _phase_exact(model, u, v), xi1, xi2)
+                      lambda u, v: _phase_exact(model, u, v, 0), xi1, xi2)
 
 
-def _factored_coeffs(model: DispersiveModel, exact: bool = False):
-    """(c_j, r) with the factored sum = sum_j c_j Q_r(xi1^2, eta^2), r = kappa - 2j,
-    as floats or as exact Fractions."""
-    num = Fraction if exact else float
-    eps = num(model.epsilon)
+def _factored_coeffs(model: DispersiveModel):
+    """(c_j, r) with the factored sum = sum_j c_j Q_r(xi1^2, eta^2), r = kappa - 2j."""
     for j, d in enumerate(model.coeffs):
         r = model.kappa - 2 * j
-        yield eps ** (2 * j) * (num(d) / 2 ** (r - 1)), r
+        yield model.epsilon ** (2 * j) * (d / 2 ** (r - 1)), r
 
 
 def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
@@ -253,15 +242,6 @@ def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
     return acc, (xi1 * eta if model.kappa % 2 == 0 else xi1), eta, size
 
 
-def _phase_factored_exact(model: DispersiveModel, xi1: float, xi2: float) -> float:
-    eps, x1 = Fraction(model.epsilon), Fraction(xi1)
-    eta = x1 + 2 * eps * Fraction(xi2)
-    x, y = x1 * x1, eta * eta
-    acc = sum(c * _q(r, x, y) for c, r in _factored_coeffs(model, exact=True))
-    factor = x1 * eta if model.kappa % 2 == 0 else x1
-    return _round_scaled(acc * factor, model.epsilon ** (model.alpha - model.kappa))
-
-
 def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     """Same phase through the factored form
 
@@ -275,10 +255,9 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     the sum over j does when the d_r differ in sign, and eta does when
     xi1 ~ -2 eps xi2; such points are evaluated exactly instead.
     """
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    xi2 = np.asarray(xi2, dtype=np.float64)
-    out = _chunked(lambda u, v: _phase_factored_certified(model, u, v), xi1, xi2)
-    return _scalar_or_array(out, xi1, xi2)
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
+                                   np.asarray(xi2, dtype=np.float64))
+    return _scalar_or_array(_phase_factored_certified(model, xi1, xi2), xi1, xi2)
 
 
 def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
@@ -290,7 +269,7 @@ def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
         theta = 2 * _U * (np.abs(xi1) + 2.0 * model.epsilon * np.abs(xi2)) / np.abs(eta)
     bound = _shift_bound(size, theta, model.kappa, 4 * model.kappa + 16)
     return _certified(out, bound, size, (xi1, eta),
-                      lambda u, v: _phase_factored_exact(model, u, v), xi1, xi2)
+                      lambda u, v: _phase_exact(model, u, v, model.kappa), xi1, xi2)
 
 
 def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
@@ -333,8 +312,8 @@ def verify_phase_lower_bound(
     first NaN ratio wins, ties go to the earliest point, and when every
     valid ratio is inf the worst point is the grid's first point.
     """
-    if c0 <= 0:
-        raise ValueError(f"c0 must be positive, got {c0!r}")
+    if not (math.isfinite(c0) and c0 > 0):
+        raise ValueError(f"c0 must be finite and positive, got {c0!r}")
     xi1 = np.asarray(xi1, dtype=np.float64).ravel()
     xi2 = np.asarray(xi2, dtype=np.float64).ravel()
     if xi1.size == 0 or xi2.size == 0:

@@ -108,14 +108,6 @@ class SpectralField:
         return SpectralField(self.grid, values=self.values - other.values)
 
 
-def to_frequency(f: SpectralField) -> np.ndarray:
-    return f.coefficients
-
-
-def to_physical(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    return SpectralField(grid, coeffs=coeffs)
-
-
 def x_norm(f: SpectralField, j: int = 0) -> float:
     """Absolute-coefficient norm with a |xi|^j weight (trapezoid-free sum)."""
     if not isinstance(j, int) or j < 0:

@@ -326,6 +326,15 @@ def test_sweep_workers_flag(tmp_path):
     assert rc == 1
 
 
+def test_sweep_workers_default_is_one_whatever_the_environment(tmp_path, monkeypatch):
+    # no environment variable sets the worker count
+    monkeypatch.setenv("DISPERSIA_WORKERS", "zero")
+    out = tmp_path / "out"
+    assert main(["sweep-convergence", "--config", write_config(tmp_path, SMALL_SWEEP),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["workers"] == 1
+
+
 # ---------------------------------------------------------------------------
 # verify-phase
 
@@ -385,7 +394,6 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
 
 
 @pytest.mark.parametrize("command,field,value", [
-    ("solve", "snapshot_stride", "many"),
     ("sweep-convergence", "grid_n", "big"),
     ("sweep-convergence", "workers", True),
     # a library check on one field is reported under the field's config key

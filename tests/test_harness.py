@@ -17,7 +17,6 @@ from dispersia.harness import (
     SweepResult,
     compare_methods,
     convergence_sweep,
-    default_workers,
     error_normalizer,
     error_x,
     fit_rate,
@@ -357,22 +356,7 @@ def test_compare_methods_shares_the_reference_exactly():
 
 
 # ---------------------------------------------------------------------------
-# workers and grouping plumbing
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.delenv("DISPERSIA_WORKERS", raising=False)
-    assert default_workers() == 1
-    monkeypatch.setenv("DISPERSIA_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("DISPERSIA_WORKERS", "")
-    assert default_workers() == 1
-    monkeypatch.setenv("DISPERSIA_WORKERS", "zero")
-    with pytest.raises(ValueError):
-        default_workers()
-    monkeypatch.setenv("DISPERSIA_WORKERS", "0")
-    with pytest.raises(ValueError):
-        default_workers()
+# grouping plumbing
 
 
 def test_rates_by_group_labels_and_slopes():

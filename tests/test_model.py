@@ -344,6 +344,18 @@ def test_bound_scan_empty_admissible_raises():
         verify_phase_lower_bound(m, -1.0, np.array([1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("c0", [0.0, -1.0, math.nan, math.inf])
+def test_bound_scan_refuses_bad_c0_before_scanning(monkeypatch, c0):
+    def no_scan(*args):
+        raise AssertionError("the grid was scanned")
+
+    monkeypatch.setattr("dispersia.model.eval_phase_scaled", no_scan)
+    m = DispersiveModel(2, (1.0,), 1.0, 0.25)
+    axis = np.linspace(-4, 4, 50)
+    with pytest.raises(ValueError, match=r"^c0 must be .*positive, got"):
+        verify_phase_lower_bound(m, c0, axis, axis)
+
+
 def test_bound_scan_kappa4_mixed_sign_positive():
     m = DispersiveModel(4, (1.0, -1.0), 1.0, 2.0**-6)
     axis = np.linspace(-8, 8, 200)
