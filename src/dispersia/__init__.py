@@ -26,10 +26,7 @@ from .integrators import (
     lri_filter_rescaled,
     precompute,
     solve,
-    step_ei,
-    step_lri,
-    step_lt,
-    step_strang,
+    step,
 )
 from .model import (
     DegenerateReductionError,

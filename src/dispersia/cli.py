@@ -168,9 +168,13 @@ def _above(lo):
     return check
 
 
-def _finite_positive(v, fields) -> None:
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"must be finite and > 0, got {v}")
+def _finite(lo: float, closed: bool = False):
+    """Check that a number, or each of a list, is finite and > lo (>= lo if closed)."""
+    def check(v, fields):
+        for x in v if isinstance(v, list) else [v]:
+            if not (math.isfinite(x) and (x >= lo if closed else x > lo)):
+                raise ValueError(f"must be finite and {'>=' if closed else '>'} {lo}, got {x}")
+    return check
 
 
 def _pure_coeffs(kappa: int) -> list[float]:
@@ -195,22 +199,20 @@ _COEFFS = _field("coeffs", _numbers, lambda f: _pure_coeffs(f["kappa"]),
 _ALPHA = _field("alpha", float, flag="--alpha",
                 check=lambda a, f: DispersiveModel(f["kappa"], f["coeffs"], a, 1.0))
 _HALF_WIDTH = _field("half_width", float, 16.0, check=lambda hw, f: Grid(hw, 8))
-_Z_FINAL = _field("z_final", float, 1.0)
+_Z_FINAL = _field("z_final", float, 1.0, check=_finite(0, closed=True))
 
 
-def _deriv_order(rate_norms: tuple[str, ...]) -> tuple:
+def _deriv_order(rated: bool) -> tuple:
     """The deriv_order row.  Its check is the X-norm's own on j and, where the
-    normalization is one of rate_norms and so divides by the regularity rate
-    (solve has no normalization and always does), that rate's too (j < kappa),
-    so such a config fails before any solve."""
+    command divides by the regularity rate (rated: solve and sweep-regularity),
+    that rate's too (j < kappa), so such a config fails before any solve."""
     def check(j, fields):
         x_norm(SpectralField(Grid(1.0, 8), coeffs=np.zeros(8)), j)
-        if fields.get("normalization", "regularity") in rate_norms:
+        if rated:
             expected_regularity_exponent(fields["kappa"], fields["alpha"], j)
     return _field("deriv_order", _integer, 0, "--deriv-order", check=check)
 
 
-_DERIV_ORDER = _deriv_order(("regularity",))
 _POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
 _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
 # by default the grid resolves h <= the smallest eps
@@ -223,26 +225,25 @@ _GRID_N = _field("grid_n", _integer, lambda f: resolving_grid_n(
 _SOLVE = (
     _KAPPA, _COEFFS, _ALPHA,
     _field("epsilon", _one(_numbers), flag="--epsilon", check=_model_at, also=("epsilons",)),
-    _field("tau", _one(_numbers), flag="--tau", also=("taus",)),
+    _field("tau", _one(_numbers), flag="--tau", check=_finite(0), also=("taus",)),
     _field("scheme", _one(_items), "ei", "--scheme", lambda s, f: StepperKind(s),
            also=("schemes",)),
     _Z_FINAL,
-    _DERIV_ORDER, _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
+    _deriv_order(rated=True), _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
 )
 
 
 def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
-                 deriv_order: tuple = _DERIV_ORDER) -> tuple:
+                 rated: bool = False) -> tuple:
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
         _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", _check_epsilons, also=eps_alias),
-        _field("taus", _numbers, DESK_TAUS, "--tau"),
+        _field("taus", _numbers, DESK_TAUS, "--tau", _finite(0)),
         _field("schemes", _items, schemes, "--scheme", also=("scheme",)),
         _Z_FINAL,
-        _field("reference_tau", float, REFERENCE_TAU),
+        _field("reference_tau", float, REFERENCE_TAU, check=_finite(0)),
         _field("reference_scheme", str, "ei"),
-        _field("normalization", str, "error"),
-        deriv_order,
+        _deriv_order(rated),
         _GRID_N,
         _field("workers", _integer, 1, "--workers", _above(0)),
         _POTENTIAL, _INITIAL,
@@ -262,8 +263,8 @@ _VERIFY_PHASE = (
     _field("seed", _integer, 12345, "--seed", _above(-1)),
     _field("samples", _integer, 100000, check=_above(0)),
     _field("grid_points", _integer, 400, check=_above(0)),
-    _field("xi_max", float, 8.0, check=_finite_positive),
-    _field("c0", float, None, check=_finite_positive),  # null: search the lower-bound constant
+    _field("xi_max", float, 8.0, check=_finite(0)),
+    _field("c0", float, None, check=_finite(0)),  # null: search the lower-bound constant
 )
 
 
@@ -514,9 +515,7 @@ _COMMANDS = {
     "solve": (_SOLVE, _run_solve),
     "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _run_sweep),
     # a rate in eps needs several eps values; a preset's single epsilon is ignored
-    # its "error" normalization is the regularity rate
-    "sweep-regularity": (_sweep_table(("ei",), (), _deriv_order(("error", "regularity"))),
-                         _run_sweep),
+    "sweep-regularity": (_sweep_table(("ei",), (), rated=True), _run_sweep),
     "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT, _run_reduce),
     "verify-phase": (_VERIFY_PHASE, _run_verify_phase),

@@ -12,7 +12,9 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -140,7 +142,6 @@ class SweepConfig:
     reference_tau: float = 1e-4
     reference_scheme: StepperKind = StepperKind.EI
     derivative_order: int = 0
-    normalization: str = "error"
     grid_n: int | None = None
     workers: int = 1
 
@@ -168,11 +169,9 @@ class SweepConfig:
                 f"reference_tau={self.reference_tau} must be at most min(taus)/10 = "
                 f"{min(self.taus) / 10.0}"
             )
-        if self.normalization not in ("error", "regularity", "none"):
-            raise ValueError(
-                f"normalization must be 'error', 'regularity' or 'none', "
-                f"got {self.normalization!r}"
-            )
+        workers = self.workers
+        if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+            raise ValueError(f"workers: expected an integer >= 1, got {workers!r}")
 
     def grid(self) -> Grid:
         n = self.grid_n
@@ -212,22 +211,14 @@ class SweepResult:
         return out
 
 
-def _normalize(cfg: SweepConfig, eps: float, err: float) -> float:
-    if cfg.normalization == "error":
-        return err / error_normalizer(cfg.kappa, cfg.alpha, eps)
-    if cfg.normalization == "regularity":
-        return err / regularity_normalizer(cfg.kappa, cfg.alpha, cfg.derivative_order, eps)
-    return err
-
-
 def _sorted_records(records: list[ErrorRecord]) -> list[ErrorRecord]:
     return sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j))
 
 
-def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth):
+def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, rate):
     """One eps cell: truth(base) once, where base is the reference-solve
     configuration at eps, then a timed solve per scheme and tau, each
-    measured against that one truth.
+    measured against that one truth and normalized by rate(eps).
 
     A failure to build the truth fails the cell once per scheme (keyed
     scheme=<s>,epsilon=<e>); a failing solve fails only its own tau.
@@ -265,7 +256,7 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth):
                     z_final=cfg.z_final,
                     j=cfg.derivative_order,
                     error_x=err,
-                    normalized_error=_normalize(cfg, eps, err),
+                    normalized_error=err / rate(eps),
                     walltime_s=wall,
                 )
             )
@@ -274,13 +265,13 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth):
     return recs, fails
 
 
-def _sweep(cfg: SweepConfig, schemes, taus, truth) -> SweepResult:
+def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
     """Run one eps cell per epsilon, concurrently; aggregation order is
     fixed by sorting."""
     grid = cfg.grid()
 
     def run_cell(eps):
-        return _sweep_cell(cfg, grid, eps, schemes, taus, truth)
+        return _sweep_cell(cfg, grid, eps, schemes, taus, truth, rate)
 
     if cfg.workers <= 1:
         results = [run_cell(e) for e in cfg.epsilons]
@@ -295,19 +286,21 @@ def _sweep(cfg: SweepConfig, schemes, taus, truth) -> SweepResult:
 
 def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     """Error against a small-step reference for every (scheme, eps, tau);
-    each eps solves its reference once for all schemes and taus."""
-    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: solve(base).final)
+    each eps solves its reference once for all schemes and taus; errors are
+    normalized by the predicted eps-rate error_normalizer."""
+    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: solve(base).final,
+                  partial(error_normalizer, cfg.kappa, cfg.alpha))
 
 
 def regularity_sweep(cfg: SweepConfig) -> SweepResult:
     """Distance of the reference solution from the free flow, per epsilon.
 
     Runs the reference scheme at reference_tau and measures the j-th
-    derivative of mu(z) - free(z); cfg.taus is ignored.
+    derivative of mu(z) - free(z), normalized by regularity_normalizer;
+    cfg.taus is ignored.
     """
-    if cfg.normalization == "error":
-        cfg = replace(cfg, normalization="regularity")
-    return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution)
+    return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution,
+                  partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.derivative_order))
 
 
 def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:

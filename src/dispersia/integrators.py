@@ -8,16 +8,19 @@ Fourier multiplier -P(xi); F = flow(tau) has symbol exp(-i tau eps^a P(xi)):
     strang symmetric splitting     mu+ = H exp(tau R_eps) H mu,  H = flow(tau/2)
     lri    low-regularity variant  mu+ = F mu + tau (phi1(-i tau eps^a D) R_eps) * mu
 
-solve() marches the raw transform v = fft(mu) and forms values only at the
-end, so every step is one of two in-place kernels of exactly 2 FFTs (a solve
+precompute() is the one place that tells the schemes apart: it turns a scheme
+into the inputs of one of two in-place kernels of exactly 2 FFTs, which solve()
+runs on the raw transform v = fft(mu), forming values only at the end (a solve
 of N steps costs 2N + 2):
 
-    dressed (ei, lri)   v <- F v + G fft(g ifft(v)), G = tau phi1 and g = R_eps
-                        for ei, G = tau and g = the filtered R_eps for lri
-    split (lt, strang)  v <- F fft(E ifft(v)), E = exp(tau R_eps)
+    dressed (ei, lri)   v <- flow v + gain fft(weight ifft(v)); gain = tau phi1 and
+                        weight = R_eps for ei, gain = tau and weight = the
+                        filtered R_eps for lri
+    split (lt, strang)  v <- flow fft(weight ifft(v)), weight = exp(tau R_eps)
 
-Strang marches v = H fft(mu): as |H| = 1, H E H = H^-1 (F E) H is a Lie step
-entered with H and left with conj(H).  Plain transforms suffice: the h and
+Strang marches v = H fft(mu), its entry factor: as |H| = 1, H E H = H^-1 (F E) H
+is a Lie step with flow F = H^2, entered with H and left with conj(H).  step()
+takes one kernel step from values.  Plain transforms suffice: the h and
 origin-phase factors of the field convention cancel for pure multipliers.
 """
 
@@ -79,17 +82,17 @@ class SolveConfig:
 
 @dataclass
 class PrecomputedStep:
-    """Per-step symbols and physical-space factors for one (model, grid, tau);
-    only the pieces the configured scheme consumes are set, the rest stay None."""
+    """One step of a scheme as the inputs of its kernel, for one (model, grid,
+    tau).  The dressed kernel (ei, lri) has a gain; the split kernel (lt,
+    strang) has none.  entry is the factor v = entry fft(mu) is marched in:
+    the half flow H for strang, 1.0 otherwise."""
 
     scheme: StepperKind
     tau: float
-    raw_potential: np.ndarray
-    full_flow: np.ndarray | None = None
-    half_flow: np.ndarray | None = None
-    phi1_symbol: np.ndarray | None = None
-    potential_exp: np.ndarray | None = None
-    filtered_potential: np.ndarray | None = None
+    flow: np.ndarray
+    weight: np.ndarray
+    gain: np.ndarray | float | None = None
+    entry: np.ndarray | float = 1.0
 
 
 def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
@@ -98,68 +101,47 @@ def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
     if tau == 0:
         # negative tau is legitimate (adjoint/time-reversal checks)
         raise ValueError("tau must be nonzero")
+    tau = float(tau)
     r = sample_potential(potential, grid, model.epsilon)
-    pc = PrecomputedStep(scheme=scheme, tau=float(tau), raw_potential=r)
     theta = flow_phase(model, grid, tau)
     if scheme is StepperKind.STRANG:
-        pc.half_flow = np.exp(-1j * (theta / 2.0))
-        pc.potential_exp = np.exp(tau * r)
-        return pc
-    pc.full_flow = np.exp(-1j * theta)
+        half = np.exp(-1j * (theta / 2.0))
+        return PrecomputedStep(scheme, tau, half * half, np.exp(tau * r), entry=half)
+    flow = np.exp(-1j * theta)
     if scheme is StepperKind.EI:
-        pc.phi1_symbol = phi1(-1j * theta)
-    elif scheme is StepperKind.LT:
-        pc.potential_exp = np.exp(tau * r)
-    elif scheme is StepperKind.LRI:
-        r_hat = np.fft.fft(r.astype(np.complex128))
-        pc.filtered_potential = np.fft.ifft(phi1(1j * theta) * r_hat)
-    return pc
+        return PrecomputedStep(scheme, tau, flow, r, gain=tau * phi1(-1j * theta))
+    if scheme is StepperKind.LT:
+        return PrecomputedStep(scheme, tau, flow, np.exp(tau * r))
+    r_hat = np.fft.fft(r.astype(np.complex128))
+    return PrecomputedStep(scheme, tau, flow, np.fft.ifft(phi1(1j * theta) * r_hat), gain=tau)
 
 
-def _dressed(flow, gain, weight):
-    def step(v, s):  # v <- flow v + gain fft(weight ifft(v)), s is scratch
+def _kernel(pc: PrecomputedStep):
+    """pc's step as an in-place kernel on v = entry fft(mu); s is scratch."""
+    flow, weight, gain = pc.flow, pc.weight, pc.gain
+    if gain is None:
+        def split(v, s):  # v <- flow fft(weight ifft(v))
+            np.fft.ifft(v, out=s)
+            s *= weight
+            np.fft.fft(s, out=v)
+            v *= flow
+        return split
+
+    def dressed(v, s):  # v <- flow v + gain fft(weight ifft(v))
         np.fft.ifft(v, out=s)
         s *= weight
         np.fft.fft(s, out=s)
         s *= gain
         v *= flow
         v += s
-    return step
+    return dressed
 
 
-def _split(flow, factor):
-    def step(v, s):  # v <- flow fft(factor ifft(v)), s is scratch
-        np.fft.ifft(v, out=s)
-        s *= factor
-        np.fft.fft(s, out=v)
-        v *= flow
-    return step
-
-
-def _kernel(pc: PrecomputedStep):
-    """pc's step as a kernel on v = entry fft(mu), and that entry factor."""
-    if pc.scheme is StepperKind.STRANG:
-        return _split(pc.half_flow * pc.half_flow, pc.potential_exp), pc.half_flow
-    if pc.scheme is StepperKind.LT:
-        return _split(pc.full_flow, pc.potential_exp), 1.0
-    if pc.scheme is StepperKind.EI:
-        return _dressed(pc.full_flow, pc.tau * pc.phi1_symbol, pc.raw_potential), 1.0
-    return _dressed(pc.full_flow, pc.tau, pc.filtered_potential), 1.0
-
-
-def _one_step(kind: StepperKind):
-    def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-        """One step from values mu through the kernel solve() marches."""
-        if pc.scheme is not kind:
-            raise ValueError(f"a {kind.value} step got a {pc.scheme.value} precompute")
-        kernel, entry = _kernel(pc)
-        v = entry * np.fft.fft(mu)
-        kernel(v, np.empty_like(v))
-        return np.fft.ifft(np.conj(entry) * v)
-    return step
-
-
-step_ei, step_lt, step_strang, step_lri = map(_one_step, StepperKind)
+def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
+    """One step from values mu through the kernel solve() marches."""
+    v = pc.entry * np.fft.fft(mu)
+    _kernel(pc)(v, np.empty_like(v))
+    return np.fft.ifft(np.conj(pc.entry) * v)
 
 
 @dataclass
@@ -174,9 +156,9 @@ def solve(config: SolveConfig) -> SolveResult:
     n_steps = config.step_count()
     grid = config.grid
     pc = precompute(config.model, grid, config.potential, config.scheme, config.tau)
-    kernel, entry = _kernel(pc)
+    kernel = _kernel(pc)
     mu = sample_initial(config.initial, grid).copy()
-    v = entry * np.fft.fft(mu)
+    v = pc.entry * np.fft.fft(mu)
     scratch = np.empty_like(v)
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
@@ -188,7 +170,7 @@ def solve(config: SolveConfig) -> SolveResult:
                 f"tau={config.tau:.6g})"
             )
     if n_steps:
-        mu = np.fft.ifft(np.conj(entry) * v)
+        mu = np.fft.ifft(np.conj(pc.entry) * v)
     walltime = time.perf_counter() - t0
     return SolveResult(SpectralField(grid, values=mu), n_steps, walltime)
 

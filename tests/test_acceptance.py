@@ -143,7 +143,7 @@ def collapse_sweep():
         kappa=2, coeffs=(1.0,), alpha=1.0,
         potential=GAUSS_WELL, initial=GAUSS_INI, half_width=16.0,
         epsilons=DESK_EPSILONS, taus=DESK_TAUS,
-        reference_tau=REFERENCE_TAU, normalization="error",
+        reference_tau=REFERENCE_TAU,
     )
     t0 = time.perf_counter()
     result = convergence_sweep(cfg)
@@ -182,8 +182,7 @@ def test_criterion_4_epsilon_collapse(collapse_sweep):
 def test_criterion_5_regularity_rates():
     t0 = time.perf_counter()
     base = dict(potential=GAUSS_WELL, initial=GAUSS_INI,
-                epsilons=DESK_EPSILONS, taus=(), reference_tau=REFERENCE_TAU,
-                normalization="regularity")
+                epsilons=DESK_EPSILONS, taus=(), reference_tau=REFERENCE_TAU)
     r2 = regularity_sweep(SweepConfig(kappa=2, coeffs=(1.0,), alpha=1.0,
                                       half_width=16.0, **base))
     base["potential"] = ROUGH_WELL
@@ -219,7 +218,7 @@ def test_criterion_6_kdv_collapse():
         kappa=3, coeffs=(1.0, 0.0), alpha=0.75,
         potential=ROUGH_WELL, initial=GAUSS_INI, half_width=32.0,
         epsilons=DESK_EPSILONS, taus=DESK_TAUS,
-        reference_tau=REFERENCE_TAU, normalization="error",
+        reference_tau=REFERENCE_TAU,
     )
     result = convergence_sweep(cfg)
     assert not result.failures, result.failures
@@ -247,7 +246,6 @@ def test_criterion_7_splitting_regimes():
         epsilons=(eps,), taus=(2.0**-10, 2.0**-11, 2.0**-12),
         schemes=(StepperKind.LT, StepperKind.STRANG),
         reference_scheme=StepperKind.STRANG, reference_tau=2.0**-16,
-        normalization="none",
     )
     result = convergence_sweep(sweep)
     assert not result.failures, result.failures
@@ -291,7 +289,7 @@ def test_criterion_8_filter_identity():
                         preset.default_tau)
         rescaled = lri_filter_rescaled(model, grid, preset.potential,
                                        preset.default_tau)
-        worst = max(worst, float(np.max(np.abs(pc.filtered_potential - rescaled))))
+        worst = max(worst, float(np.max(np.abs(pc.weight - rescaled))))
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-10 and elapsed < 5.0

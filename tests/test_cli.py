@@ -402,6 +402,12 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
     ("solve", "coeffs", 5), ("sweep-convergence", "coeffs", 5),
     ("solve", "alpha", "x"), ("solve", "epsilon", "x"), ("solve", "z_final", "x"),
     ("sweep-convergence", "half_width", "x"), ("sweep-convergence", "reference_tau", "x"),
+    # step inputs are checked before reference_tau is compared with the taus
+    ("solve", "tau", "nan"), ("solve", "tau", 0), ("solve", "z_final", -1),
+    ("sweep-convergence", "taus", "nan"), ("sweep-convergence", "taus", 0),
+    ("sweep-convergence", "reference_tau", "inf"), ("sweep-convergence", "reference_tau", 0),
+    ("sweep-convergence", "z_final", -1), ("sweep-convergence", "z_final", "nan"),
+    ("sweep-convergence", "workers", -3),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
     doc = dict(FREE_SOLVE if command == "solve" else SMALL_SWEEP)
@@ -417,8 +423,6 @@ REGULARITY_SWEEP = dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[])
 
 @pytest.mark.parametrize("command,doc", [
     ("solve", FREE_SOLVE), ("sweep-regularity", REGULARITY_SWEEP),
-    ("sweep-convergence", dict(SMALL_SWEEP, normalization="regularity")),
-    ("compare", dict(SMALL_SWEEP, normalization="regularity")),
 ])
 def test_deriv_order_at_kappa_fails_before_any_solve(tmp_path, capsys, command, doc):
     # the regularity rate that normalizes these errors exists only for j < kappa
@@ -432,7 +436,6 @@ def test_deriv_order_at_kappa_fails_before_any_solve(tmp_path, capsys, command, 
 
 @pytest.mark.parametrize("command,doc", [
     ("sweep-convergence", SMALL_SWEEP), ("compare", SMALL_SWEEP),
-    ("sweep-regularity", dict(REGULARITY_SWEEP, normalization="none")),
 ])
 def test_deriv_order_at_kappa_is_fine_where_the_rate_ignores_it(tmp_path, command, doc):
     doc = dict(doc, deriv_order=2, taus=[0.05, 0.025])

@@ -157,8 +157,9 @@ def test_sweep_config_validation():
         small_sweep_config(epsilons=(1.5,))
     with pytest.raises(ValueError, match="reference_tau"):
         small_sweep_config(reference_tau=0.01)
-    with pytest.raises(ValueError):
-        small_sweep_config(normalization="relative")
+    for workers in (0, -3, 1.5, "2", True):
+        with pytest.raises(ValueError, match="workers"):
+            small_sweep_config(workers=workers)
     cfg = small_sweep_config(schemes=("ei", "strang"))
     assert cfg.schemes == (StepperKind.EI, StepperKind.STRANG)
 

@@ -21,10 +21,7 @@ from dispersia.integrators import (
     lri_filter_rescaled,
     precompute,
     solve,
-    step_ei,
-    step_lri,
-    step_lt,
-    step_strang,
+    step,
 )
 from dispersia.model import DispersiveModel
 from dispersia.spectral import (
@@ -32,7 +29,10 @@ from dispersia.spectral import (
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
+    flow_phase,
+    phi1,
     sample_initial,
+    sample_potential,
     x_norm,
 )
 
@@ -55,28 +55,20 @@ def diff_norm(grid, a, b):
 
 
 def test_precompute_populates_only_scheme_fields():
-    by_scheme = {
-        StepperKind.EI: ("full_flow", "phi1_symbol"),
-        StepperKind.LT: ("full_flow", "potential_exp"),
-        StepperKind.STRANG: ("half_flow", "potential_exp"),
-        StepperKind.LRI: ("full_flow", "filtered_potential"),
-    }
-    all_fields = (
-        "full_flow",
-        "half_flow",
-        "phi1_symbol",
-        "potential_exp",
-        "filtered_potential",
-    )
-    for scheme, expected in by_scheme.items():
+    # a gain picks the dressed kernel (ei, lri); only strang has an entry factor
+    for scheme in StepperKind:
         pc = precompute(MODEL, GRID, GAUSS_POT, scheme, 0.01)
-        assert pc.raw_potential.shape == (GRID.n,)
-        for name in all_fields:
-            got = getattr(pc, name)
-            if name in expected:
-                assert got is not None and got.shape == (GRID.n,), (scheme, name)
-            else:
-                assert got is None, (scheme, name)
+        assert pc.flow.shape == pc.weight.shape == (GRID.n,), scheme
+        if scheme is StepperKind.EI:
+            assert pc.gain.shape == (GRID.n,)
+        elif scheme is StepperKind.LRI:
+            assert pc.gain == 0.01
+        else:
+            assert pc.gain is None, scheme
+        if scheme is StepperKind.STRANG:
+            assert pc.entry.shape == (GRID.n,)
+        else:
+            assert pc.entry == 1.0, scheme
 
 
 def test_precompute_rejects_zero_tau_allows_negative():
@@ -88,24 +80,25 @@ def test_precompute_rejects_zero_tau_allows_negative():
 
 def test_precompute_small_tau_limits():
     pc = precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, 1e-12)
-    np.testing.assert_allclose(pc.phi1_symbol, 1.0, atol=1e-9)
+    np.testing.assert_allclose(pc.gain / pc.tau, 1.0, atol=1e-9)
     pc = precompute(MODEL, GRID, GAUSS_POT, StepperKind.LT, 1e-12)
-    np.testing.assert_allclose(pc.potential_exp, 1.0, atol=1e-9)
+    np.testing.assert_allclose(pc.weight, 1.0, atol=1e-9)
 
 
 def test_full_flow_is_half_flow_squared():
     tau = 0.02
-    full = precompute(MODEL, GRID, GAUSS_POT, StepperKind.LT, tau).full_flow
-    half = precompute(MODEL, GRID, GAUSS_POT, StepperKind.STRANG, tau).half_flow
-    np.testing.assert_allclose(half * half, full, rtol=1e-12)
+    full = precompute(MODEL, GRID, GAUSS_POT, StepperKind.LT, tau).flow
+    strang = precompute(MODEL, GRID, GAUSS_POT, StepperKind.STRANG, tau)
+    np.testing.assert_allclose(strang.entry * strang.entry, full, rtol=1e-12)
+    np.testing.assert_allclose(strang.flow, full, rtol=1e-12)
 
 
 def test_zero_potential_precompute():
     none_pot = PotentialSpec.gaussian(0.0, 1.0)
     pc = precompute(MODEL, GRID, none_pot, StepperKind.LRI, 0.01)
-    np.testing.assert_allclose(pc.filtered_potential, 0.0, atol=1e-15)
+    np.testing.assert_allclose(pc.weight, 0.0, atol=1e-15)
     pc = precompute(MODEL, GRID, none_pot, StepperKind.LT, 0.01)
-    np.testing.assert_allclose(pc.potential_exp, 1.0, rtol=0, atol=0)
+    np.testing.assert_allclose(pc.weight, 1.0, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +116,7 @@ def free_step_oracle(model, grid, tau, mu):
 def test_zero_potential_step_is_free_flow(scheme):
     mu = sample_initial(GAUSS_INI, GRID)
     pc = precompute(MODEL, GRID, PotentialSpec.gaussian(0.0, 1.0), scheme, 0.05)
-    stepped = {
-        StepperKind.EI: step_ei,
-        StepperKind.LT: step_lt,
-        StepperKind.STRANG: step_strang,
-        StepperKind.LRI: step_lri,
-    }[scheme](mu, pc)
+    stepped = step(mu, pc)
     want = free_step_oracle(MODEL, GRID, 0.05, mu)
     np.testing.assert_allclose(stepped, want, atol=1e-12)
 
@@ -138,9 +126,10 @@ def test_ei_zero_mode_recursion():
     tau = 0.03
     mu = sample_initial(GAUSS_INI, GRID)
     pc = precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, tau)
-    out = step_ei(mu, pc)
+    out = step(mu, pc)
     got = np.fft.fft(out)[0]
-    want = np.fft.fft(mu)[0] + tau * np.fft.fft(pc.raw_potential * mu)[0]
+    r = sample_potential(GAUSS_POT, GRID, MODEL.epsilon)
+    want = np.fft.fft(mu)[0] + tau * np.fft.fft(r * mu)[0]
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -152,12 +141,11 @@ def test_lt_with_identity_flow_is_pure_potential_factor():
     pc = PrecomputedStep(
         scheme=StepperKind.LT,
         tau=tau,
-        raw_potential=r,
-        full_flow=np.ones(GRID.n, dtype=complex),
-        potential_exp=np.exp(tau * r),
+        flow=np.ones(GRID.n, dtype=complex),
+        weight=np.exp(tau * r),
     )
     mu = sample_initial(GAUSS_INI, GRID)
-    np.testing.assert_allclose(step_lt(mu, pc), np.exp(tau * r) * mu, atol=1e-13)
+    np.testing.assert_allclose(step(mu, pc), np.exp(tau * r) * mu, atol=1e-13)
 
 
 def test_ei_richardson_local_order():
@@ -168,8 +156,8 @@ def test_ei_richardson_local_order():
     for tau in taus:
         pc1 = precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, tau)
         pc2 = precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, tau / 2)
-        one = step_ei(mu, pc1)
-        two = step_ei(step_ei(mu, pc2), pc2)
+        one = step(mu, pc1)
+        two = step(step(mu, pc2), pc2)
         defects.append(diff_norm(GRID, one, two))
     fit = fit_rate(np.array(taus), np.array(defects))
     assert fit.slope == pytest.approx(2.0, abs=0.1)
@@ -180,8 +168,8 @@ def test_lt_minus_ei_is_second_order_in_tau():
     taus = [0.1, 0.05, 0.025, 0.0125]
     gaps = []
     for tau in taus:
-        lt = step_lt(mu, precompute(MODEL, GRID, GAUSS_POT, StepperKind.LT, tau))
-        ei = step_ei(mu, precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, tau))
+        lt = step(mu, precompute(MODEL, GRID, GAUSS_POT, StepperKind.LT, tau))
+        ei = step(mu, precompute(MODEL, GRID, GAUSS_POT, StepperKind.EI, tau))
         gaps.append(diff_norm(GRID, lt, ei))
     fit = fit_rate(np.array(taus), np.array(gaps))
     assert fit.slope == pytest.approx(2.0, abs=0.2)
@@ -191,7 +179,7 @@ def test_strang_step_is_time_symmetric():
     mu = sample_initial(GAUSS_INI, GRID)
     fwd = precompute(MODEL, GRID, GAUSS_POT, StepperKind.STRANG, 0.05)
     bwd = precompute(MODEL, GRID, GAUSS_POT, StepperKind.STRANG, -0.05)
-    back = step_strang(step_strang(mu, fwd), bwd)
+    back = step(step(mu, fwd), bwd)
     np.testing.assert_allclose(back, mu, atol=1e-10)
 
 
@@ -206,8 +194,8 @@ def test_lri_filter_matches_rescaled_route(eps):
     tau = 0.01
     pc = precompute(model, grid, GAUSS_POT, StepperKind.LRI, tau)
     other = lri_filter_rescaled(model, grid, GAUSS_POT, tau)
-    scale = float(np.abs(pc.filtered_potential).max())
-    np.testing.assert_allclose(other, pc.filtered_potential, atol=1e-10 * max(scale, 1.0))
+    scale = float(np.abs(pc.weight).max())
+    np.testing.assert_allclose(other, pc.weight, atol=1e-10 * max(scale, 1.0))
 
 
 def test_lri_filter_rescaled_odd_kappa():
@@ -215,7 +203,7 @@ def test_lri_filter_rescaled_odd_kappa():
     grid = Grid(8.0, 512)
     pc = precompute(model, grid, GAUSS_POT, StepperKind.LRI, 0.02)
     other = lri_filter_rescaled(model, grid, GAUSS_POT, 0.02)
-    np.testing.assert_allclose(other, pc.filtered_potential, atol=1e-10)
+    np.testing.assert_allclose(other, pc.weight, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +223,13 @@ def const_setup(tau, n=256):
 
 def test_constant_potential_filter_collapses_to_scalar():
     _, _, lri = const_setup(0.05)
-    np.testing.assert_allclose(lri.filtered_potential, CONST, atol=1e-12)
+    np.testing.assert_allclose(lri.weight, CONST, atol=1e-12)
 
 
 def test_constant_potential_schemes_agree_on_constant_state():
     grid, ei, lri = const_setup(0.05)
     mu = np.ones(grid.n, dtype=complex)
-    np.testing.assert_allclose(step_ei(mu, ei), step_lri(mu, lri), atol=1e-12)
+    np.testing.assert_allclose(step(mu, ei), step(mu, lri), atol=1e-12)
 
 
 def test_constant_potential_scheme_gap_is_second_order():
@@ -249,7 +237,7 @@ def test_constant_potential_scheme_gap_is_second_order():
     for tau in taus:
         grid, ei, lri = const_setup(tau)
         mu = sample_initial(GAUSS_INI, grid)
-        gaps.append(diff_norm(grid, step_ei(mu, ei), step_lri(mu, lri)))
+        gaps.append(diff_norm(grid, step(mu, ei), step(mu, lri)))
     fit = fit_rate(np.array(taus), np.array(gaps))
     assert fit.slope == pytest.approx(2.0, abs=0.2)
 
@@ -371,34 +359,48 @@ def test_blowup_detection_names_the_step(scheme):
             solve(cfg)
 
 
-def physical_step(scheme, mu, pc):
+def physical_step(scheme, tau):
     """One step marched in values, with the transforms the formulas name:
-    3 FFTs for ei, 4 for strang, 2 for lt and lri."""
+    3 FFTs for ei, 4 for strang, 2 for lt and lri.  Its flow, phi1 weight,
+    potential factor and lri filter are built here, not taken from precompute."""
     fft, ifft = np.fft.fft, np.fft.ifft
+    r = sample_potential(GAUSS_POT, GRID, MODEL.epsilon)
+    theta = flow_phase(MODEL, GRID, tau)
+    flow, half, factor = np.exp(-1j * theta), np.exp(-0.5j * theta), np.exp(tau * r)
     if scheme is StepperKind.EI:
-        rhs_hat = fft(pc.raw_potential * mu)
-        return ifft(pc.full_flow * fft(mu) + pc.tau * (pc.phi1_symbol * rhs_hat))
+        weight = tau * phi1(-1j * theta)
+        return lambda mu: ifft(flow * fft(mu) + weight * fft(r * mu))
     if scheme is StepperKind.LT:
-        return ifft(pc.full_flow * fft(pc.potential_exp * mu))
+        return lambda mu: ifft(flow * fft(factor * mu))
     if scheme is StepperKind.STRANG:
-        half = ifft(pc.half_flow * fft(mu))
-        return ifft(pc.half_flow * fft(pc.potential_exp * half))
-    return ifft(pc.full_flow * fft(mu)) + pc.tau * (pc.filtered_potential * mu)
+        return lambda mu: ifft(half * fft(factor * ifft(half * fft(mu))))
+    filtered = ifft(phi1(1j * theta) * fft(r))
+    return lambda mu: ifft(flow * fft(mu)) + tau * (filtered * mu)
 
 
 @pytest.mark.parametrize("scheme", list(StepperKind))
 def test_fourier_state_loop_matches_physical_space_steps(scheme):
     tau = 0.005
-    pc = precompute(MODEL, GRID, GAUSS_POT, scheme, tau)
+    one_step = physical_step(scheme, tau)
     mu = sample_initial(GAUSS_INI, GRID)
     for k in range(1, 201):
-        mu = physical_step(scheme, mu, pc)
+        mu = one_step(mu)
         if k % 50 == 0:
             cfg = make_config(scheme=scheme, tau=tau, z_final=k * tau)
             res = solve(cfg)
             assert res.steps == k
             assert diff_norm(GRID, res.final.values, mu) <= 1e-11, (scheme, k)
             np.testing.assert_array_equal(solve(cfg).final.values, res.final.values)
+
+
+@pytest.mark.parametrize("scheme", list(StepperKind))
+def test_step_is_a_one_step_solve(scheme):
+    # step() and solve() run one kernel: a single step agrees bit for bit
+    tau = 0.05
+    res = solve(make_config(scheme=scheme, tau=tau, z_final=tau))
+    pc = precompute(MODEL, GRID, GAUSS_POT, scheme, tau)
+    assert res.steps == 1
+    np.testing.assert_array_equal(step(sample_initial(GAUSS_INI, GRID), pc), res.final.values)
 
 
 def test_all_schemes_hit_their_global_order_at_eps_one():
