@@ -32,8 +32,8 @@ from .model import (
     DegenerateReductionError,
     DispersiveModel,
     PhaseBoundReport,
+    RateExponent,
     ReducedModel,
-    RegularityExponent,
     eval_p,
     eval_phase,
     eval_phase_factored,
@@ -54,12 +54,10 @@ from .spectral import (
     MeshResolutionWarning,
     PotentialSpec,
     SpectralField,
-    apply_multiplier,
     free_propagator_symbol,
     phi1,
     sample_initial,
     sample_potential,
-    twist,
     x_norm,
 )
 

@@ -42,7 +42,9 @@ from .harness import (
 )
 from .integrators import NumericalBlowupError, SolveConfig, StepperKind, free_solution, solve
 from .model import (
+    DegenerateReductionError,
     DispersiveModel,
+    ReducedModel,
     blocks,
     eval_p,
     eval_phase,
@@ -154,13 +156,6 @@ def _model_at(eps: float, fields: dict) -> DispersiveModel:
     return DispersiveModel(fields["kappa"], fields["coeffs"], fields["alpha"], eps)
 
 
-def _check_epsilons(epsilons, fields) -> None:
-    if not epsilons:
-        raise ValueError("needs at least one value")
-    for eps in epsilons:
-        _model_at(eps, fields)
-
-
 def _above(lo):
     def check(v, fields):
         if not v > lo:
@@ -215,10 +210,10 @@ def _deriv_order(rated: bool) -> tuple:
 
 _POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
 _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
-# by default the grid resolves h <= the smallest eps
-_GRID_N = _field("grid_n", _integer, lambda f: resolving_grid_n(
-    f["half_width"], min(f["epsilons"]) if "epsilons" in f else f["epsilon"]),
-    check=lambda n, f: Grid(f["half_width"], n))
+
+
+def _grid_n(default) -> tuple:
+    return _field("grid_n", _integer, default, check=lambda n, f: Grid(f["half_width"], n))
 
 
 # one table of fields per subcommand
@@ -229,7 +224,9 @@ _SOLVE = (
     _field("scheme", _one(_items), "ei", "--scheme", lambda s, f: StepperKind(s),
            also=("schemes",)),
     _Z_FINAL,
-    _deriv_order(rated=True), _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
+    _deriv_order(rated=True), _HALF_WIDTH,
+    # by default the grid resolves h <= eps
+    _grid_n(lambda f: resolving_grid_n(f["half_width"], f["epsilon"])), _POTENTIAL, _INITIAL,
 )
 
 
@@ -237,15 +234,15 @@ def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
                  rated: bool = False) -> tuple:
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
-        _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", _check_epsilons, also=eps_alias),
-        _field("taus", _numbers, DESK_TAUS, "--tau", _finite(0)),
+        _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", also=eps_alias),
+        _field("taus", _numbers, DESK_TAUS, "--tau"),
         _field("schemes", _items, schemes, "--scheme", also=("scheme",)),
         _Z_FINAL,
-        _field("reference_tau", float, REFERENCE_TAU, check=_finite(0)),
+        _field("reference_tau", float, REFERENCE_TAU),
         _field("reference_scheme", str, "ei"),
         _deriv_order(rated),
-        _GRID_N,
-        _field("workers", _integer, 1, "--workers", _above(0)),
+        _grid_n(None),  # None: the SweepConfig sizes the grid (see _sweep_config)
+        _field("workers", _integer, 1, "--workers"),
         _POTENTIAL, _INITIAL,
     )
 
@@ -333,6 +330,33 @@ def _out_dir(args) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# library inputs.  Each command's fields are turned into the library object it
+# runs before --out is made, so that a config error leaves no directory behind.
+
+
+def _solve_config(f: dict) -> SolveConfig:
+    cfg = SolveConfig(_model_at(f["epsilon"], f), Grid(f["half_width"], f["grid_n"]),
+                      f["potential"], f["initial"], f["scheme"], f["tau"], f["z_final"])
+    cfg.step_count()  # raises "tau: ..." for a tau that does not divide z_final
+    return cfg
+
+
+def _sweep_config(f: dict) -> SweepConfig:
+    kwargs = dict(f)
+    kwargs["derivative_order"] = kwargs.pop("deriv_order")
+    sweep = SweepConfig(**kwargs)
+    f["grid_n"] = sweep.grid().n  # run.json echoes the grid the sweep runs on
+    return sweep
+
+
+def _reduction(f: dict) -> ReducedModel:
+    try:
+        return reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"])
+    except DegenerateReductionError as exc:
+        raise ConfigError(f"lambda: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # artifact writers
 
 
@@ -374,13 +398,8 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
 # commands
 
 
-def _run_solve(args, f: dict, out: Path) -> int:
-    eps, j = f["epsilon"], f["deriv_order"]
-    grid = Grid(f["half_width"], f["grid_n"])
-    solve_cfg = SolveConfig(
-        model=_model_at(eps, f), grid=grid, potential=f["potential"], initial=f["initial"],
-        scheme=f["scheme"], tau=f["tau"], z_final=f["z_final"],
-    )
+def _run_solve(args, f: dict, solve_cfg: SolveConfig, out: Path) -> int:
+    eps, j, grid = f["epsilon"], f["deriv_order"], solve_cfg.grid
     result = solve(solve_cfg)
     err = error_x(result.final, free_solution(solve_cfg), j)
     record = ErrorRecord(
@@ -398,12 +417,8 @@ def _run_solve(args, f: dict, out: Path) -> int:
     return 0
 
 
-def _run_sweep(args, f: dict, out: Path) -> int:
+def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
     command = args.command
-    kwargs = dict(f)
-    kwargs["derivative_order"] = kwargs.pop("deriv_order")
-    sweep = SweepConfig(**kwargs)
-
     # built per call, so that a harness function replaced on this module is the one run
     run, x_field, keys = {
         "sweep-convergence": (convergence_sweep, "tau", ("scheme", "epsilon")),
@@ -431,8 +446,7 @@ def _run_sweep(args, f: dict, out: Path) -> int:
     return 2 if result.failures else 0
 
 
-def _run_reduce(args, f: dict, out: Path) -> int:
-    red = reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"])
+def _run_reduce(args, f: dict, red: ReducedModel, out: Path) -> int:
     doc = {
         "kappa": red.kappa,
         "beta": red.beta,
@@ -451,9 +465,8 @@ def _run_reduce(args, f: dict, out: Path) -> int:
     return 0
 
 
-def _run_verify_phase(args, f: dict, out: Path) -> int:
+def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
-    model = _model_at(eps, f)
 
     # sampled identity check with a cancellation floor: the two evaluations
     # subtract P values of size eps^alpha * P(xi1/eps + xi2), so agreement is
@@ -511,14 +524,16 @@ def _run_verify_phase(args, f: dict, out: Path) -> int:
 # parser
 
 
+# per subcommand: its table, the library input built from the fields, the run
 _COMMANDS = {
-    "solve": (_SOLVE, _run_solve),
-    "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _run_sweep),
+    "solve": (_SOLVE, _solve_config, _run_solve),
+    "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _sweep_config, _run_sweep),
     # a rate in eps needs several eps values; a preset's single epsilon is ignored
-    "sweep-regularity": (_sweep_table(("ei",), (), rated=True), _run_sweep),
-    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _run_sweep),
-    "reduce-moment": (_REDUCE_MOMENT, _run_reduce),
-    "verify-phase": (_VERIFY_PHASE, _run_verify_phase),
+    "sweep-regularity": (_sweep_table(("ei",), (), rated=True), _sweep_config, _run_sweep),
+    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _sweep_config,
+                _run_sweep),
+    "reduce-moment": (_REDUCE_MOMENT, _reduction, _run_reduce),
+    "verify-phase": (_VERIFY_PHASE, lambda f: _model_at(f["epsilon"], f), _run_verify_phase),
 }
 
 
@@ -526,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dispersia", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dispersia {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (table, run) in _COMMANDS.items():
+    for name, (table, _, run) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
@@ -545,10 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        table, run = _COMMANDS[args.command]
+        table, build, run = _COMMANDS[args.command]
         fields = _read_fields(args, table)
+        job = build(fields)
         out = _out_dir(args)
-        code = run(args, fields, out)
+        code = run(args, fields, job, out)
         # run.json echoes every field as read, so it replays through --config
         meta = {"package": "dispersia", "version": __version__, "written_unix": time.time()}
         doc = {**fields, "command": args.command, "meta": meta}

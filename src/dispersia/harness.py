@@ -18,8 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrators import SolveConfig, StepperKind, free_solution, solve
-from .model import DispersiveModel, expected_regularity_exponent
+from .integrators import SolveConfig, StepperKind, free_solution, solve, step_count
+from .model import (DispersiveModel, RateExponent, expected_error_exponent,
+                    expected_regularity_exponent)
 from .spectral import (
     Grid,
     InitialDataSpec,
@@ -32,45 +33,25 @@ from .spectral import (
 
 def error_x(a: SpectralField, b: SpectralField, j: int = 0) -> float:
     """Weighted absolute-coefficient norm of the difference (j derivatives)."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
     return x_norm(a - b, j)
 
 
-def error_normalizer(
-    kappa: int, alpha: float, eps: float, style: str = "figure", tau: float | None = None
-) -> float:
-    """Predicted eps-dependence of the first-order-in-tau error.
-
-    'figure' keeps the dominant branch eps^beta, beta = min(1 + (k-1)a/k,
-    2 - 2a/k), with a log(1/eps) factor only in the kappa = 2 case when the
-    second branch strictly dominates (the min is over exponents: the smaller
-    exponent is the larger, dominant term).  'theorem' sums both branches
-    with their full log refinements and needs tau.
-    """
-    e1 = 1.0 + (kappa - 1) * alpha / kappa
-    e2 = 2.0 - 2.0 * alpha / kappa
-    ln = math.log(1.0 / eps)
-    if style == "figure":
-        if e2 < e1 and kappa == 2:
-            return eps**e2 * ln
-        return eps ** min(e1, e2)
-    if style == "theorem":
-        if tau is None:
-            raise ValueError("theorem-style normalization needs tau")
-        first = eps**e1 * (1.0 + tau ** (1.0 - 1.0 / kappa) * ln)
-        extra = 1.0 if kappa >= 3 else (ln + math.log(1.0 / tau)) ** 2
-        return first + eps**e2 * ln * extra
-    raise ValueError(f"unknown normalization style {style!r}")
-
-
-def regularity_normalizer(kappa: int, alpha: float, j: int, eps: float) -> float:
-    """Predicted eps-rate of the j-th derivative of the scattered part."""
-    r = expected_regularity_exponent(kappa, alpha, j)
+def _rate(r: RateExponent, eps: float) -> float:
     out = eps**r.exponent
     if r.log_factor:
         out *= math.log(1.0 / eps)
     return out
+
+
+def error_normalizer(kappa: int, alpha: float, eps: float) -> float:
+    """Predicted eps-dependence of the first-order-in-tau error (see
+    expected_error_exponent)."""
+    return _rate(expected_error_exponent(kappa, alpha), eps)
+
+
+def regularity_normalizer(kappa: int, alpha: float, j: int, eps: float) -> float:
+    """Predicted eps-rate of the j-th derivative of the scattered part."""
+    return _rate(expected_regularity_exponent(kappa, alpha, j), eps)
 
 
 @dataclass(frozen=True)
@@ -126,7 +107,7 @@ class SweepConfig:
     One shared grid serves every cell; when grid_n is None it is chosen as
     the smallest power of two resolving h <= min(epsilons).  reference_tau
     must undercut every test tau by at least a factor of ten so reference
-    error stays negligible.
+    error stays negligible, and it and every tau must divide z_final.
     """
 
     kappa: int
@@ -160,15 +141,18 @@ class SweepConfig:
         self.epsilons = tuple(float(e) for e in self.epsilons)
         self.taus = tuple(float(t) for t in self.taus)
         if not self.epsilons:
-            raise ValueError("epsilons must be non-empty")
+            raise ValueError("epsilons: needs at least one value")
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
-                raise ValueError(f"epsilon must lie in (0, 1], got {e}")
+                raise ValueError(f"epsilons: must lie in (0, 1], got {e}")
+        if not (math.isfinite(self.z_final) and self.z_final >= 0):
+            raise ValueError(f"z_final: must be finite and >= 0, got {self.z_final}")
+        for tau in self.taus:
+            step_count(tau, self.z_final, "taus")
+        step_count(self.reference_tau, self.z_final, "reference_tau")
         if self.taus and self.reference_tau > min(self.taus) / 10.0:
-            raise ValueError(
-                f"reference_tau={self.reference_tau} must be at most min(taus)/10 = "
-                f"{min(self.taus) / 10.0}"
-            )
+            raise ValueError(f"reference_tau: must be at most min(taus)/10 = "
+                             f"{min(self.taus) / 10.0}, got {self.reference_tau}")
         workers = self.workers
         if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
             raise ValueError(f"workers: expected an integer >= 1, got {workers!r}")

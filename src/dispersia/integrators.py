@@ -69,15 +69,23 @@ class SolveConfig:
             raise ValueError(f"z_final must be non-negative, got {self.z_final!r}")
 
     def step_count(self) -> int:
-        if self.z_final == 0:
-            return 0
-        r = self.z_final / self.tau
-        n = round(r)
-        # tolerate the rounding of the division itself, not fractional steps
-        if n < 1 or not math.isclose(r, n, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(f"z_final/tau = {r} is not an integer step count "
-                             f"(tau={self.tau}, z_final={self.z_final})")
-        return n
+        return step_count(self.tau, self.z_final)
+
+
+def step_count(tau: float, z_final: float, key: str = "tau") -> int:
+    """Number of steps of size tau reaching z_final >= 0.  A tau that is not
+    finite and > 0, or does not divide z_final, is refused under key."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"{key}: must be finite and > 0, got {tau}")
+    if z_final == 0:
+        return 0
+    r = z_final / tau
+    n = round(r)
+    # tolerate the rounding of the division itself, not fractional steps
+    if n < 1 or not math.isclose(r, n, rel_tol=1e-12, abs_tol=1e-12):
+        raise ValueError(f"{key}: z_final/tau = {r} is not an integer step count "
+                         f"(tau={tau}, z_final={z_final})")
+    return n
 
 
 @dataclass

@@ -381,27 +381,33 @@ def search_lower_bound_constant(
     )
 
 
-def expected_error_exponent(kappa: int, alpha: float) -> float:
+@dataclass(frozen=True)
+class RateExponent:
+    """A predicted eps-rate eps^exponent, times log(1/eps) when log_factor."""
+
+    exponent: float
+    log_factor: bool
+
+
+def expected_error_exponent(kappa: int, alpha: float) -> RateExponent:
     """Heuristic first-order-in-tau error exponent beta in eps:
 
         beta = min(1 + (kappa-1)*alpha/kappa, 2 - 2*alpha/kappa).
 
-    The two branches cross at alpha = kappa/(kappa+1).
+    The two branches cross at alpha = kappa/(kappa+1).  The min is over
+    exponents, so the smaller one is the dominant term; a log(1/eps) factor
+    comes only with kappa = 2 when the second branch strictly dominates.
     """
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa!r}")
     if not 0.0 <= alpha <= kappa:
         raise ValueError(f"alpha must lie in [0, kappa], got {alpha!r}")
-    return min(1.0 + (kappa - 1) * alpha / kappa, 2.0 - 2.0 * alpha / kappa)
+    first = 1.0 + (kappa - 1) * alpha / kappa
+    second = 2.0 - 2.0 * alpha / kappa
+    return RateExponent(min(first, second), kappa == 2 and second < first)
 
 
-@dataclass(frozen=True)
-class RegularityExponent:
-    exponent: float
-    log_factor: bool
-
-
-def expected_regularity_exponent(kappa: int, alpha: float, j: int) -> RegularityExponent:
+def expected_regularity_exponent(kappa: int, alpha: float, j: int) -> RateExponent:
     """Exponent of eps in the j-th derivative bound of the potential-driven part.
 
     For 0 <= j <= kappa-2 the bound is eps^(1-(1+j)*alpha/kappa); the top
@@ -416,10 +422,8 @@ def expected_regularity_exponent(kappa: int, alpha: float, j: int) -> Regularity
     if j >= kappa:
         raise ValueError(f"derivative order must be < kappa, got j={j}, kappa={kappa}")
     if j == kappa - 1:
-        return RegularityExponent(exponent=1.0 - alpha, log_factor=True)
-    return RegularityExponent(
-        exponent=1.0 - (1 + j) * alpha / kappa, log_factor=False
-    )
+        return RateExponent(exponent=1.0 - alpha, log_factor=True)
+    return RateExponent(exponent=1.0 - (1 + j) * alpha / kappa, log_factor=False)
 
 
 @dataclass(frozen=True)

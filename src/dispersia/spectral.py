@@ -154,17 +154,6 @@ def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.n
     return np.exp(-1j * flow_phase(model, grid, z))
 
 
-def apply_multiplier(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    if np.asarray(symbol).shape != (f.grid.n,):
-        raise ValueError("symbol shape must match the grid")
-    return SpectralField(f.grid, coeffs=symbol * f.coefficients)
-
-
-def twist(f: SpectralField, model: DispersiveModel, z: float) -> SpectralField:
-    """Undo the free flow at time z (pass to the twisted variable)."""
-    return apply_multiplier(f, np.conj(free_propagator_symbol(model, f.grid, z)))
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Potential profile R; the solver samples R(x/eps) on the grid.
@@ -279,8 +268,3 @@ def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
         return np.asarray(spec.samples, dtype=np.complex128)
     raise ValueError(f"unknown initial data kind {spec.kind!r}")
 
-
-def gaussian_coeff_exact(xi) -> np.ndarray:
-    """Continuum transform of exp(-x^2/2): sqrt(2 pi) exp(-xi^2/2)."""
-    xi = np.asarray(xi, dtype=np.float64)
-    return math.sqrt(2.0 * math.pi) * np.exp(-(xi * xi) / 2.0)

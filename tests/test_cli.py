@@ -30,6 +30,8 @@ FREE_SOLVE = {
     "initial": {"kind": "gaussian"},
 }
 
+REDUCTION = {"kappa": 2, "beta": 1, "sign": "-", "lambda": 1.0}
+
 SMALL_SWEEP = {
     "kappa": 2,
     "alpha": 1.0,
@@ -408,14 +410,23 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
     ("sweep-convergence", "reference_tau", "inf"), ("sweep-convergence", "reference_tau", 0),
     ("sweep-convergence", "z_final", -1), ("sweep-convergence", "z_final", "nan"),
     ("sweep-convergence", "workers", -3),
+    # refused by the library input (SweepConfig, the solve's step count, the
+    # reduction), which is built before the output directory
+    ("sweep-convergence", "reference_tau", 0.01), ("compare", "schemes", "ei,bogus"),
+    ("sweep-convergence", "reference_scheme", "rk4"), ("solve", "tau", 0.3),
+    ("reduce-moment", "lambda", 0), ("compare", "taus", "0.05,0.3"),
+    ("sweep-regularity", "reference_tau", 0.3), ("sweep-convergence", "taus", "inf"),
+    ("sweep-convergence", "epsilons", "0"), ("sweep-convergence", "epsilons", "nan"),
+    ("sweep-convergence", "epsilons", ""),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
-    doc = dict(FREE_SOLVE if command == "solve" else SMALL_SWEEP)
+    doc = dict({"solve": FREE_SOLVE, "reduce-moment": REDUCTION}.get(command, SMALL_SWEEP))
     doc[field] = value
     rc = main([command, "--config", write_config(tmp_path, doc),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 REGULARITY_SWEEP = dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[])

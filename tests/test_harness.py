@@ -102,23 +102,6 @@ def test_error_normalizer_figure_style():
     assert error_normalizer(3, 0.75, eps) == pytest.approx(eps**1.5, rel=1e-14)
 
 
-def test_error_normalizer_theorem_style():
-    eps, tau = 0.5, 0.01
-    ln_e, ln_t = math.log(2.0), math.log(100.0)
-    want = eps**1.5 * (1.0 + math.sqrt(tau) * ln_e) + eps * ln_e * (ln_e + ln_t) ** 2
-    got = error_normalizer(2, 1.0, eps, style="theorem", tau=tau)
-    assert got == pytest.approx(want, rel=1e-13)
-    # kappa >= 3 drops the squared-log amplifier
-    want3 = eps**2 * (1.0 + tau ** (2.0 / 3.0) * ln_e) + eps * ln_e
-    assert error_normalizer(3, 1.5, eps, style="theorem", tau=tau) == pytest.approx(
-        want3, rel=1e-13
-    )
-    with pytest.raises(ValueError):
-        error_normalizer(2, 1.0, eps, style="theorem")
-    with pytest.raises(ValueError):
-        error_normalizer(2, 1.0, eps, style="graph")
-
-
 def test_regularity_normalizer():
     eps = 0.25
     assert regularity_normalizer(2, 1.0, 0, eps) == pytest.approx(math.sqrt(eps))
@@ -151,12 +134,25 @@ def test_sweep_config_validation():
         small_sweep_config(schemes=("bogus",))
     with pytest.raises(ValueError, match="reference_scheme"):
         small_sweep_config(reference_scheme="bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^epsilons: "):
         small_sweep_config(epsilons=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^epsilons: "):
         small_sweep_config(epsilons=(1.5,))
-    with pytest.raises(ValueError, match="reference_tau"):
+    with pytest.raises(ValueError, match="^epsilons: "):
+        small_sweep_config(epsilons=(math.nan,))
+    with pytest.raises(ValueError, match="^reference_tau: must be at most"):
         small_sweep_config(reference_tau=0.01)
+    # every step size is finite, positive and divides z_final = 0.4
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.05, 0.3):
+        with pytest.raises(ValueError, match="^taus: "):
+            small_sweep_config(taus=(0.05, bad))
+        with pytest.raises(ValueError, match="^reference_tau: "):
+            small_sweep_config(reference_tau=bad)
+    for bad in (math.nan, math.inf, -0.4):
+        with pytest.raises(ValueError, match="^z_final: "):
+            small_sweep_config(z_final=bad)
+    with pytest.raises(ValueError, match="^reference_tau: .*integer step count"):
+        small_sweep_config(reference_tau=3e-4)
     for workers in (0, -3, 1.5, "2", True):
         with pytest.raises(ValueError, match="workers"):
             small_sweep_config(workers=workers)

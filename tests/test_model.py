@@ -561,9 +561,13 @@ def test_g_ratio_sampled_lower_bound():
 
 
 def test_error_exponent_frozen_examples():
-    assert expected_error_exponent(2, 1.0) == pytest.approx(1.0)
-    assert expected_error_exponent(2, 2.0 / 3.0) == pytest.approx(4.0 / 3.0)
-    assert expected_error_exponent(3, 0.0) == pytest.approx(1.0)
+    r = expected_error_exponent(2, 1.0)
+    assert (r.exponent, r.log_factor) == (pytest.approx(1.0), True)
+    r = expected_error_exponent(2, 0.5)
+    assert (r.exponent, r.log_factor) == (pytest.approx(1.25), False)
+    assert expected_error_exponent(2, 2.0 / 3.0).exponent == pytest.approx(4.0 / 3.0)
+    r = expected_error_exponent(3, 0.0)
+    assert (r.exponent, r.log_factor) == (pytest.approx(1.0), False)
 
 
 def test_error_exponent_is_min_of_the_two_branches():
@@ -571,9 +575,10 @@ def test_error_exponent_is_min_of_the_two_branches():
         for alpha in np.linspace(0, kappa, 33):
             b1 = 1 + (kappa - 1) * alpha / kappa
             b2 = 2 - 2 * alpha / kappa
-            assert expected_error_exponent(kappa, float(alpha)) == pytest.approx(
-                min(b1, b2), abs=1e-14
-            )
+            r = expected_error_exponent(kappa, float(alpha))
+            assert r.exponent == pytest.approx(min(b1, b2), abs=1e-14)
+            # the log factor comes only with kappa = 2 on the second branch
+            assert r.log_factor == (kappa == 2 and b2 < b1)
 
 
 def test_error_exponent_kink_at_branch_equality():
@@ -583,8 +588,8 @@ def test_error_exponent_kink_at_branch_equality():
         b1 = 1 + (kappa - 1) * a_star / kappa
         b2 = 2 - 2 * a_star / kappa
         assert b1 == pytest.approx(b2, abs=1e-13)
-        left = expected_error_exponent(kappa, a_star - 1e-9)
-        right = expected_error_exponent(kappa, a_star + 1e-9)
+        left = expected_error_exponent(kappa, a_star - 1e-9).exponent
+        right = expected_error_exponent(kappa, a_star + 1e-9).exponent
         assert left == pytest.approx(right, abs=1e-8)  # continuous through the kink
 
 

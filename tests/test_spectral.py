@@ -22,14 +22,11 @@ from dispersia.spectral import (
     MeshResolutionWarning,
     PotentialSpec,
     SpectralField,
-    apply_multiplier,
     check_mesh,
     free_propagator_symbol,
-    gaussian_coeff_exact,
     phi1,
     sample_initial,
     sample_potential,
-    twist,
     x_norm,
 )
 
@@ -104,6 +101,12 @@ def test_plane_wave_transforms_to_single_coefficient():
     assert c[k] == pytest.approx(2.0 * g.half_width, rel=1e-11)
     rest = np.abs(np.delete(c, k))
     assert rest.max() <= 1e-9 * 2.0 * g.half_width
+
+
+def gaussian_coeff_exact(xi) -> np.ndarray:
+    """Continuum transform of exp(-x^2/2): sqrt(2 pi) exp(-xi^2/2)."""
+    xi = np.asarray(xi, dtype=np.float64)
+    return math.sqrt(2.0 * math.pi) * np.exp(-(xi * xi) / 2.0)
 
 
 def test_gaussian_matches_continuum_transform():
@@ -256,7 +259,7 @@ def test_phi1_is_seamless_across_taylor_boundary():
 
 
 # ---------------------------------------------------------------------------
-# symbols and the twist
+# symbols
 
 
 def test_free_symbol_group_law():
@@ -273,34 +276,6 @@ def test_free_symbol_group_law():
     np.testing.assert_allclose(
         free_propagator_symbol(m, g, -0.3), np.conj(s1), rtol=1e-13
     )
-
-
-def test_apply_multiplier_derivative_symbol():
-    g = Grid(16.0, 512)
-    xi0 = 4 * g.dxi
-    f = SpectralField(g, values=np.sin(xi0 * g.nodes).astype(np.complex128))
-    df = apply_multiplier(f, 1j * g.xi)
-    np.testing.assert_allclose(
-        df.values, xi0 * np.cos(xi0 * g.nodes), atol=1e-10, rtol=0
-    )
-
-
-def test_apply_multiplier_rejects_shape_mismatch():
-    f = random_field(Grid(8.0, 64), 0)
-    with pytest.raises(ValueError):
-        apply_multiplier(f, np.ones(32))
-
-
-def test_twist_inverse_and_isometry():
-    m = DispersiveModel(2, (1.0,), 1.0, 0.125)
-    g = Grid(8.0, 256)
-    f = random_field(g, 21)
-    t = twist(f, m, 0.7)
-    back = twist(t, m, -0.7)
-    np.testing.assert_allclose(back.values, f.values, atol=1e-12 * np.abs(f.values).max())
-    assert x_norm(t) == pytest.approx(x_norm(f), rel=1e-13)
-    for j in (1, 2):
-        assert x_norm(t, j) == pytest.approx(x_norm(f, j), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
