@@ -34,15 +34,15 @@ from . import __version__
 from .harness import (
     ErrorRecord,
     SweepConfig,
+    comparable,
     compare_methods,
     convergence_sweep,
     error_x,
     regularity_normalizer,
     regularity_sweep,
 )
-from .integrators import NumericalBlowupError, SolveConfig, StepperKind, free_solution, solve
+from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
 from .model import (
-    DegenerateReductionError,
     DispersiveModel,
     ReducedModel,
     blocks,
@@ -55,7 +55,8 @@ from .model import (
     verify_phase_lower_bound,
 )
 from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
-from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, resolving_grid_n, x_norm
+from .spectral import (Grid, InitialDataSpec, PotentialSpec, resolving_grid_n, sample_initial,
+                       sample_potential)
 
 RESULT_COLUMNS = (
     "scheme", "kappa", "alpha", "epsilon", "tau", "z_final", "j",
@@ -84,10 +85,10 @@ def _fmt(v) -> str:
 
 # ---------------------------------------------------------------------------
 # config fields.  A reader turns one value given by a preset, a config file
-# or a flag (as text) into the value the run uses; a check is called with
-# that value and the fields read before it, and most checks build the
-# library object the value feeds.  What either raises is reported under the
-# field's key.
+# or a flag (as text) into the value the run uses; what it raises is
+# reported under the field's key.  The library object a field feeds checks
+# its bounds, under the same key, when the command's build makes it; only
+# the fields that feed no library object carry a check of their own.
 
 
 def _integer(v) -> int:
@@ -163,12 +164,12 @@ def _above(lo):
     return check
 
 
-def _finite(lo: float, closed: bool = False):
-    """Check that a number, or each of a list, is finite and > lo (>= lo if closed)."""
+def _finite(span: float = 1.0):
+    """Check that a number is > 0 and stays finite times span."""
     def check(v, fields):
-        for x in v if isinstance(v, list) else [v]:
-            if not (math.isfinite(x) and (x >= lo if closed else x > lo)):
-                raise ValueError(f"must be finite and {'>=' if closed else '>'} {lo}, got {x}")
+        if not (v > 0 and math.isfinite(span * v)):
+            times = "" if span == 1 else f" times {span:g}"
+            raise ValueError(f"must be > 0 and finite{times}, got {v}")
     return check
 
 
@@ -187,51 +188,29 @@ def _field(key, read, default=_REQUIRED, flag=None, check=None, also=()) -> tupl
     return key, read, default, flag, check, also
 
 
-_KAPPA = _field("kappa", _integer, flag="--kappa",
-                check=lambda k, f: DispersiveModel(k, _pure_coeffs(k), 0.0, 1.0))
-_COEFFS = _field("coeffs", _numbers, lambda f: _pure_coeffs(f["kappa"]),
-                 check=lambda c, f: DispersiveModel(f["kappa"], c, 0.0, 1.0))
-_ALPHA = _field("alpha", float, flag="--alpha",
-                check=lambda a, f: DispersiveModel(f["kappa"], f["coeffs"], a, 1.0))
-_HALF_WIDTH = _field("half_width", float, 16.0, check=lambda hw, f: Grid(hw, 8))
-_Z_FINAL = _field("z_final", float, 1.0, check=_finite(0, closed=True))
-
-
-def _deriv_order(rated: bool) -> tuple:
-    """The deriv_order row.  Its check is the X-norm's own on j and, where the
-    command divides by the regularity rate (rated: solve and sweep-regularity),
-    that rate's too (j < kappa), so such a config fails before any solve."""
-    def check(j, fields):
-        x_norm(SpectralField(Grid(1.0, 8), coeffs=np.zeros(8)), j)
-        if rated:
-            expected_regularity_exponent(fields["kappa"], fields["alpha"], j)
-    return _field("deriv_order", _integer, 0, "--deriv-order", check=check)
-
-
+_KAPPA = _field("kappa", _integer, flag="--kappa")
+_COEFFS = _field("coeffs", _numbers, lambda f: _pure_coeffs(f["kappa"]))
+_ALPHA = _field("alpha", float, flag="--alpha")
+_HALF_WIDTH = _field("half_width", float, 16.0)
+_Z_FINAL = _field("z_final", float, 1.0)
+_DERIV_ORDER = _field("deriv_order", _integer, 0, "--deriv-order")
+# None: the build sizes the grid to resolve h <= eps (see _solve_config, _sweep_config)
+_GRID_N = _field("grid_n", _integer, None)
 _POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
 _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
-
-
-def _grid_n(default) -> tuple:
-    return _field("grid_n", _integer, default, check=lambda n, f: Grid(f["half_width"], n))
 
 
 # one table of fields per subcommand
 _SOLVE = (
     _KAPPA, _COEFFS, _ALPHA,
-    _field("epsilon", _one(_numbers), flag="--epsilon", check=_model_at, also=("epsilons",)),
-    _field("tau", _one(_numbers), flag="--tau", check=_finite(0), also=("taus",)),
-    _field("scheme", _one(_items), "ei", "--scheme", lambda s, f: StepperKind(s),
-           also=("schemes",)),
-    _Z_FINAL,
-    _deriv_order(rated=True), _HALF_WIDTH,
-    # by default the grid resolves h <= eps
-    _grid_n(lambda f: resolving_grid_n(f["half_width"], f["epsilon"])), _POTENTIAL, _INITIAL,
+    _field("epsilon", _one(_numbers), flag="--epsilon", also=("epsilons",)),
+    _field("tau", _one(_numbers), flag="--tau", also=("taus",)),
+    _field("scheme", _one(_items), "ei", "--scheme", also=("schemes",)),
+    _Z_FINAL, _DERIV_ORDER, _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
 )
 
 
-def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
-                 rated: bool = False) -> tuple:
+def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...]) -> tuple:
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
         _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", also=eps_alias),
@@ -240,8 +219,7 @@ def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...],
         _Z_FINAL,
         _field("reference_tau", float, REFERENCE_TAU),
         _field("reference_scheme", str, "ei"),
-        _deriv_order(rated),
-        _grid_n(None),  # None: the SweepConfig sizes the grid (see _sweep_config)
+        _DERIV_ORDER, _GRID_N,
         _field("workers", _integer, 1, "--workers"),
         _POTENTIAL, _INITIAL,
     )
@@ -256,12 +234,13 @@ _REDUCE_MOMENT = (
 
 _VERIFY_PHASE = (
     _KAPPA, _COEFFS, _ALPHA,
-    _field("epsilon", _one(_numbers), 2.0**-6, "--epsilon", _model_at),
+    _field("epsilon", _one(_numbers), 2.0**-6, "--epsilon"),
     _field("seed", _integer, 12345, "--seed", _above(-1)),
     _field("samples", _integer, 100000, check=_above(0)),
     _field("grid_points", _integer, 400, check=_above(0)),
-    _field("xi_max", float, 8.0, check=_finite(0)),
-    _field("c0", float, None, check=_finite(0)),  # null: search the lower-bound constant
+    # the samples are drawn from [-xi_max, xi_max], whose width must be finite
+    _field("xi_max", float, 8.0, check=_finite(span=2.0)),
+    _field("c0", float, None, check=_finite()),  # null: search the lower-bound constant
 )
 
 
@@ -335,25 +314,30 @@ def _out_dir(args) -> Path:
 
 
 def _solve_config(f: dict) -> SolveConfig:
-    cfg = SolveConfig(_model_at(f["epsilon"], f), Grid(f["half_width"], f["grid_n"]),
-                      f["potential"], f["initial"], f["scheme"], f["tau"], f["z_final"])
-    cfg.step_count()  # raises "tau: ..." for a tau that does not divide z_final
+    model = _model_at(f["epsilon"], f)
+    # the regularity rate that normalizes the error exists only for j < kappa
+    expected_regularity_exponent(model.kappa, model.alpha, f["deriv_order"])
+    hw, n = f["half_width"], f["grid_n"]
+    grid = Grid(hw, resolving_grid_n(hw, model.epsilon) if n is None else n)
+    f["grid_n"] = grid.n  # run.json echoes the grid the solve runs on
+    cfg = SolveConfig(model, grid, f["potential"], f["initial"], f["scheme"], f["tau"],
+                      f["z_final"])
+    # solve() samples both on the grid; a coarse grid or a wrong sample count is refused here
+    sample_potential(cfg.potential, grid, model.epsilon)
+    sample_initial(cfg.initial, grid)
     return cfg
 
 
 def _sweep_config(f: dict) -> SweepConfig:
-    kwargs = dict(f)
-    kwargs["derivative_order"] = kwargs.pop("deriv_order")
-    sweep = SweepConfig(**kwargs)
+    sweep = SweepConfig(**f)
     f["grid_n"] = sweep.grid().n  # run.json echoes the grid the sweep runs on
     return sweep
 
 
-def _reduction(f: dict) -> ReducedModel:
-    try:
-        return reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"])
-    except DegenerateReductionError as exc:
-        raise ConfigError(f"lambda: {exc}") from None
+def _regularity_config(f: dict) -> SweepConfig:
+    sweep = _sweep_config(f)
+    expected_regularity_exponent(sweep.kappa, sweep.alpha, sweep.deriv_order)  # j < kappa
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +513,12 @@ _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
     "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _sweep_config, _run_sweep),
     # a rate in eps needs several eps values; a preset's single epsilon is ignored
-    "sweep-regularity": (_sweep_table(("ei",), (), rated=True), _sweep_config, _run_sweep),
-    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)), _sweep_config,
-                _run_sweep),
-    "reduce-moment": (_REDUCE_MOMENT, _reduction, _run_reduce),
+    "sweep-regularity": (_sweep_table(("ei",), ()), _regularity_config, _run_sweep),
+    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)),
+                lambda f: comparable(_sweep_config(f)), _run_sweep),
+    "reduce-moment": (_REDUCE_MOMENT,
+                      lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),
+                      _run_reduce),
     "verify-phase": (_VERIFY_PHASE, lambda f: _model_at(f["epsilon"], f), _run_verify_phase),
 }
 
@@ -572,7 +558,7 @@ def main(argv=None) -> int:
             json.dumps(doc, indent=2, sort_keys=True, default=_jsonable) + "\n")
         return code
     except (ConfigError, ValueError) as exc:
-        # model/grid/sweep validation all raise ValueError naming the field
+        # the library inputs raise ValueError starting with the config key
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalBlowupError as exc:

@@ -18,7 +18,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .integrators import SolveConfig, StepperKind, free_solution, solve, step_count
+from .integrators import (SolveConfig, StepperKind, free_solution, solve, step_count,
+                          stepper_kind)
 from .model import (DispersiveModel, RateExponent, expected_error_exponent,
                     expected_regularity_exponent)
 from .spectral import (
@@ -107,7 +108,8 @@ class SweepConfig:
     One shared grid serves every cell; when grid_n is None it is chosen as
     the smallest power of two resolving h <= min(epsilons).  reference_tau
     must undercut every test tau by at least a factor of ten so reference
-    error stays negligible, and it and every tau must divide z_final.
+    error stays negligible, and it and every tau must divide z_final.  A bad
+    field is refused under its own name before any cell runs.
     """
 
     kappa: int
@@ -122,22 +124,13 @@ class SweepConfig:
     z_final: float = 1.0
     reference_tau: float = 1e-4
     reference_scheme: StepperKind = StepperKind.EI
-    derivative_order: int = 0
+    deriv_order: int = 0
     grid_n: int | None = None
     workers: int = 1
 
     def __post_init__(self):
-        names = [k.value for k in StepperKind]
-        try:
-            self.schemes = tuple(StepperKind(s) for s in self.schemes)
-        except ValueError:
-            raise ValueError(f"schemes: expected names from {names}, got {self.schemes!r}")
-        try:
-            self.reference_scheme = StepperKind(self.reference_scheme)
-        except ValueError:
-            raise ValueError(
-                f"reference_scheme: expected a name from {names}, got {self.reference_scheme!r}"
-            )
+        self.schemes = tuple(stepper_kind(s, "schemes") for s in self.schemes)
+        self.reference_scheme = stepper_kind(self.reference_scheme, "reference_scheme")
         self.epsilons = tuple(float(e) for e in self.epsilons)
         self.taus = tuple(float(t) for t in self.taus)
         if not self.epsilons:
@@ -145,17 +138,18 @@ class SweepConfig:
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"epsilons: must lie in (0, 1], got {e}")
-        if not (math.isfinite(self.z_final) and self.z_final >= 0):
-            raise ValueError(f"z_final: must be finite and >= 0, got {self.z_final}")
+        self.model(self.epsilons[0])  # kappa, coeffs, alpha
         for tau in self.taus:
             step_count(tau, self.z_final, "taus")
         step_count(self.reference_tau, self.z_final, "reference_tau")
         if self.taus and self.reference_tau > min(self.taus) / 10.0:
             raise ValueError(f"reference_tau: must be at most min(taus)/10 = "
                              f"{min(self.taus) / 10.0}, got {self.reference_tau}")
-        workers = self.workers
-        if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
-            raise ValueError(f"workers: expected an integer >= 1, got {workers!r}")
+        for key, lo in (("deriv_order", 0), ("workers", 1)):
+            v = getattr(self, key)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
+                raise ValueError(f"{key}: expected an integer >= {lo}, got {v!r}")
+        self.grid()  # half_width, grid_n
 
     def grid(self) -> Grid:
         n = self.grid_n
@@ -229,7 +223,7 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, 
             t0 = time.perf_counter()
             res = solve(replace(base, scheme=scheme, tau=tau))
             wall = time.perf_counter() - t0
-            err = error_x(res.final, exact, cfg.derivative_order)
+            err = error_x(res.final, exact, cfg.deriv_order)
             recs.append(
                 ErrorRecord(
                     scheme=scheme.value,
@@ -238,7 +232,7 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, 
                     epsilon=eps,
                     tau=tau,
                     z_final=cfg.z_final,
-                    j=cfg.derivative_order,
+                    j=cfg.deriv_order,
                     error_x=err,
                     normalized_error=err / rate(eps),
                     walltime_s=wall,
@@ -284,7 +278,7 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
     cfg.taus is ignored.
     """
     return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution,
-                  partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.derivative_order))
+                  partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.deriv_order))
 
 
 def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:
@@ -292,11 +286,17 @@ def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:
     return eps ** (kappa - alpha)
 
 
+def comparable(cfg: SweepConfig) -> SweepConfig:
+    """cfg, refused under schemes unless it names at least two to compare."""
+    if len(cfg.schemes) < 2:
+        raise ValueError(f"schemes: a comparison needs at least two, "
+                         f"got {[s.value for s in cfg.schemes]}")
+    return cfg
+
+
 def compare_methods(cfg: SweepConfig) -> SweepResult:
     """Convergence sweep across schemes with regime tags tau vs eps^(k-a)."""
-    if len(cfg.schemes) < 2:
-        raise ValueError("compare_methods needs at least two schemes")
-    result = convergence_sweep(cfg)
+    result = convergence_sweep(comparable(cfg))
     tagged = []
     for rec in result.records:
         thr = splitting_threshold(rec.kappa, rec.alpha, rec.epsilon)

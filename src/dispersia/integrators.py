@@ -49,6 +49,15 @@ class StepperKind(str, Enum):
     LRI = "lri"
 
 
+def stepper_kind(name, key: str = "scheme") -> StepperKind:
+    """The scheme called name; an unknown name is refused under key."""
+    try:
+        return StepperKind(name)
+    except ValueError:
+        raise ValueError(f"{key}: expected a name from {[k.value for k in StepperKind]}, "
+                         f"got {name!r}") from None
+
+
 @dataclass
 class SolveConfig:
     model: DispersiveModel
@@ -60,23 +69,22 @@ class SolveConfig:
     z_final: float
 
     def __post_init__(self):
-        if isinstance(self.scheme, str):
-            self.scheme = StepperKind(self.scheme)
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
-        # z_final = 0 is the degenerate no-op solve returning the sampled data
-        if not self.z_final >= 0:
-            raise ValueError(f"z_final must be non-negative, got {self.z_final!r}")
+        self.scheme = stepper_kind(self.scheme)
+        self.step_count()  # tau, z_final
 
     def step_count(self) -> int:
         return step_count(self.tau, self.z_final)
 
 
 def step_count(tau: float, z_final: float, key: str = "tau") -> int:
-    """Number of steps of size tau reaching z_final >= 0.  A tau that is not
-    finite and > 0, or does not divide z_final, is refused under key."""
+    """Number of steps of size tau reaching z_final.  A tau that is not
+    finite and > 0, or does not divide z_final, is refused under key, and a
+    z_final that is not finite and >= 0 under z_final; z_final = 0 is the
+    no-op solve returning the sampled data."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"{key}: must be finite and > 0, got {tau}")
+    if not (math.isfinite(z_final) and z_final >= 0):
+        raise ValueError(f"z_final: must be finite and >= 0, got {z_final}")
     if z_final == 0:
         return 0
     r = z_final / tau

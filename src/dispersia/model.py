@@ -46,21 +46,27 @@ class DispersiveModel:
     epsilon: float
 
     def __post_init__(self):
-        if not isinstance(self.kappa, int) or self.kappa < 2:
-            raise ValueError(f"kappa must be an integer >= 2, got {self.kappa!r}")
+        _check_kappa_alpha(self.kappa, self.alpha)
         want = (self.kappa + 1) // 2
         if len(self.coeffs) != want:
             raise ValueError(
-                f"kappa={self.kappa} needs {want} coefficients "
+                f"coeffs: kappa={self.kappa} needs {want} coefficients "
                 f"(orders {self.kappa}, {self.kappa - 2}, ...), got {len(self.coeffs)}"
             )
         if self.coeffs[0] != 1.0:
-            raise ValueError(f"leading coefficient must be 1, got {self.coeffs[0]!r}")
-        if not 0.0 <= self.alpha <= self.kappa:
-            raise ValueError(f"alpha must lie in [0, kappa], got {self.alpha!r}")
+            raise ValueError(f"coeffs: leading coefficient must be 1, got {self.coeffs[0]!r}")
         if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+            raise ValueError(f"epsilon: must lie in (0, 1], got {self.epsilon!r}")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+
+
+def _check_kappa_alpha(kappa, alpha) -> None:
+    """Refuse a kappa that is not an integer >= 2 and an alpha outside
+    [0, kappa], each under its config key."""
+    if not isinstance(kappa, int) or kappa < 2:
+        raise ValueError(f"kappa: must be an integer >= 2, got {kappa!r}")
+    if not 0.0 <= alpha <= kappa:
+        raise ValueError(f"alpha: must lie in [0, kappa], got {alpha!r}")
 
 
 def _nested(coeffs, y2):
@@ -398,10 +404,7 @@ def expected_error_exponent(kappa: int, alpha: float) -> RateExponent:
     exponents, so the smaller one is the dominant term; a log(1/eps) factor
     comes only with kappa = 2 when the second branch strictly dominates.
     """
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa!r}")
-    if not 0.0 <= alpha <= kappa:
-        raise ValueError(f"alpha must lie in [0, kappa], got {alpha!r}")
+    _check_kappa_alpha(kappa, alpha)
     first = 1.0 + (kappa - 1) * alpha / kappa
     second = 2.0 - 2.0 * alpha / kappa
     return RateExponent(min(first, second), kappa == 2 and second < first)
@@ -413,14 +416,13 @@ def expected_regularity_exponent(kappa: int, alpha: float, j: int) -> RateExpone
     For 0 <= j <= kappa-2 the bound is eps^(1-(1+j)*alpha/kappa); the top
     derivative j = kappa-1 degrades to eps^(1-alpha) with a log factor.
     """
-    if kappa < 2:
-        raise ValueError(f"kappa must be >= 2, got {kappa!r}")
-    if not 0.0 <= alpha <= kappa:
-        raise ValueError(f"alpha must lie in [0, kappa], got {alpha!r}")
+    _check_kappa_alpha(kappa, alpha)
     if not isinstance(j, int) or j < 0:
-        raise ValueError(f"derivative order must be a non-negative integer, got {j!r}")
+        raise ValueError(f"deriv_order: derivative order must be a non-negative integer, "
+                         f"got {j!r}")
     if j >= kappa:
-        raise ValueError(f"derivative order must be < kappa, got j={j}, kappa={kappa}")
+        raise ValueError(f"deriv_order: derivative order must be < kappa, "
+                         f"got j={j}, kappa={kappa}")
     if j == kappa - 1:
         return RateExponent(exponent=1.0 - alpha, log_factor=True)
     return RateExponent(exponent=1.0 - (1 + j) * alpha / kappa, log_factor=False)
@@ -466,20 +468,16 @@ def reduce_moment(
     branch parity matches kappa; otherwise the reduction is degenerate.
     """
     if not isinstance(kappa, int) or kappa < 2:
-        raise ValueError(f"kappa must be an integer >= 2, got {kappa!r}")
+        raise ValueError(f"kappa: must be an integer >= 2, got {kappa!r}")
     if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if isinstance(beta, Fraction):
-        if beta < 1:
-            raise ValueError(f"beta must be >= 1, got {beta}")
-        alpha: float | Fraction = kappa - 1 / beta
-    else:
-        if not isinstance(beta, Real) or not beta >= 1:
-            raise ValueError(f"beta must be >= 1, got {beta!r}")
+        raise ValueError(f"sign: must be '+' or '-', got {sign!r}")
+    if not isinstance(beta, Real) or not (beta >= 1 and math.isfinite(beta)):
+        raise ValueError(f"beta: must be finite and >= 1, got {beta}")
+    if not isinstance(beta, Fraction):
         beta = float(beta)
-        alpha = kappa - 1.0 / beta
-    if not isinstance(lam, Real):
-        raise ValueError(f"lam must be a real number, got {lam!r}")
+    alpha = kappa - 1 / beta
+    if not isinstance(lam, Real) or not math.isfinite(lam):
+        raise ValueError(f"lambda: must be a finite real number, got {lam!r}")
     lam = float(lam)
 
     keep = 0 if sign == "+" else 1
@@ -492,7 +490,7 @@ def reduce_moment(
         c[j] = math.comb(kappa, j) * abs(lam) ** (kappa - j) / 2.0 ** (kappa - j - 1)
     if not any(j >= 1 for j in c):
         raise DegenerateReductionError(
-            f"reduction is degenerate for kappa={kappa}, sign={sign!r}, lam={lam}: "
+            f"lambda: reduction is degenerate for kappa={kappa}, sign={sign!r}, lam={lam}: "
             "no derivative term survives the parity filter"
         )
 

@@ -35,10 +35,10 @@ class Grid:
     __slots__ = ("half_width", "n", "h", "nodes", "xi", "dxi", "_alt")
 
     def __init__(self, half_width: float, n: int):
-        if not half_width > 0:
-            raise ValueError(f"half_width must be positive, got {half_width!r}")
+        if not (math.isfinite(half_width) and half_width > 0):
+            raise ValueError(f"half_width: must be finite and > 0, got {half_width!r}")
         if not isinstance(n, int) or n < 8 or n & (n - 1):
-            raise ValueError(f"n must be a power of two >= 8, got {n!r}")
+            raise ValueError(f"grid_n: must be a power of two >= 8, got {n!r}")
         self.half_width = float(half_width)
         self.n = n
         self.h = 2.0 * self.half_width / n
@@ -63,8 +63,11 @@ class Grid:
 
 
 def resolving_grid_n(half_width: float, epsilon: float) -> int:
-    """Smallest power of two n >= 8 whose spacing 2L/n resolves h <= epsilon."""
-    return max(8, 2 ** math.ceil(math.log2(2.0 * half_width / epsilon)))
+    """Smallest power of two n >= 8 whose spacing 2L/n resolves h <= epsilon,
+    for epsilon > 0.  A half_width that is not finite and > 0 gives 8, which
+    leaves its refusal to the Grid built on it."""
+    r = 2.0 * half_width / epsilon
+    return 2 ** math.ceil(math.log2(r)) if 8 < r < math.inf else 8
 
 
 class SpectralField:
@@ -221,7 +224,7 @@ def check_mesh(grid: Grid, epsilon: float) -> None:
     scale eps and an unresolved sampling aliases it silently."""
     if grid.h > 4.0 * epsilon:
         raise MeshResolutionError(
-            f"grid spacing h={grid.h:.3g} exceeds 4*epsilon={4 * epsilon:.3g}; "
+            f"grid_n: grid spacing h={grid.h:.3g} exceeds 4*epsilon={4 * epsilon:.3g}; "
             "refusing an aliased potential"
         )
     if grid.h > epsilon:
@@ -236,7 +239,7 @@ def check_mesh(grid: Grid, epsilon: float) -> None:
 def sample_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> np.ndarray:
     """Real samples of R(x_j / eps) under the mesh-resolution rule."""
     if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+        raise ValueError(f"epsilon: must lie in (0, 1], got {epsilon!r}")
     check_mesh(grid, epsilon)
     y = grid.nodes / epsilon
     if spec.kind == "gaussian":
@@ -246,11 +249,11 @@ def sample_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> np.ndar
     if spec.kind == "tabulated":
         if spec.samples is None or len(spec.samples) != grid.n:
             raise ValueError(
-                f"tabulated potential needs exactly {grid.n} samples, "
+                f"potential: tabulated potential needs exactly {grid.n} samples, "
                 f"got {0 if spec.samples is None else len(spec.samples)}"
             )
         return np.asarray(spec.samples, dtype=np.float64)
-    raise ValueError(f"unknown potential kind {spec.kind!r}")
+    raise ValueError(f"potential: unknown kind {spec.kind!r}")
 
 
 def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
@@ -262,9 +265,9 @@ def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
     if spec.kind == "tabulated":
         if spec.samples is None or len(spec.samples) != grid.n:
             raise ValueError(
-                f"tabulated initial data needs exactly {grid.n} samples, "
+                f"initial: tabulated initial data needs exactly {grid.n} samples, "
                 f"got {0 if spec.samples is None else len(spec.samples)}"
             )
         return np.asarray(spec.samples, dtype=np.complex128)
-    raise ValueError(f"unknown initial data kind {spec.kind!r}")
+    raise ValueError(f"initial: unknown kind {spec.kind!r}")
 

@@ -187,7 +187,7 @@ def test_criterion_5_regularity_rates():
                                       half_width=16.0, **base))
     base["potential"] = ROUGH_WELL
     r3 = regularity_sweep(SweepConfig(kappa=3, coeffs=(1.0, 0.0), alpha=1.5,
-                                      half_width=32.0, derivative_order=1, **base))
+                                      half_width=32.0, deriv_order=1, **base))
     assert not r2.failures and not r3.failures
     s2 = slope_for(r2, kappa=2)
     s3 = slope_for(r3, kappa=3)

@@ -418,6 +418,20 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
     ("sweep-regularity", "reference_tau", 0.3), ("sweep-convergence", "taus", "inf"),
     ("sweep-convergence", "epsilons", "0"), ("sweep-convergence", "epsilons", "nan"),
     ("sweep-convergence", "epsilons", ""),
+    # out of range: refused by the library object the field feeds
+    ("solve", "kappa", 1), ("sweep-convergence", "kappa", 1),
+    ("solve", "alpha", 9), ("sweep-convergence", "alpha", 9),
+    ("solve", "epsilon", 0), ("solve", "epsilon", 2), ("sweep-convergence", "epsilons", 2),
+    ("solve", "half_width", -1), ("sweep-convergence", "half_width", -1),
+    ("solve", "scheme", "rk4"), ("sweep-convergence", "schemes", "rk4"),
+    ("reduce-moment", "kappa", 1), ("reduce-moment", "sign", "x"),
+    ("reduce-moment", "beta", 0.5), ("reduce-moment", "lambda", "nan"),
+    # refused at run time before, after --out was made
+    pytest.param("solve", "potential", {"kind": "tabulated", "samples": [0.0, 0.0, 0.0]},
+                 id="solve-potential-3-samples"),
+    pytest.param("solve", "initial", {"kind": "tabulated", "samples": [1.0, 1.0, 1.0]},
+                 id="solve-initial-3-samples"),
+    ("compare", "schemes", "ei"), ("verify-phase", "xi_max", 1e308),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
     doc = dict({"solve": FREE_SOLVE, "reduce-moment": REDUCTION}.get(command, SMALL_SWEEP))
@@ -426,6 +440,31 @@ def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, val
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("solve", "epsilon", 0), ("solve", "epsilon", -1), ("solve", "half_width", -1),
+    ("solve", "half_width", "inf"), ("sweep-convergence", "half_width", -1),
+    ("sweep-convergence", "half_width", "nan"),
+])
+def test_bad_field_is_refused_before_the_grid_is_sized(tmp_path, capsys, command, field, value):
+    # with no grid_n the build sizes the grid from half_width and epsilon
+    doc = dict(FREE_SOLVE if command == "solve" else SMALL_SWEEP, grid_n=None)
+    doc[field] = value
+    rc = main([command, "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_coarse_solve_grid_is_config_error(tmp_path, capsys):
+    # h = 0.5 exceeds 4*eps = 0.0625: refused as grid_n, not failed inside the solve
+    rc = main(["solve", "--preset", "schrodinger-a1", "--config",
+               write_config(tmp_path, {"grid_n": 64}), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "config error: grid_n: grid spacing h=0.5 exceeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

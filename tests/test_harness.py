@@ -156,6 +156,14 @@ def test_sweep_config_validation():
     for workers in (0, -3, 1.5, "2", True):
         with pytest.raises(ValueError, match="workers"):
             small_sweep_config(workers=workers)
+    # the model, the derivative order and the grid are refused before any cell runs
+    for key, bad in (("kappa", 1), ("alpha", 9.0), ("coeffs", (2.0,)), ("deriv_order", -1),
+                     ("deriv_order", 0.5), ("half_width", -1.0), ("half_width", math.inf),
+                     ("grid_n", 12)):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            small_sweep_config(**{key: bad})
+    with pytest.raises(ValueError, match="^half_width: "):
+        small_sweep_config(half_width=-1.0, grid_n=None)
     cfg = small_sweep_config(schemes=("ei", "strang"))
     assert cfg.schemes == (StepperKind.EI, StepperKind.STRANG)
 
@@ -286,7 +294,7 @@ def test_regularity_sweep_normalization_and_orders():
         taus=(),
         reference_tau=2e-3,
         z_final=0.5,
-        derivative_order=1,
+        deriv_order=1,
         grid_n=64,
     )
     result = regularity_sweep(cfg)

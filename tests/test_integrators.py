@@ -280,6 +280,11 @@ def test_solve_config_validation():
         make_config(tau=-0.1)
     with pytest.raises(ValueError):
         make_config(z_final=-1.0)
+    for z_final in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^z_final: must be finite"):
+            make_config(z_final=z_final)
+    with pytest.raises(ValueError, match="^scheme: "):
+        make_config(scheme="rk4")
     assert make_config(scheme="strang").scheme is StepperKind.STRANG
 
 

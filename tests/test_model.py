@@ -603,10 +603,31 @@ def test_regularity_exponent_frozen_examples():
 
 
 def test_regularity_exponent_rejects_bad_j():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^deriv_order: "):
         expected_regularity_exponent(3, 1.0, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^deriv_order: "):
         expected_regularity_exponent(3, 1.0, 3)
+
+
+@pytest.mark.parametrize("make,key", [
+    (lambda: DispersiveModel(1, (1.0,), 0.0, 0.5), "kappa"),
+    (lambda: DispersiveModel(3, (1.0,), 0.0, 0.5), "coeffs"),
+    (lambda: DispersiveModel(2, (2.0,), 0.0, 0.5), "coeffs"),
+    (lambda: DispersiveModel(2, (1.0,), 3.0, 0.5), "alpha"),
+    (lambda: DispersiveModel(2, (1.0,), 1.0, 0.0), "epsilon"),
+    (lambda: reduce_moment(1, 1.0, "+", 1.0), "kappa"),
+    (lambda: reduce_moment(2, 0.5, "+", 1.0), "beta"),
+    (lambda: reduce_moment(2, Fraction(1, 2), "+", 1.0), "beta"),
+    (lambda: reduce_moment(2, math.inf, "+", 1.0), "beta"),
+    (lambda: reduce_moment(2, 1.0, "x", 1.0), "sign"),
+    (lambda: reduce_moment(2, 1.0, "-", 0.0), "lambda"),
+    (lambda: reduce_moment(2, 1.0, "+", math.nan), "lambda"),
+], ids=["kappa", "coeffs-count", "coeffs-leading", "alpha", "epsilon", "reduce-kappa",
+        "reduce-beta", "reduce-beta-fraction", "reduce-beta-inf", "reduce-sign",
+        "reduce-degenerate", "reduce-lambda-nan"])
+def test_refusals_start_with_the_config_key(make, key):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dispersia.spectral import (
     check_mesh,
     free_propagator_symbol,
     phi1,
+    resolving_grid_n,
     sample_initial,
     sample_potential,
     x_norm,
@@ -61,6 +62,21 @@ def test_grid_basic_layout():
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
         Grid(*bad)
+
+
+@pytest.mark.parametrize("half_width,n,key", [
+    (-2.0, 64, "half_width"), (math.inf, 64, "half_width"), (math.nan, 64, "half_width"),
+    (16.0, 12, "grid_n"),
+])
+def test_grid_refusals_start_with_the_config_key(half_width, n, key):
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        Grid(half_width, n)
+
+
+def test_resolving_grid_n_leaves_a_bad_half_width_to_the_grid():
+    assert resolving_grid_n(16.0, 0.05) == 1024
+    for half_width in (-1.0, 0.0, math.inf, math.nan):
+        assert resolving_grid_n(half_width, 0.05) == 8
 
 
 def test_grid_equality_and_hash():
