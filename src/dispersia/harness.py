@@ -27,6 +27,7 @@ from .spectral import (
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
+    check_sample_count,
     resolving_grid_n,
     x_norm,
 )
@@ -149,7 +150,10 @@ class SweepConfig:
             v = getattr(self, key)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
                 raise ValueError(f"{key}: expected an integer >= {lo}, got {v!r}")
-        self.grid()  # half_width, grid_n
+            setattr(self, key, int(v))
+        n = self.grid().n  # half_width, grid_n
+        check_sample_count(self.potential, n, "potential")
+        check_sample_count(self.initial, n, "initial")
 
     def grid(self) -> Grid:
         n = self.grid_n

@@ -133,24 +133,38 @@ def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
 
 
 def _kernel(pc: PrecomputedStep):
-    """pc's step as an in-place kernel on v = entry fft(mu); s is scratch."""
-    flow, weight, gain = pc.flow, pc.weight, pc.gain
+    """pc's step as an in-place kernel on v = entry fft(mu); s is scratch.
+
+    The weight is cast to complex once, with ifft's 1/n folded in (exact, as n
+    is a power of two), so that the step's ifft runs unscaled and the product
+    with the weight casts nothing."""
+    flow, gain = pc.flow, pc.gain
+    weight = (pc.weight * (1.0 / pc.flow.size)).astype(np.complex128, copy=False)
     if gain is None:
         def split(v, s):  # v <- flow fft(weight ifft(v))
-            np.fft.ifft(v, out=s)
+            np.fft.ifft(v, out=s, norm="forward")
             s *= weight
             np.fft.fft(s, out=v)
             v *= flow
         return split
 
     def dressed(v, s):  # v <- flow v + gain fft(weight ifft(v))
-        np.fft.ifft(v, out=s)
+        np.fft.ifft(v, out=s, norm="forward")
         s *= weight
         np.fft.fft(s, out=s)
         s *= gain
         v *= flow
         v += s
     return dressed
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the complex array v is finite.  A finite float
+    sum of its parts decides it in one pass; a sum that is not finite, from a
+    non-finite part or from finite ones whose sum overflows, meets the full
+    scan."""
+    parts = v.view(np.float64)
+    return math.isfinite(parts.sum()) or bool(np.isfinite(parts).all())
 
 
 def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
@@ -179,7 +193,7 @@ def solve(config: SolveConfig) -> SolveResult:
     t0 = time.perf_counter()
     for k in range(1, n_steps + 1):
         kernel(v, scratch)
-        if not np.all(np.isfinite(v.view(np.float64))):
+        if not _all_finite(v):
             raise NumericalBlowupError(
                 f"non-finite values at step {k}/{n_steps} (z={k * config.tau:.6g}, "
                 f"scheme={config.scheme.value}, epsilon={config.model.epsilon:.6g}, "

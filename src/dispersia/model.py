@@ -225,6 +225,20 @@ def _factored_coeffs(model: DispersiveModel):
         yield model.epsilon ** (2 * j) * (d / 2 ** (r - 1)), r
 
 
+def _factored_sum(model: DispersiveModel, x, y, sizes: bool = False):
+    """sum_j c_j Q_r(x, y) at x = xi1^2, y = eta^2, and with sizes the same
+    sum taken with |c_j| (None otherwise)."""
+    acc = np.zeros(np.broadcast(x, y).shape)
+    size = np.zeros_like(acc) if sizes else None
+    for c, r in _factored_coeffs(model):
+        q = _q(r, x, y)
+        acc += c * q
+        if sizes:
+            size += abs(c) * q
+        del q  # a scan's Q is large: drop it before forming the next
+    return acc, size
+
+
 def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
     """The factored form of eval_phase_factored as (sum over j, F, eta, size).
 
@@ -234,17 +248,8 @@ def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
     """
     xi1 = np.asarray(xi1, dtype=np.float64)
     xi2 = np.asarray(xi2, dtype=np.float64)
-    eps = model.epsilon
-    eta = xi1 + 2.0 * eps * xi2
-    x, y = xi1 * xi1, eta * eta
-    acc = np.zeros(np.broadcast(xi1, eta).shape)
-    size = np.zeros_like(acc) if sizes else None
-    for c, r in _factored_coeffs(model):
-        q = _q(r, x, y)
-        acc += c * q
-        if sizes:
-            size += abs(c) * q
-        del q  # a scan's Q is large: drop it before forming the next
+    eta = xi1 + 2.0 * model.epsilon * xi2
+    acc, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes)
     return acc, (xi1 * eta if model.kappa % 2 == 0 else xi1), eta, size
 
 
@@ -325,25 +330,41 @@ def verify_phase_lower_bound(
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
     kappa, eps = model.kappa, model.epsilon
-    sigma = 1 if kappa % 2 == 0 else 0
-    pw = kappa - 1 - sigma  # always even
+    h = (kappa - 1) // 2  # the envelope's pw is 2h
+    c0_eps, shift = c0 * eps, 2.0 * eps * xi2
     n_adm, any_valid = 0, False
     best, w1, w2 = math.inf, float(xi1[0]), float(xi2[0])
     for rows in blocks(xi1.size, max(1, _CHUNK // xi2.size)):
         # a column of xi1 against the xi2 row: what depends on xi1 alone is
         # computed once per row, and the rest broadcasts to the block
         g1 = xi1[rows, None]
-        eta = g1 + 2.0 * eps * xi2
-        num = np.abs(eval_phase_scaled(model, g1, xi2))
-        denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
-        admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
-        n_adm += int(np.count_nonzero(admissible))
+        a1 = np.abs(g1)
+        eta = g1 + shift
+        valid = np.abs(eta) >= c0_eps
+        valid |= a1 >= c0_eps
+        n_adm += int(np.count_nonzero(valid))
+        x, y = g1 * g1, eta * eta
+        ratio, _ = _factored_sum(model, x, y)
+        # xi1^pw + eta^pw as x^h + y^h: no negative base meets a power
+        denom = x**h + y**h
+        del y  # the dels keep the block's peak at the phase evaluation
+        if kappa % 2:
+            ratio *= g1
+            denom *= a1
+        else:
+            f = g1 * eta  # |xi1 eta| = |xi1| |eta| exactly
+            ratio *= f
+            denom *= np.abs(f, out=f)
+            del f
+        del eta
+        np.abs(ratio, out=ratio)
         # points where the envelope vanishes identically carry no information
-        valid = admissible & (denom > 0.0)
+        valid &= denom > 0.0
         if not valid.any():
             continue
         any_valid = True
-        ratio = np.where(valid, num / np.where(denom > 0.0, denom, 1.0), math.inf)
+        np.divide(ratio, denom, out=ratio, where=valid)
+        ratio[~valid] = math.inf
         i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
         r = float(ratio[i, j])
         # strictly smaller, or the first NaN: what one argmin over the grid picks

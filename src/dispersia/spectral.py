@@ -236,6 +236,14 @@ def check_mesh(grid: Grid, epsilon: float) -> None:
         )
 
 
+def check_sample_count(spec: PotentialSpec | InitialDataSpec, n: int, key: str) -> None:
+    """Refuse, under key, a tabulated spec that does not hold exactly n samples."""
+    if spec.kind == "tabulated":
+        got = 0 if spec.samples is None else len(spec.samples)
+        if got != n:
+            raise ValueError(f"{key}: tabulated data needs exactly {n} samples, got {got}")
+
+
 def sample_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> np.ndarray:
     """Real samples of R(x_j / eps) under the mesh-resolution rule."""
     if not 0.0 < epsilon <= 1.0:
@@ -247,11 +255,7 @@ def sample_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> np.ndar
     if spec.kind == "exp_abs":
         return spec.amplitude * np.exp(-np.abs(y))
     if spec.kind == "tabulated":
-        if spec.samples is None or len(spec.samples) != grid.n:
-            raise ValueError(
-                f"potential: tabulated potential needs exactly {grid.n} samples, "
-                f"got {0 if spec.samples is None else len(spec.samples)}"
-            )
+        check_sample_count(spec, grid.n, "potential")
         return np.asarray(spec.samples, dtype=np.float64)
     raise ValueError(f"potential: unknown kind {spec.kind!r}")
 
@@ -263,11 +267,7 @@ def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
     if spec.kind == "plane_wave":
         return np.exp(1j * spec.xi0 * x)
     if spec.kind == "tabulated":
-        if spec.samples is None or len(spec.samples) != grid.n:
-            raise ValueError(
-                f"initial: tabulated initial data needs exactly {grid.n} samples, "
-                f"got {0 if spec.samples is None else len(spec.samples)}"
-            )
+        check_sample_count(spec, grid.n, "initial")
         return np.asarray(spec.samples, dtype=np.complex128)
     raise ValueError(f"initial: unknown kind {spec.kind!r}")
 

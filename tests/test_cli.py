@@ -431,6 +431,11 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
                  id="solve-potential-3-samples"),
     pytest.param("solve", "initial", {"kind": "tabulated", "samples": [1.0, 1.0, 1.0]},
                  id="solve-initial-3-samples"),
+    # a sample count other than grid_n: refused by SweepConfig, not failed in every cell
+    pytest.param("sweep-convergence", "potential", {"kind": "tabulated", "samples": [0, 0, 0]},
+                 id="sweep-convergence-potential-3-samples"),
+    pytest.param("sweep-convergence", "initial", {"kind": "tabulated", "samples": [1, 1, 1]},
+                 id="sweep-convergence-initial-3-samples"),
     ("compare", "schemes", "ei"), ("verify-phase", "xi_max", 1e308),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):

@@ -159,13 +159,23 @@ def test_sweep_config_validation():
     # the model, the derivative order and the grid are refused before any cell runs
     for key, bad in (("kappa", 1), ("alpha", 9.0), ("coeffs", (2.0,)), ("deriv_order", -1),
                      ("deriv_order", 0.5), ("half_width", -1.0), ("half_width", math.inf),
-                     ("grid_n", 12)):
+                     ("grid_n", 12), ("potential", PotentialSpec.tabulated([0.0] * 3)),
+                     ("initial", InitialDataSpec.tabulated([1.0] * 127))):
         with pytest.raises(ValueError, match=f"^{key}: "):
             small_sweep_config(**{key: bad})
     with pytest.raises(ValueError, match="^half_width: "):
         small_sweep_config(half_width=-1.0, grid_n=None)
     cfg = small_sweep_config(schemes=("ei", "strang"))
     assert cfg.schemes == (StepperKind.EI, StepperKind.STRANG)
+
+
+def test_sweep_runs_with_numpy_integer_fields():
+    # SweepConfig stores them as int, which the error norm's derivative order needs
+    cfg = small_sweep_config(taus=(0.05,), deriv_order=np.int64(1), workers=np.int64(2))
+    assert type(cfg.deriv_order) is int and type(cfg.workers) is int
+    result = convergence_sweep(cfg)
+    assert not result.failures
+    assert [(r.tau, r.j) for r in result.records] == [(0.05, 1)]
 
 
 def test_sweep_grid_auto_sizing():

@@ -17,6 +17,7 @@ from dispersia.integrators import (
     SolveConfig,
     SolveResult,
     StepperKind,
+    _all_finite,
     free_solution,
     lri_filter_rescaled,
     precompute,
@@ -362,6 +363,36 @@ def test_blowup_detection_names_the_step(scheme):
         with pytest.raises(NumericalBlowupError,
                            match=rf"step {BLOWUP_STEP[scheme]}/200 .*scheme={scheme.value},"):
             solve(cfg)
+
+
+def test_all_finite_scans_only_when_the_sum_is_not_finite():
+    # 2n same-sign parts near 1e306 overflow their float sum but are all finite
+    v = np.full(GRID.n, 1e306 + 1e306j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(v.view(np.float64).sum())
+        assert _all_finite(v) and _all_finite(np.ones(GRID.n, complex))
+        for big in (v, np.ones(GRID.n, complex)):
+            for bad in (math.nan, math.inf, -math.inf):
+                for part in (bad, complex(0.0, bad)):
+                    w = big.copy()
+                    w[17] = part
+                    assert not _all_finite(w), (big[0], part)
+
+
+def test_solve_state_whose_sum_overflows_is_not_a_blowup():
+    # mu0 = c delta has fft(mu0) = c everywhere; with no potential and a flow
+    # within 1e-2 of 1 the 2n parts of every state stay near 5e305 and positive,
+    # so their sum overflows at every step, though no value does
+    c = 5e305 * (1 + 1j)
+    ini = InitialDataSpec.tabulated([c] + [0.0] * (GRID.n - 1))
+    zero = PotentialSpec.tabulated(np.zeros(GRID.n))
+    for scheme in StepperKind:
+        with np.errstate(over="ignore"):
+            res = solve(make_config(scheme=scheme, potential=zero, initial=ini, tau=1e-6,
+                                    z_final=1e-5))
+            v = np.fft.fft(res.final.values)
+            assert not np.isfinite(v.view(np.float64).sum())
+        assert res.steps == 10 and np.all(v.real > 4e305) and np.all(v.imag > 4e305)
 
 
 def physical_step(scheme, tau):

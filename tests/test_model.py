@@ -310,7 +310,8 @@ def test_bound_scan_kappa2_is_exactly_half(c0):
 
 
 @pytest.mark.parametrize(
-    "kappa,coeffs", [(3, (1.0, 0.0)), (4, (1.0, -1.0)), (5, (1.0, 1.0, -2.0))]
+    "kappa,coeffs", [(3, (1.0, 0.0)), (4, (1.0, -1.0)), (5, (1.0, 1.0, -2.0)),
+                     (6, (1.0, -1.0, 0.5)), (7, (1.0, 0.5, -1.0, 2.0))]
 )
 def test_bound_scan_matches_brute_force(kappa, coeffs):
     m = DispersiveModel(kappa, coeffs, 1.0, 2.0**-4)
@@ -349,7 +350,7 @@ def test_bound_scan_refuses_bad_c0_before_scanning(monkeypatch, c0):
     def no_scan(*args):
         raise AssertionError("the grid was scanned")
 
-    monkeypatch.setattr("dispersia.model.eval_phase_scaled", no_scan)
+    monkeypatch.setattr("dispersia.model._factored_sum", no_scan)
     m = DispersiveModel(2, (1.0,), 1.0, 0.25)
     axis = np.linspace(-4, 4, 50)
     with pytest.raises(ValueError, match=r"^c0 must be .*positive, got"):
@@ -396,8 +397,9 @@ def full_grid_scan(model, c0, xi1, xi2):
     eta = g1 + 2.0 * eps * g2
     sigma = 1 if kappa % 2 == 0 else 0
     num = np.abs(eval_phase_scaled(model, g1, g2))
-    pw = kappa - 1 - sigma
-    denom = np.abs(g1) * np.abs(eta) ** sigma * (g1**pw + eta**pw)
+    # xi1^pw + eta^pw, pw = kappa - 1 - sigma = 2h, from the squares as the scan forms it
+    h = (kappa - 1) // 2
+    denom = np.abs(g1) * np.abs(eta) ** sigma * ((g1 * g1) ** h + (eta * eta) ** h)
     admissible = (np.abs(g1) >= c0 * eps) | (np.abs(eta) >= c0 * eps)
     n_adm = int(np.count_nonzero(admissible))
     if n_adm == 0:
