@@ -37,12 +37,10 @@ from .model import (
     eval_p,
     eval_phase,
     eval_phase_factored,
-    eval_phase_scaled,
     eval_q,
     expected_error_exponent,
     expected_regularity_exponent,
     reduce_moment,
-    reduced_to_model,
     search_lower_bound_constant,
     verify_phase_lower_bound,
 )

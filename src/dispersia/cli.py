@@ -210,12 +210,14 @@ _SOLVE = (
 )
 
 
-def _sweep_table(schemes: tuple[str, ...], eps_alias: tuple[str, ...]) -> tuple:
+def _sweep_table(eps_alias: tuple[str, ...], schemes: tuple[str, ...] = ()) -> tuple:
+    """A sweep's rows; one given default schemes also reads a scheme and tau ladder."""
+    ladder = schemes and (_field("taus", _numbers, DESK_TAUS, "--tau"),
+                          _field("schemes", _items, schemes, "--scheme", also=("scheme",)))
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
         _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", also=eps_alias),
-        _field("taus", _numbers, DESK_TAUS, "--tau"),
-        _field("schemes", _items, schemes, "--scheme", also=("scheme",)),
+        *ladder,
         _Z_FINAL,
         _field("reference_tau", float, REFERENCE_TAU),
         _field("reference_scheme", str, "ei"),
@@ -471,19 +473,18 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     identity_ok = max_dev <= _IDENTITY_RTOL
 
     axis = np.linspace(-xi_max, xi_max, f["grid_points"])
-    c0 = f["c0"]
-    searched = c0 is None
+    searched = f["c0"] is None
     if searched:
-        c0, report = search_lower_bound_constant(model, axis, axis)
+        report = search_lower_bound_constant(model, axis, axis)
     else:
-        report = verify_phase_lower_bound(model, c0, axis, axis)
+        report = verify_phase_lower_bound(model, f["c0"], axis, axis)
     bound_ok = report.min_ratio > 0.0
 
     doc = {
         "kappa": f["kappa"], "coeffs": list(f["coeffs"]), "alpha": alpha, "epsilon": eps,
         "seed": f["seed"], "samples": f["samples"], "maxRelDeviation": max_dev,
         "identityOk": identity_ok,
-        "c0": float(c0), "c0Searched": searched,
+        "c0": report.c0, "c0Searched": searched,
         "gridPoints": f["grid_points"], "xiMax": xi_max,
         "minRatio": report.min_ratio,
         "worstPoint": [report.worst_xi1, report.worst_xi2],
@@ -492,7 +493,7 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     }
     (out / "phase_report.json").write_text(json.dumps(doc, indent=2) + "\n")
     print(f"verify-phase: maxRelDeviation={max_dev:.3e} minRatio={report.min_ratio:.6g} "
-          f"(C0={float(c0):g}, {report.admissible_count} admissible)")
+          f"(C0={report.c0:g}, {report.admissible_count} admissible)")
     if not identity_ok:
         print("numerical failure: cell identity-check: relative deviation "
               f"{max_dev:.3e} exceeds {_IDENTITY_RTOL}", file=sys.stderr)
@@ -511,10 +512,11 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
 # per subcommand: its table, the library input built from the fields, the run
 _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
-    "sweep-convergence": (_sweep_table(("ei",), ("epsilon",)), _sweep_config, _run_sweep),
-    # a rate in eps needs several eps values; a preset's single epsilon is ignored
-    "sweep-regularity": (_sweep_table(("ei",), ()), _regularity_config, _run_sweep),
-    "compare": (_sweep_table(("ei", "lt", "strang", "lri"), ("epsilon",)),
+    "sweep-convergence": (_sweep_table(("epsilon",), ("ei",)), _sweep_config, _run_sweep),
+    # a rate in eps needs several eps values (a preset's single epsilon is
+    # ignored), and the reference solve is all it runs: it reads no ladder
+    "sweep-regularity": (_sweep_table(()), _regularity_config, _run_sweep),
+    "compare": (_sweep_table(("epsilon",), ("ei", "lt", "strang", "lri")),
                 lambda f: comparable(_sweep_config(f)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT,
                       lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),

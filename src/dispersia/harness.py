@@ -109,7 +109,8 @@ class SweepConfig:
     One shared grid serves every cell; when grid_n is None it is chosen as
     the smallest power of two resolving h <= min(epsilons).  reference_tau
     must undercut every test tau by at least a factor of ten so reference
-    error stays negligible, and it and every tau must divide z_final.  A bad
+    error stays negligible, and it and every tau must divide z_final; a
+    regularity sweep, which runs no test tau, leaves taus empty.  A bad
     field is refused under its own name before any cell runs.
     """
 
@@ -120,7 +121,7 @@ class SweepConfig:
     initial: InitialDataSpec
     half_width: float
     epsilons: tuple[float, ...]
-    taus: tuple[float, ...]
+    taus: tuple[float, ...] = ()
     schemes: tuple[StepperKind, ...] = (StepperKind.EI,)
     z_final: float = 1.0
     reference_tau: float = 1e-4
@@ -279,7 +280,7 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
 
     Runs the reference scheme at reference_tau and measures the j-th
     derivative of mu(z) - free(z), normalized by regularity_normalizer;
-    cfg.taus is ignored.
+    cfg.taus and cfg.schemes are not read.
     """
     return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution,
                   partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.deriv_order))

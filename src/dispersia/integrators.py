@@ -205,11 +205,10 @@ def solve(config: SolveConfig) -> SolveResult:
     return SolveResult(SpectralField(grid, values=mu), n_steps, walltime)
 
 
-def free_solution(config: SolveConfig, z: float | None = None) -> SpectralField:
-    """Potential-free flow of the configured initial state to z."""
-    z = config.z_final if z is None else z
+def free_solution(config: SolveConfig) -> SpectralField:
+    """Potential-free flow of the configured initial state to z_final."""
     mu0 = sample_initial(config.initial, config.grid)
-    sym = free_propagator_symbol(config.model, config.grid, z)
+    sym = free_propagator_symbol(config.model, config.grid, config.z_final)
     return SpectralField(config.grid, values=np.fft.ifft(sym * np.fft.fft(mu0)))
 
 

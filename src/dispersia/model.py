@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,13 +57,15 @@ class DispersiveModel:
             raise ValueError(f"coeffs: leading coefficient must be 1, got {self.coeffs[0]!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon: must lie in (0, 1], got {self.epsilon!r}")
+        object.__setattr__(self, "kappa", int(self.kappa))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
 
 def _check_kappa_alpha(kappa, alpha) -> None:
-    """Refuse a kappa that is not an integer >= 2 and an alpha outside
-    [0, kappa], each under its config key."""
-    if not isinstance(kappa, int) or kappa < 2:
+    """Refuse a kappa that is not an integer >= 2 (a numpy one will do; a
+    bool falls below 2) and an alpha outside [0, kappa], each under its
+    config key."""
+    if not isinstance(kappa, Integral) or kappa < 2:
         raise ValueError(f"kappa: must be an integer >= 2, got {kappa!r}")
     if not 0.0 <= alpha <= kappa:
         raise ValueError(f"alpha: must lie in [0, kappa], got {alpha!r}")
@@ -88,11 +90,15 @@ def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
 
 
 def _q(r: int, x, y):
-    """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2."""
+    """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2, with no zeroth power formed
+    (exact, as a factor 1 rounds nothing): the number r when m = 0."""
     m = (r - 1) // 2
-    acc = r * x**0 * y**m
+    if m == 0:
+        return r
+    acc = r * y**m
     for j in range(1, m + 1):
-        acc += math.comb(r, 2 * j + 1) * x**j * y ** (m - j)
+        term = math.comb(r, 2 * j + 1) * x**j
+        acc += term * y ** (m - j) if j < m else term
     return acc
 
 
@@ -104,9 +110,8 @@ def eval_q(r: int, x, y) -> np.ndarray | float:
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"r must be an integer >= 1, got {r!r}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _scalar_or_array(_q(r, x, y), x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    return _scalar_or_array(np.full(x.shape, _q(r, x, y), dtype=np.float64), x, y)
 
 
 # Both phase evaluations below carry a running bound on their rounding error.
@@ -239,20 +244,6 @@ def _factored_sum(model: DispersiveModel, x, y, sizes: bool = False):
     return acc, size
 
 
-def _phase_core(model: DispersiveModel, xi1, xi2, sizes: bool = False):
-    """The factored form of eval_phase_factored as (sum over j, F, eta, size).
-
-    The product of the sum and F is eps^(kappa-alpha) times the phase; they
-    are returned apart so that a caller can rescale the sum before the final
-    product.  With sizes, size is the sum taken with |c_j| (None otherwise).
-    """
-    xi1 = np.asarray(xi1, dtype=np.float64)
-    xi2 = np.asarray(xi2, dtype=np.float64)
-    eta = xi1 + 2.0 * model.epsilon * xi2
-    acc, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes)
-    return acc, (xi1 * eta if model.kappa % 2 == 0 else xi1), eta, size
-
-
 def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     """Same phase through the factored form
 
@@ -273,7 +264,9 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
 
 def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     scale = model.epsilon ** (model.alpha - model.kappa)
-    acc, factor, eta, size = _phase_core(model, xi1, xi2, sizes=True)
+    eta = xi1 + 2.0 * model.epsilon * xi2
+    acc, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=True)
+    factor = xi1 * eta if model.kappa % 2 == 0 else xi1
     out = scale * acc * factor
     size = scale * size * np.abs(factor)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,16 +274,6 @@ def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     bound = _shift_bound(size, theta, model.kappa, 4 * model.kappa + 16)
     return _certified(out, bound, size, (xi1, eta),
                       lambda u, v: _phase_exact(model, u, v, model.kappa), xi1, xi2)
-
-
-def eval_phase_scaled(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
-    """eps^(kappa-alpha) times the phase, evaluated in factored form.
-
-    This is the natural quantity for lower-bound scans: it stays O(1) where
-    the phase itself carries the eps^(alpha-kappa) amplification.
-    """
-    acc, factor, _, _ = _phase_core(model, xi1, xi2)
-    return _scalar_or_array(acc * factor, xi1, xi2)
 
 
 @dataclass(frozen=True)
@@ -310,7 +293,7 @@ def verify_phase_lower_bound(
     xi1: np.ndarray,
     xi2: np.ndarray,
 ) -> PhaseBoundReport:
-    """Scan min over the grid of |scaled phase| / envelope.
+    """Scan min over the grid of |eps^(kappa-alpha) phase| / envelope.
 
     The envelope is |xi1| * |eta|^sigma * (xi1^pw + eta^pw) with sigma = 1 for
     even kappa, 0 for odd, and pw = kappa - 1 - sigma (always even).  Points
@@ -385,26 +368,25 @@ def verify_phase_lower_bound(
     )
 
 
+# the c0 search: the first candidate whose scan ratio reaches the floor
+_C0_FLOOR = 0.05
+_C0_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+
 def search_lower_bound_constant(
-    model: DispersiveModel,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    floor: float = 0.05,
-    candidates: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-) -> tuple[float, PhaseBoundReport]:
-    """Smallest candidate c0 whose scan ratio clears the floor.
+    model: DispersiveModel, xi1: np.ndarray, xi2: np.ndarray
+) -> PhaseBoundReport:
+    """The scan at the smallest candidate c0 whose ratio clears the floor.
 
     Brute-force calibration for the admissibility constant: growing c0
     excludes a wider near-resonant strip and can only raise the min ratio.
     """
-    last = None
-    for c0 in candidates:
+    for c0 in _C0_CANDIDATES:
         report = verify_phase_lower_bound(model, c0, xi1, xi2)
-        last = report
-        if report.min_ratio >= floor:
-            return c0, report
+        if report.min_ratio >= _C0_FLOOR:
+            return report
     raise ValueError(
-        f"no candidate c0 reaches min ratio {floor}; best was {last.min_ratio}"
+        f"no candidate c0 reaches min ratio {_C0_FLOOR}; best was {report.min_ratio}"
     )
 
 
@@ -533,38 +515,3 @@ def reduce_moment(
         dropped_constant=c.get(0) if sign == "+" else None,
         parity="even" if sign == "+" else "odd",
     )
-
-
-def reduced_to_model(reduced: ReducedModel, epsilon: float) -> tuple[DispersiveModel, float]:
-    """Rescale a reduction to the normalized leading-one model form.
-
-    Dividing by the top coefficient c_K makes d_K = 1 and stretches the
-    propagation variable by z_scale = sign_factor * c_K: evolving the
-    returned model to z corresponds to the reduced operator at z / z_scale,
-    with a negative z_scale meaning complex conjugation (time reversal).
-    The '+' branch constant is a pure phase and is already dropped here.
-    """
-    order = reduced.order
-    if order < 2:
-        raise ValueError(
-            f"reduced operator has top order {order}; the model form needs order >= 2"
-        )
-    alpha = float(reduced.alpha)
-    if alpha > order:
-        raise ValueError(
-            f"alpha={alpha} exceeds the reduced top order {order}; "
-            "this reduction does not fit the normalized model range 0 <= alpha <= kappa"
-        )
-    top = reduced.c[order]
-    coeffs = []
-    r = order
-    while r >= 1:
-        coeffs.append(reduced.c.get(r, 0.0) / top)
-        r -= 2
-    model = DispersiveModel(
-        kappa=order,
-        coeffs=tuple(coeffs),
-        alpha=alpha,
-        epsilon=epsilon,
-    )
-    return model, reduced.sign_factor * top

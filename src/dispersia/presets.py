@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .integrators import SolveConfig, StepperKind
-from .model import DispersiveModel
-from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
+from .spectral import InitialDataSpec, PotentialSpec
 
 DESK_EPSILONS = (2.0**-8, 2.0**-7, 2.0**-6, 2.0**-5, 2.0**-4)
 DESK_TAUS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
@@ -31,31 +29,6 @@ class Preset:
     default_epsilon: float = 2.0**-6
     default_tau: float = 1e-2
     z_final: float = 1.0
-
-    def model(self, epsilon: float | None = None) -> DispersiveModel:
-        eps = self.default_epsilon if epsilon is None else epsilon
-        return DispersiveModel(self.kappa, self.coeffs, self.alpha, eps)
-
-    def grid_for(self, min_epsilon: float) -> Grid:
-        return Grid(self.half_width, resolving_grid_n(self.half_width, min_epsilon))
-
-    def solve_config(
-        self,
-        epsilon: float | None = None,
-        tau: float | None = None,
-        scheme: StepperKind = StepperKind.EI,
-        grid: Grid | None = None,
-    ) -> SolveConfig:
-        eps = self.default_epsilon if epsilon is None else epsilon
-        return SolveConfig(
-            model=self.model(eps),
-            grid=self.grid_for(eps) if grid is None else grid,
-            potential=self.potential,
-            initial=self.initial,
-            scheme=scheme,
-            tau=self.default_tau if tau is None else tau,
-            z_final=self.z_final,
-        )
 
 
 def _schrodinger(alpha: float, tag: str) -> Preset:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -37,10 +38,11 @@ class Grid:
     def __init__(self, half_width: float, n: int):
         if not (math.isfinite(half_width) and half_width > 0):
             raise ValueError(f"half_width: must be finite and > 0, got {half_width!r}")
-        if not isinstance(n, int) or n < 8 or n & (n - 1):
+        # a numpy integer will do; a bool falls below 8
+        if not isinstance(n, Integral) or n < 8 or n & (n - 1):
             raise ValueError(f"grid_n: must be a power of two >= 8, got {n!r}")
         self.half_width = float(half_width)
-        self.n = n
+        self.n = n = int(n)
         self.h = 2.0 * self.half_width / n
         self.nodes = -self.half_width + self.h * np.arange(n)
         self.xi = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)
@@ -71,38 +73,24 @@ def resolving_grid_n(half_width: float, epsilon: float) -> int:
 
 
 class SpectralField:
-    """Complex field on a grid, carrying values and cached coefficients."""
+    """Complex field on a grid: its values, and their coefficients, formed on
+    first use and cached."""
 
-    __slots__ = ("grid", "_values", "_coeffs")
+    __slots__ = ("grid", "values", "_coeffs")
 
-    def __init__(self, grid: Grid, values=None, coeffs=None):
-        if (values is None) == (coeffs is None):
-            raise ValueError("provide exactly one of values or coeffs")
+    def __init__(self, grid: Grid, values):
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+        if values.shape != (grid.n,):
+            raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
         self.grid = grid
-        for name, arr in (("values", values), ("coeffs", coeffs)):
-            if arr is not None and np.asarray(arr).shape != (grid.n,):
-                raise ValueError(
-                    f"{name} must have shape ({grid.n},), got {np.asarray(arr).shape}"
-                )
-        self._values = (
-            None if values is None else np.ascontiguousarray(values, dtype=np.complex128)
-        )
-        self._coeffs = (
-            None if coeffs is None else np.ascontiguousarray(coeffs, dtype=np.complex128)
-        )
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            g = self.grid
-            self._values = np.fft.ifft(self._coeffs * g._alt) / g.h
-        return self._values
+        self.values = values
+        self._coeffs = None
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._coeffs is None:
             g = self.grid
-            self._coeffs = g.h * g._alt * np.fft.fft(self._values)
+            self._coeffs = g.h * g._alt * np.fft.fft(self.values)
         return self._coeffs
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
@@ -157,6 +145,15 @@ def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.n
     return np.exp(-1j * flow_phase(model, grid, z))
 
 
+def _refuse_non_finite(spec, names) -> None:
+    """Refuse a spec whose named parameters, or samples, are not all finite:
+    one NaN or infinity would only surface as a blowup of the first step."""
+    for name in names:
+        v = getattr(spec, name)
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Potential profile R; the solver samples R(x/eps) on the grid.
@@ -170,6 +167,9 @@ class PotentialSpec:
     amplitude: float = -1.0
     width_sq: float = 1.0
     samples: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _refuse_non_finite(self, ("amplitude", "width_sq", "samples"))
 
     @classmethod
     def gaussian(cls, amplitude: float, width_sq: float) -> "PotentialSpec":
@@ -205,6 +205,9 @@ class InitialDataSpec:
     kind: str
     xi0: float = 0.0
     samples: tuple[complex, ...] | None = None
+
+    def __post_init__(self):
+        _refuse_non_finite(self, ("xi0", "samples"))
 
     @classmethod
     def gaussian(cls) -> "InitialDataSpec":

@@ -7,7 +7,6 @@ budget.  Budgets are wall-clock on a single desk core.
 
 import math
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +32,11 @@ from dispersia.model import (
 )
 from dispersia.presets import DESK_EPSILONS, DESK_TAUS, PRESETS, REFERENCE_TAU, get_preset
 from dispersia.spectral import (
+    Grid,
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
+    resolving_grid_n,
     sample_initial,
     x_norm,
 )
@@ -103,6 +104,13 @@ def test_criterion_1_phase_identity():
     assert ok, line
 
 
+def preset_model_and_grid(preset):
+    """The preset's model at its default epsilon, on the grid that resolves it."""
+    eps = preset.default_epsilon
+    model = DispersiveModel(preset.kappa, preset.coeffs, preset.alpha, eps)
+    return model, Grid(preset.half_width, resolving_grid_n(preset.half_width, eps))
+
+
 # ---------------------------------------------------------------------------
 # 2. free-flow exactness and isometry for every scheme on every preset
 
@@ -114,11 +122,12 @@ def test_criterion_2_free_flow_and_isometry():
     worst_iso = 0.0
     for name in sorted(PRESETS):
         preset = get_preset(name)
-        grid = preset.grid_for(preset.default_epsilon)
+        model, grid = preset_model_and_grid(preset)
         initial = SpectralField(grid, values=sample_initial(preset.initial, grid))
         scale = x_norm(initial)
         for scheme in StepperKind:
-            cfg = replace(preset.solve_config(scheme=scheme), potential=silent)
+            cfg = SolveConfig(model, grid, silent, preset.initial, scheme, preset.default_tau,
+                              preset.z_final)
             free = free_solution(cfg)
             res = solve(cfg)
             worst_err = max(worst_err, x_norm(res.final - free) / scale)
@@ -283,8 +292,7 @@ def test_criterion_8_filter_identity():
     worst = 0.0
     for name in sorted(PRESETS):
         preset = get_preset(name)
-        model = preset.model()
-        grid = preset.grid_for(model.epsilon)
+        model, grid = preset_model_and_grid(preset)
         pc = precompute(model, grid, preset.potential, StepperKind.LRI,
                         preset.default_tau)
         rescaled = lri_filter_rescaled(model, grid, preset.potential,
@@ -357,10 +365,10 @@ def test_criterion_10_phase_lower_bound():
     outcomes = []
     for kappa, coeffs in ((2, (1.0,)), (3, (1.0, 0.0)), (4, (1.0, -1.0))):
         model = DispersiveModel(kappa, coeffs, 1.0, 2.0**-6)
-        c0, report = search_lower_bound_constant(model, axis, axis)
+        report = search_lower_bound_constant(model, axis, axis)
         assert report.min_ratio > 0.0
         assert report.admissible_count > 0
-        outcomes.append(f"kappa={kappa}: C0={c0:g} minRatio={report.min_ratio:.4g}")
+        outcomes.append(f"kappa={kappa}: C0={report.c0:g} minRatio={report.min_ratio:.4g}")
     elapsed = time.perf_counter() - t0
 
     ok = elapsed < 10.0

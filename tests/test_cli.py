@@ -305,6 +305,27 @@ def test_sweep_regularity_records_reference_tau(tmp_path):
     assert rates["command"] == "sweep-regularity"
 
 
+REGULARITY_ARGV = ["sweep-regularity", "--preset", "kdv-a1", "--epsilon", "0.25,0.125"]
+
+
+def test_sweep_regularity_reads_no_tau_ladder(tmp_path, capsys):
+    # it runs only the reference solve, so no tau ladder bounds reference_tau
+    cfg = write_config(tmp_path, {"grid_n": 1024, "reference_tau": 0.01})
+    out = tmp_path / "out"
+    assert main([*REGULARITY_ARGV, "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_rows(out / "results.csv")
+    assert [(r[0], float(r[4])) for r in rows] == [("ei", 0.01)] * 2
+    run = json.loads((out / "run.json").read_text())
+    assert "taus" not in run and "schemes" not in run
+    capsys.readouterr()
+    for flag, value in (("--tau", "0.05"), ("--scheme", "lt")):
+        rc = main([*REGULARITY_ARGV, "--config", cfg, flag, value,
+                   "--out", str(tmp_path / "refused")])
+        assert rc == 1
+        assert f"config error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+
+
 def test_compare_defaults_to_all_schemes(tmp_path):
     doc = dict(SMALL_SWEEP)
     doc["taus"] = [0.05, 0.025]
@@ -437,6 +458,21 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
     pytest.param("sweep-convergence", "initial", {"kind": "tabulated", "samples": [1, 1, 1]},
                  id="sweep-convergence-initial-3-samples"),
     ("compare", "schemes", "ei"), ("verify-phase", "xi_max", 1e308),
+    # a spec refuses a non-finite parameter or sample, which would blow up the first step
+    pytest.param("solve", "potential", {"kind": "gaussian", "amplitude": math.nan},
+                 id="solve-potential-amplitude-nan"),
+    pytest.param("solve", "potential", {"kind": "gaussian", "width_sq": math.nan},
+                 id="solve-potential-width_sq-nan"),
+    pytest.param("solve", "potential", {"kind": "exp_abs", "amplitude": -math.inf},
+                 id="solve-potential-exp_abs-inf"),
+    pytest.param("solve", "initial", {"kind": "plane_wave", "xi0": math.inf},
+                 id="solve-initial-xi0-inf"),
+    pytest.param("sweep-convergence", "potential",
+                 {"kind": "tabulated", "samples": [0.0] * 127 + [math.nan]},
+                 id="sweep-convergence-potential-nan-sample"),
+    pytest.param("sweep-convergence", "initial",
+                 {"kind": "tabulated", "samples": [1.0] * 127 + [[0.0, math.inf]]},
+                 id="sweep-convergence-initial-inf-sample"),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
     doc = dict({"solve": FREE_SOLVE, "reduce-moment": REDUCTION}.get(command, SMALL_SWEEP))

@@ -170,9 +170,12 @@ def test_sweep_config_validation():
 
 
 def test_sweep_runs_with_numpy_integer_fields():
-    # SweepConfig stores them as int, which the error norm's derivative order needs
-    cfg = small_sweep_config(taus=(0.05,), deriv_order=np.int64(1), workers=np.int64(2))
+    # SweepConfig stores them as int, which the error norm's derivative order
+    # needs; the model and the grid take a numpy kappa and grid_n and store int
+    cfg = small_sweep_config(taus=(0.05,), deriv_order=np.int64(1), workers=np.int64(2),
+                             kappa=np.int64(2), grid_n=np.int64(128))
     assert type(cfg.deriv_order) is int and type(cfg.workers) is int
+    assert type(cfg.model(0.5).kappa) is int and type(cfg.grid().n) is int
     result = convergence_sweep(cfg)
     assert not result.failures
     assert [(r.tau, r.j) for r in result.records] == [(0.05, 1)]

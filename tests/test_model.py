@@ -20,15 +20,14 @@ from dispersia.model import (
     DispersiveModel,
     PhaseBoundReport,
     _CHUNK,
+    _factored_sum,
     eval_p,
     eval_phase,
     eval_phase_factored,
-    eval_phase_scaled,
     eval_q,
     expected_error_exponent,
     expected_regularity_exponent,
     reduce_moment,
-    reduced_to_model,
     search_lower_bound_constant,
     verify_phase_lower_bound,
 )
@@ -74,6 +73,8 @@ def test_model_accepts_valid():
         dict(kappa=2, coeffs=(1.0,), alpha=2.5, epsilon=0.5),  # alpha > kappa
         dict(kappa=2, coeffs=(1.0,), alpha=1.0, epsilon=0.0),
         dict(kappa=2, coeffs=(1.0,), alpha=1.0, epsilon=1.5),
+        dict(kappa=True, coeffs=(1.0,), alpha=0.5, epsilon=0.5),
+        dict(kappa=2.0, coeffs=(1.0,), alpha=0.5, epsilon=0.5),
     ],
 )
 def test_model_rejects_invalid(kwargs):
@@ -159,11 +160,13 @@ def test_eval_q_positive_coefficients():
     # every surviving binomial column is positive, so Q > 0 on the open quadrant
     for r in range(1, 8):
         vals = eval_q(r, np.linspace(0.1, 50, 23), np.linspace(0.1, 50, 23))
-        assert np.all(vals > 0)
+        assert vals.shape == (23,) and np.all(vals > 0)
+        # the output takes the broadcast shape of the inputs, also where Q_r is a constant
+        assert eval_q(r, np.ones((2, 1)), np.ones(3)).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
-# phase: direct, factored, scaled
+# phase: direct and factored
 
 
 def test_phase_frozen_examples():
@@ -263,16 +266,6 @@ def test_even_kappa_phase_vanishes_on_eta_zero():
         assert gap <= tol  # direct form agrees up to cancellation noise
 
 
-def test_phase_scaled_relation():
-    m = DispersiveModel(3, (1.0, -0.5), 1.5, 0.0625)
-    xi1 = np.linspace(-9, 9, 31)
-    xi2 = np.linspace(-7, 7, 31)
-    fact = eval_phase_factored(m, xi1, xi2)
-    scaled = eval_phase_scaled(m, xi1, xi2)
-    pref = m.epsilon ** (m.alpha - m.kappa)
-    np.testing.assert_allclose(fact, pref * scaled, rtol=1e-12, atol=0)
-
-
 # ---------------------------------------------------------------------------
 # lower-bound scan
 
@@ -366,17 +359,21 @@ def test_bound_scan_kappa4_mixed_sign_positive():
 
 def test_search_lower_bound_constant():
     m = DispersiveModel(4, (1.0, -1.0), 1.0, 2.0**-6)
-    axis = np.linspace(-8, 8, 120)
-    c0, rep = search_lower_bound_constant(m, axis, axis, floor=0.05)
+    axis = np.linspace(-8, 8, 400)
+    rep = search_lower_bound_constant(m, axis, axis)
     assert rep.min_ratio >= 0.05
-    assert rep.c0 == c0
+    # the first candidate that clears the floor: the one before it does not
+    assert rep.c0 == 2.0
+    assert verify_phase_lower_bound(m, 1.0, axis, axis).min_ratio < 0.05
 
 
-def test_search_reports_failure_when_floor_unreachable():
-    m = DispersiveModel(2, (1.0,), 1.0, 0.25)
-    axis = np.linspace(-4, 4, 60)
-    with pytest.raises(ValueError):
-        search_lower_bound_constant(m, axis, axis, floor=10.0)
+def test_search_reports_failure_when_floor_unreachable(monkeypatch):
+    # the pure quadratic's ratio is 0.5 at every candidate
+    monkeypatch.setattr("dispersia.model._C0_FLOOR", 10.0)
+    m = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
+    axis = np.linspace(-8, 8, 60)
+    with pytest.raises(ValueError, match=r"^no candidate c0 reaches min ratio 10.0; best was 0.5"):
+        search_lower_bound_constant(m, axis, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +393,9 @@ def full_grid_scan(model, c0, xi1, xi2):
     g1, g2 = np.meshgrid(xi1, xi2, indexing="ij")
     eta = g1 + 2.0 * eps * g2
     sigma = 1 if kappa % 2 == 0 else 0
-    num = np.abs(eval_phase_scaled(model, g1, g2))
+    # the scaled phase in the scan's own operation order: the factored sum times F
+    acc, _ = _factored_sum(model, g1 * g1, eta * eta)
+    num = np.abs(acc * (g1 * eta if kappa % 2 == 0 else g1))
     # xi1^pw + eta^pw, pw = kappa - 1 - sigma = 2h, from the squares as the scan forms it
     h = (kappa - 1) // 2
     denom = np.abs(g1) * np.abs(eta) ** sigma * ((g1 * g1) ** h + (eta * eta) ** h)
@@ -703,30 +702,3 @@ def test_reduce_matches_fraction_expansion(kappa, sign, lam):
         # c_j are dyadic-rational times powers of |lam|, exact in binary
         assert red.sign_factor * red.c[j] == float(frac)
     assert all(cj > 0 for cj in red.c.values())
-
-
-def test_reduced_to_model_polynomial_identity():
-    red = reduce_moment(2, 1, "+", 1.0)
-    model, z_scale = reduced_to_model(red, epsilon=0.25)
-    assert model.kappa == 2 and model.coeffs == (1.0,)
-    assert z_scale == pytest.approx(2.0)
-    xs = np.linspace(-5, 5, 21)
-    # z_scale * P_model must reproduce signFactor * sum c_j xi^j
-    want = red.sign_factor * sum(cj * xs**j for j, cj in red.c.items() if j >= 1)
-    np.testing.assert_allclose(z_scale * eval_p(model, xs), want, rtol=1e-13, atol=1e-13)
-
-
-def test_reduced_to_model_mixed_order():
-    red = reduce_moment(4, 1, "+", 2.0)  # keeps j = 0, 2, 4
-    model, z_scale = reduced_to_model(red, epsilon=0.5)
-    assert model.kappa == 4
-    xs = np.linspace(-3, 3, 13)
-    want = red.sign_factor * sum(cj * xs**j for j, cj in red.c.items() if j >= 1)
-    np.testing.assert_allclose(z_scale * eval_p(model, xs), want, rtol=1e-12, atol=1e-12)
-
-
-def test_reduced_to_model_rejects_low_order_or_high_alpha():
-    with pytest.raises(ValueError):
-        reduced_to_model(reduce_moment(2, 1, "-", 1.0), epsilon=0.5)  # order 1
-    with pytest.raises(ValueError):
-        reduced_to_model(reduce_moment(4, 2, "-", 1.0), epsilon=0.5)  # alpha 3.5 > order 3

@@ -1,4 +1,4 @@
-"""Preset catalogue sanity: names, aliases, derived grids and configs."""
+"""Preset catalogue sanity: names, aliases and the grids their domains need."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from dispersia.presets import (
     REFERENCE_TAU,
     get_preset,
 )
+from dispersia.spectral import Grid, resolving_grid_n
 
 
 def test_catalogue_names():
@@ -40,28 +41,9 @@ def test_desk_scales():
     assert REFERENCE_TAU <= min(DESK_TAUS) / 10
 
 
-def test_model_uses_default_epsilon():
-    p = get_preset("schrodinger-a1")
-    m = p.model()
-    assert m.kappa == 2
-    assert m.epsilon == 2.0**-6
-    assert p.model(0.25).epsilon == 0.25
-
-
 def test_grid_resolves_small_epsilon():
     p = get_preset("schrodinger-a1")
-    g = p.grid_for(2.0**-6)
-    assert g.n == 2048
-    assert g.h <= 2.0**-6  # mesh below epsilon, no resolution warning
-    assert get_preset("kdv-a2").grid_for(0.25).n == 256
-
-
-def test_solve_config_round():
-    p = get_preset("kdv-a3/2")
-    cfg = p.solve_config(epsilon=0.25, tau=0.1)
-    assert cfg.model.kappa == 3
-    assert cfg.model.coeffs == (1.0, 0.0)
-    assert cfg.model.alpha == 1.5
-    assert cfg.tau == 0.1
-    assert cfg.z_final == 1.0
-    assert cfg.step_count() == 10
+    n = resolving_grid_n(p.half_width, 2.0**-6)
+    assert n == 2048
+    assert Grid(p.half_width, n).h <= 2.0**-6  # mesh below epsilon, no resolution warning
+    assert resolving_grid_n(get_preset("kdv-a2").half_width, 0.25) == 256
