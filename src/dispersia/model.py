@@ -46,7 +46,7 @@ class DispersiveModel:
     epsilon: float
 
     def __post_init__(self):
-        _check_kappa_alpha(self.kappa, self.alpha)
+        object.__setattr__(self, "kappa", _check_kappa_alpha(self.kappa, self.alpha))
         want = (self.kappa + 1) // 2
         if len(self.coeffs) != want:
             raise ValueError(
@@ -57,18 +57,24 @@ class DispersiveModel:
             raise ValueError(f"coeffs: leading coefficient must be 1, got {self.coeffs[0]!r}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon: must lie in (0, 1], got {self.epsilon!r}")
-        object.__setattr__(self, "kappa", int(self.kappa))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
 
-def _check_kappa_alpha(kappa, alpha) -> None:
-    """Refuse a kappa that is not an integer >= 2 (a numpy one will do; a
-    bool falls below 2) and an alpha outside [0, kappa], each under its
-    config key."""
-    if not isinstance(kappa, Integral) or kappa < 2:
-        raise ValueError(f"kappa: must be an integer >= 2, got {kappa!r}")
+def check_integer(v, lo: int, key: str) -> int:
+    """v as an int, refused under key unless it is an integer >= lo: a numpy
+    integer will do, a bool will not."""
+    if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
+        raise ValueError(f"{key}: must be an integer >= {lo}, got {v!r}")
+    return int(v)
+
+
+def _check_kappa_alpha(kappa, alpha) -> int:
+    """kappa as an int; a kappa that is not an integer >= 2 and an alpha
+    outside [0, kappa] are refused, each under its config key."""
+    kappa = check_integer(kappa, 2, "kappa")
     if not 0.0 <= alpha <= kappa:
         raise ValueError(f"alpha: must lie in [0, kappa], got {alpha!r}")
+    return kappa
 
 
 def _nested(coeffs, y2):
@@ -108,8 +114,7 @@ def eval_q(r: int, x, y) -> np.ndarray | float:
     Q_1 is identically 1; for r >= 2 all terms carry positive binomial
     weights, so Q_r itself never cancels.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"r must be an integer >= 1, got {r!r}")
+    r = check_integer(r, 1, "r")
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     return _scalar_or_array(np.full(x.shape, _q(r, x, y), dtype=np.float64), x, y)
 
@@ -134,12 +139,9 @@ def blocks(n: int, size: int = _CHUNK):
 
 
 def _round_scaled(r: Fraction, scale: float) -> float:
-    """The float nearest r * scale, rounded once where the result is subnormal."""
-    if r == 0:
-        return 0.0
-    k = r.denominator.bit_length() - r.numerator.bit_length()  # |r| 2^k near 1
+    """The float nearest r * scale: int / int rounds once, subnormals included."""
     try:
-        return math.ldexp(float(r * Fraction(2) ** k) * scale, -k)
+        return float(r * Fraction(scale))
     except OverflowError:
         return math.inf if r > 0 else -math.inf
 
@@ -407,7 +409,7 @@ def expected_error_exponent(kappa: int, alpha: float) -> RateExponent:
     exponents, so the smaller one is the dominant term; a log(1/eps) factor
     comes only with kappa = 2 when the second branch strictly dominates.
     """
-    _check_kappa_alpha(kappa, alpha)
+    kappa = _check_kappa_alpha(kappa, alpha)
     first = 1.0 + (kappa - 1) * alpha / kappa
     second = 2.0 - 2.0 * alpha / kappa
     return RateExponent(min(first, second), kappa == 2 and second < first)
@@ -419,10 +421,8 @@ def expected_regularity_exponent(kappa: int, alpha: float, j: int) -> RateExpone
     For 0 <= j <= kappa-2 the bound is eps^(1-(1+j)*alpha/kappa); the top
     derivative j = kappa-1 degrades to eps^(1-alpha) with a log factor.
     """
-    _check_kappa_alpha(kappa, alpha)
-    if not isinstance(j, int) or j < 0:
-        raise ValueError(f"deriv_order: derivative order must be a non-negative integer, "
-                         f"got {j!r}")
+    kappa = _check_kappa_alpha(kappa, alpha)
+    j = check_integer(j, 0, "deriv_order")
     if j >= kappa:
         raise ValueError(f"deriv_order: derivative order must be < kappa, "
                          f"got j={j}, kappa={kappa}")
@@ -470,8 +470,7 @@ def reduce_moment(
     lam = 0 collapses everything onto j = kappa, which survives only when the
     branch parity matches kappa; otherwise the reduction is degenerate.
     """
-    if not isinstance(kappa, int) or kappa < 2:
-        raise ValueError(f"kappa: must be an integer >= 2, got {kappa!r}")
+    kappa = check_integer(kappa, 2, "kappa")
     if sign not in ("+", "-"):
         raise ValueError(f"sign: must be '+' or '-', got {sign!r}")
     if not isinstance(beta, Real) or not (beta >= 1 and math.isfinite(beta)):

@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .model import DispersiveModel, eval_p
+from .model import DispersiveModel, check_integer, eval_p
 
 
 class MeshResolutionWarning(UserWarning):
@@ -38,11 +37,11 @@ class Grid:
     def __init__(self, half_width: float, n: int):
         if not (math.isfinite(half_width) and half_width > 0):
             raise ValueError(f"half_width: must be finite and > 0, got {half_width!r}")
-        # a numpy integer will do; a bool falls below 8
-        if not isinstance(n, Integral) or n < 8 or n & (n - 1):
+        n = check_integer(n, 8, "grid_n")
+        if n & (n - 1):
             raise ValueError(f"grid_n: must be a power of two >= 8, got {n!r}")
         self.half_width = float(half_width)
-        self.n = n = int(n)
+        self.n = n
         self.h = 2.0 * self.half_width / n
         self.nodes = -self.half_width + self.h * np.arange(n)
         self.xi = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)
@@ -101,8 +100,7 @@ class SpectralField:
 
 def x_norm(f: SpectralField, j: int = 0) -> float:
     """Absolute-coefficient norm with a |xi|^j weight (trapezoid-free sum)."""
-    if not isinstance(j, int) or j < 0:
-        raise ValueError(f"j must be a non-negative integer, got {j!r}")
+    j = check_integer(j, 0, "deriv_order")
     w = np.abs(f.coefficients)
     if j:
         w = w * np.abs(f.grid.xi) ** j
@@ -110,13 +108,14 @@ def x_norm(f: SpectralField, j: int = 0) -> float:
 
 
 def phi1(z):
-    """phi1(z) = (e^z - 1)/z, with a 4-term Taylor branch for |z| < 1e-4.
+    """phi1(z) = (e^z - 1)/z: np.expm1(z) / z, with a 4-term Taylor branch for
+    |z| < 1e-4.
 
-    The quotient loses about |log10(eps/|z|)| digits near 0; at the branch
-    point the Taylor truncation error is below 1e-17 relative, so the switch
-    is seamless.  Near z = 2*pi*i*k, k != 0, e^z - 1 cancels as well, in its
-    real part cos(y) - 1: there the numerator is recomputed by expm1, and the
-    recomputed value is taken where the two differ by more than 2^-45.
+    numpy forms the real part of e^z - 1 as expm1(x) cos(y) - 2 sin^2(y/2),
+    so the quotient cancels nowhere, neither near 0 nor near z = 2*pi*i*k.
+    The series keeps tiny z out of the complex division, which gives inf+nanj
+    at subnormal z; at the switch its truncation error is below 1e-17
+    relative, so the switch is seamless.
     """
     za = np.asarray(z, dtype=np.complex128)
     scalar = za.ndim == 0
@@ -126,12 +125,7 @@ def phi1(z):
     zs = za[small]
     out[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = za[~small]
-    num = np.exp(zb) - 1.0
-    near = (np.abs(num) < 2.0**-9) & (np.abs(zb) > 1.0)
-    fixed = np.expm1(zb[near])
-    lost = np.abs(num[near] - fixed) > 2.0**-45 * np.abs(fixed)
-    num[np.flatnonzero(near)[lost]] = fixed[lost]
-    out[~small] = num / zb
+    out[~small] = np.expm1(zb) / zb
     return complex(out[0]) if scalar else out
 
 
@@ -145,9 +139,12 @@ def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.n
     return np.exp(-1j * flow_phase(model, grid, z))
 
 
-def _refuse_non_finite(spec, names) -> None:
-    """Refuse a spec whose named parameters, or samples, are not all finite:
-    one NaN or infinity would only surface as a blowup of the first step."""
+def _check_spec(spec, key: str, kinds, names) -> None:
+    """Refuse, under key, a spec of a kind not in kinds; and refuse a spec
+    whose named parameters, or samples, are not all finite: one NaN or
+    infinity would only surface as a blowup of the first step."""
+    if spec.kind not in kinds:
+        raise ValueError(f"{key}: unknown kind {spec.kind!r}")
     for name in names:
         v = getattr(spec, name)
         if v is not None and not np.isfinite(v).all():
@@ -169,12 +166,13 @@ class PotentialSpec:
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _refuse_non_finite(self, ("amplitude", "width_sq", "samples"))
+        _check_spec(self, "potential", ("gaussian", "exp_abs", "tabulated"),
+                    ("amplitude", "width_sq", "samples"))
+        if not self.width_sq > 0:
+            raise ValueError(f"width_sq must be positive, got {self.width_sq!r}")
 
     @classmethod
     def gaussian(cls, amplitude: float, width_sq: float) -> "PotentialSpec":
-        if width_sq <= 0:
-            raise ValueError(f"width_sq must be positive, got {width_sq!r}")
         return cls(kind="gaussian", amplitude=float(amplitude), width_sq=float(width_sq))
 
     @classmethod
@@ -207,7 +205,8 @@ class InitialDataSpec:
     samples: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        _refuse_non_finite(self, ("xi0", "samples"))
+        _check_spec(self, "initial", ("gaussian", "plane_wave", "tabulated"),
+                    ("xi0", "samples"))
 
     @classmethod
     def gaussian(cls) -> "InitialDataSpec":
@@ -257,10 +256,8 @@ def sample_potential(spec: PotentialSpec, grid: Grid, epsilon: float) -> np.ndar
         return spec.amplitude * np.exp(-(y * y) / spec.width_sq)
     if spec.kind == "exp_abs":
         return spec.amplitude * np.exp(-np.abs(y))
-    if spec.kind == "tabulated":
-        check_sample_count(spec, grid.n, "potential")
-        return np.asarray(spec.samples, dtype=np.float64)
-    raise ValueError(f"potential: unknown kind {spec.kind!r}")
+    check_sample_count(spec, grid.n, "potential")  # tabulated
+    return np.asarray(spec.samples, dtype=np.float64)
 
 
 def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
@@ -269,8 +266,6 @@ def sample_initial(spec: InitialDataSpec, grid: Grid) -> np.ndarray:
         return np.exp(-(x * x) / 2.0).astype(np.complex128)
     if spec.kind == "plane_wave":
         return np.exp(1j * spec.xi0 * x)
-    if spec.kind == "tabulated":
-        check_sample_count(spec, grid.n, "initial")
-        return np.asarray(spec.samples, dtype=np.complex128)
-    raise ValueError(f"initial: unknown kind {spec.kind!r}")
+    check_sample_count(spec, grid.n, "initial")  # tabulated
+    return np.asarray(spec.samples, dtype=np.complex128)
 

@@ -25,8 +25,9 @@ from dispersia.harness import (
     splitting_threshold,
 )
 from dispersia.integrators import SolveConfig, StepperKind, solve
+from dispersia.model import eval_q, expected_regularity_exponent, reduce_moment
 from dispersia.presets import get_preset
-from dispersia.spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField
+from dispersia.spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, x_norm
 
 
 def small_sweep_config(**kw):
@@ -179,6 +180,20 @@ def test_sweep_runs_with_numpy_integer_fields():
     result = convergence_sweep(cfg)
     assert not result.failures
     assert [(r.tau, r.j) for r in result.records] == [(0.05, 1)]
+
+
+def test_library_integers_take_numpy_ints_and_refuse_bools():
+    f = SpectralField(Grid(8.0, 64), values=np.ones(64))
+    assert reduce_moment(np.int64(3), 1.0, "-", 2.0) == reduce_moment(3, 1.0, "-", 2.0)
+    assert expected_regularity_exponent(3, 1.0, np.int64(1)) == \
+        expected_regularity_exponent(3, 1.0, 1)
+    assert x_norm(f, np.int64(1)) == x_norm(f, 1)
+    assert eval_q(np.int64(3), 1.0, 2.0) == eval_q(3, 1.0, 2.0)
+    for key, call in (("deriv_order", lambda: expected_regularity_exponent(2, 1.0, True)),
+                      ("deriv_order", lambda: x_norm(f, True)),
+                      ("r", lambda: eval_q(True, 1.0, 2.0))):
+        with pytest.raises(ValueError, match=f"^{key}: must be an integer >= "):
+            call()
 
 
 def test_sweep_grid_auto_sizing():

@@ -6,6 +6,7 @@ slopes sit at the scheme order (1 for ei/lt/lri, 2 for strang).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,10 +388,12 @@ def test_solve_state_whose_sum_overflows_is_not_a_blowup():
     ini = InitialDataSpec.tabulated([c] + [0.0] * (GRID.n - 1))
     zero = PotentialSpec.tabulated(np.zeros(GRID.n))
     for scheme in StepperKind:
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflowing sum warns nothing either
             res = solve(make_config(scheme=scheme, potential=zero, initial=ini, tau=1e-6,
                                     z_final=1e-5))
-            v = np.fft.fft(res.final.values)
+        v = np.fft.fft(res.final.values)
+        with np.errstate(over="ignore"):
             assert not np.isfinite(v.view(np.float64).sum())
         assert res.steps == 10 and np.all(v.real > 4e305) and np.all(v.imag > 4e305)
 

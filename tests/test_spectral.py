@@ -226,11 +226,9 @@ def test_phi1_scalar_and_array_paths_agree():
         assert phi1(complex(z)) == v
 
 
-def full_branch_tol(mag):
-    # e^z rounds within half an ulp of 1, so e^z - 1 carries ~1.1e-16 absolute
-    # error and dividing by z amplifies it to eps/(2|z|) relative; only bites
-    # just above the 1e-4 series switch
-    return max(1e-13, 2.5e-16 / mag)
+# expm1 forms e^z - 1 without cancellation, so phi1 keeps every digit up to a
+# few roundings on either side of the 1e-4 series switch
+PHI1_RTOL = 1e-15
 
 
 @given(t=st.floats(-50, 50))
@@ -238,7 +236,7 @@ def full_branch_tol(mag):
 def test_phi1_real_axis_matches_expm1(t):
     if t == 0.0:
         return
-    assert phi1(t) == pytest.approx(phi1_real_oracle(t), rel=full_branch_tol(abs(t)))
+    assert phi1(t) == pytest.approx(phi1_real_oracle(t), rel=PHI1_RTOL, abs=0.0)
 
 
 @given(y=st.floats(-50, 50))
@@ -249,7 +247,7 @@ def test_phi1_imag_axis_matches_half_angle(y):
     if y == 0.0:
         return
     assert phi1(1j * y) == pytest.approx(
-        phi1_imag_oracle(y), rel=full_branch_tol(abs(y)), abs=1e-300
+        phi1_imag_oracle(y), rel=PHI1_RTOL, abs=1e-300
     )
 
 
@@ -262,14 +260,11 @@ def test_phi1_keeps_digits_near_imag_period(k):
 
 
 def test_phi1_is_seamless_across_taylor_boundary():
-    # series branch is polynomial-exact to ~1e-15; the full formula pays the
-    # cancellation floor above
+    # the series branch and the expm1 quotient meet to a few roundings
     for mag in (0.2e-4, 0.9e-4, 0.999e-4, 1.001e-4, 1.1e-4, 5e-4):
-        tol = 1e-14 if mag < 1e-4 else full_branch_tol(mag)
-        assert phi1(mag) == pytest.approx(phi1_real_oracle(mag), rel=tol)
-        assert phi1(-mag) == pytest.approx(phi1_real_oracle(-mag), rel=tol)
-        assert phi1(1j * mag) == pytest.approx(phi1_imag_oracle(mag), rel=tol)
-        assert phi1(-1j * mag) == pytest.approx(phi1_imag_oracle(-mag), rel=tol)
+        for z, want in ((mag, phi1_real_oracle(mag)), (-mag, phi1_real_oracle(-mag)),
+                        (1j * mag, phi1_imag_oracle(mag)), (-1j * mag, phi1_imag_oracle(-mag))):
+            assert phi1(z) == pytest.approx(want, rel=PHI1_RTOL, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +354,11 @@ def test_tabulated_length_checked_at_sampling():
 
 
 def test_unknown_kind_rejected():
-    g = Grid(8.0, 64)
-    with pytest.raises(ValueError):
-        sample_potential(PotentialSpec(kind="lattice"), g, 0.5)
-    with pytest.raises(ValueError):
-        sample_initial(InitialDataSpec(kind="soliton"), g)
+    # refused when the spec is built, before a sweep config can carry it
+    with pytest.raises(ValueError, match="^potential: unknown kind 'lattice'"):
+        PotentialSpec(kind="lattice")
+    with pytest.raises(ValueError, match="^initial: unknown kind 'soliton'"):
+        InitialDataSpec(kind="soliton")
 
 
 def test_sample_plane_wave_and_tabulated_initial():
@@ -381,3 +376,7 @@ def test_width_sq_validation():
         PotentialSpec.gaussian(-1.0, 0.0)
     with pytest.raises(ValueError):
         PotentialSpec.gaussian(-1.0, -2.0)
+    # the constructor holds the invariant too, not only the named builder
+    for width_sq in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^width_sq must be positive"):
+            PotentialSpec("gaussian", width_sq=width_sq)
