@@ -21,6 +21,7 @@ field), 2 numerical failure (message names the failing cell or check).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -37,11 +38,11 @@ from .harness import (
     comparable,
     compare_methods,
     convergence_sweep,
-    error_x,
+    measure,
     regularity_normalizer,
     regularity_sweep,
 )
-from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
+from .integrators import NumericalBlowupError, SolveConfig, free_solution
 from .model import (
     DispersiveModel,
     ReducedModel,
@@ -58,10 +59,6 @@ from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
 from .spectral import (Grid, InitialDataSpec, PotentialSpec, resolving_grid_n, sample_initial,
                        sample_potential)
 
-RESULT_COLUMNS = (
-    "scheme", "kappa", "alpha", "epsilon", "tau", "z_final", "j",
-    "error_x", "normalized_error", "walltime_s",
-)
 RATE_COLUMNS = ("group", "slope", "intercept", "r_squared", "points")
 
 _IDENTITY_RTOL = 1e-10
@@ -158,7 +155,7 @@ def _model_at(eps: float, fields: dict) -> DispersiveModel:
 
 
 def _above(lo):
-    def check(v, fields):
+    def check(v):
         if not v > lo:
             raise ValueError(f"must be > {lo}, got {v}")
     return check
@@ -166,7 +163,7 @@ def _above(lo):
 
 def _finite(span: float = 1.0):
     """Check that a number is > 0 and stays finite times span."""
-    def check(v, fields):
+    def check(v):
         if not (v > 0 and math.isfinite(span * v)):
             times = "" if span == 1 else f" times {span:g}"
             raise ValueError(f"must be > 0 and finite{times}, got {v}")
@@ -183,7 +180,7 @@ _REQUIRED = object()
 def _field(key, read, default=_REQUIRED, flag=None, check=None, also=()) -> tuple:
     """One row of a subcommand's table.  read(raw) gives the value; default (a
     constant or a function of the fields before it) stands in when no source
-    gives one; check(value, fields) may raise; flag is the command-line flag,
+    gives one; check(value) may raise; flag is the command-line flag,
     if any; also lists keys accepted in place of key."""
     return key, read, default, flag, check, also
 
@@ -291,7 +288,7 @@ def _read_fields(args, table) -> dict:
                 raw = default(fields) if callable(default) else default
             value = None if raw is None else read(raw)
             if check and value is not None:
-                check(value, fields)
+                check(value)
         except (ValueError, TypeError, LookupError, ArithmeticError) as exc:
             raise ConfigError(f"{key}: {exc}") from None
         fields[key] = value
@@ -352,14 +349,14 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 def _write_results_csv(path: Path, records) -> None:
-    # every result column is an ErrorRecord attribute of the same name; the
-    # harness fixes the row order
-    _write_csv(path, RESULT_COLUMNS, ([getattr(r, c) for c in RESULT_COLUMNS] for r in records))
+    # one column per ErrorRecord field, in field order; the harness fixes the row order
+    _write_csv(path, [f.name for f in dataclasses.fields(ErrorRecord)],
+               map(dataclasses.astuple, records))
 
 
 def _write_plot_script(path: Path, records, x_field: str) -> None:
     """Small gnuplot script over results.csv; one curve per (scheme, epsilon)."""
-    xcol = 5 if x_field == "tau" else 4
+    col = {f.name: i for i, f in enumerate(dataclasses.fields(ErrorRecord), 1)}
     groups = sorted({(r.scheme, r.epsilon) for r in records})
     lines = [
         "# gnuplot script; run from the directory containing results.csv",
@@ -371,9 +368,10 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
     ]
     plots = []
     for scheme, eps in groups:
-        sel = f'(strcol(1) eq "{scheme}" && $4 == {_fmt(eps)} ? $8 : 1/0)'
+        sel = (f'(strcol({col["scheme"]}) eq "{scheme}" && ${col["epsilon"]} == {_fmt(eps)}'
+               f' ? ${col["error_x"]} : 1/0)')
         plots.append(
-            f'"results.csv" skip 1 using {xcol}:{sel} with linespoints'
+            f'"results.csv" skip 1 using {col[x_field]}:{sel} with linespoints'
             f' title "{scheme} eps={eps:.6g}"'
         )
     lines.append("plot \\\n    " + ", \\\n    ".join(plots))
@@ -385,21 +383,14 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
 
 
 def _run_solve(args, f: dict, solve_cfg: SolveConfig, out: Path) -> int:
-    eps, j, grid = f["epsilon"], f["deriv_order"], solve_cfg.grid
-    result = solve(solve_cfg)
-    err = error_x(result.final, free_solution(solve_cfg), j)
-    record = ErrorRecord(
-        scheme=solve_cfg.scheme.value, kappa=f["kappa"], alpha=f["alpha"], epsilon=eps,
-        tau=f["tau"], z_final=f["z_final"], j=j, error_x=err,
-        normalized_error=err / regularity_normalizer(f["kappa"], f["alpha"], j, eps),
-        walltime_s=result.walltime,
-    )
+    j, m = f["deriv_order"], solve_cfg.model
+    record, final = measure(solve_cfg, free_solution(solve_cfg), j,
+                            regularity_normalizer(m.kappa, m.alpha, j, m.epsilon))
 
     _write_results_csv(out / "results.csv", [record])
-    vals = result.final.values
-    _write_csv(out / "final_state.csv", ("x", "re", "im"),
-               ((float(x), float(v.real), float(v.imag)) for x, v in zip(grid.nodes, vals)))
-    print(f"solve: {len(vals)} nodes, error_x vs free flow = {err:.6g}")
+    _write_csv(out / "final_state.csv", ("x", "re", "im"), (
+        (float(x), float(v.real), float(v.imag)) for x, v in zip(final.grid.nodes, final.values)))
+    print(f"solve: {final.grid.n} nodes, error_x vs free flow = {record.error_x:.6g}")
     return 0
 
 
@@ -420,10 +411,9 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
         (label.replace(",", ";"), fit.slope, fit.intercept, fit.r_squared, fit.n_points)
         for label, fit in rates
     ))
-    if args.emit_plots:
-        _write_plot_script(out / "plot.gp", result.records, x_field)
+    _write_plot_script(out / "plot.gp", result.records, x_field)
 
-    print(f"{command}: {len(result.records)} cells on grid n={result.grid_n}, "
+    print(f"{command}: {len(result.records)} cells on grid n={f['grid_n']}, "
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
     for label, fit in rates:
         print(f"  {label}: slope={fit.slope:.4f} r2={fit.r_squared:.5f}")
@@ -530,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--preset", help="named preset supplying model and domain defaults")
-        if run is _run_sweep:
-            sp.add_argument("--emit-plots", action="store_true", dest="emit_plots",
-                            help="also write a plot.gp script")
         for key, read, _, flag, _, _ in table:
             if flag:
                 # integers are typed here; every other flag reaches its reader as text

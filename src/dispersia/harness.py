@@ -9,7 +9,6 @@ the predicted eps-rate so that curves for different eps collapse.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -55,8 +54,15 @@ def regularity_normalizer(kappa: int, alpha: float, j: int, eps: float) -> float
     return _rate(expected_regularity_exponent(kappa, alpha, j), eps)
 
 
+def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:
+    """Step-size scale eps^(kappa-alpha) where splitting schemes change regime."""
+    return eps ** (kappa - alpha)
+
+
 @dataclass(frozen=True)
 class ErrorRecord:
+    """One results row; its fields are the columns of results.csv, in order."""
+
     scheme: str
     kappa: int
     alpha: float
@@ -67,7 +73,25 @@ class ErrorRecord:
     error_x: float
     normalized_error: float
     walltime_s: float
-    regime: str = ""
+
+    @property
+    def regime(self) -> str:
+        """The side of splitting_threshold that tau lies on."""
+        small = self.tau <= splitting_threshold(self.kappa, self.alpha, self.epsilon)
+        return "small_tau" if small else "large_tau"
+
+
+def measure(config: SolveConfig, truth: SpectralField, j: int,
+            rate: float) -> tuple[ErrorRecord, SpectralField]:
+    """solve(config) against truth: its record, with the j-th derivative
+    error divided by rate and walltime_s the solve's step-loop time, and its
+    final field."""
+    res = solve(config)
+    err = error_x(res.final, truth, j)
+    m = config.model
+    record = ErrorRecord(config.scheme.value, m.kappa, m.alpha, m.epsilon, config.tau,
+                         config.z_final, j, err, err / rate, res.walltime)
+    return record, res.final
 
 
 @dataclass(frozen=True)
@@ -166,12 +190,13 @@ class SweepConfig:
 class SweepResult:
     records: list[ErrorRecord] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
-    grid_n: int = 0
 
     def rates_by_group(
         self, x_field: str = "tau", keys: tuple[str, ...] = ("scheme", "epsilon")
     ) -> list[tuple[str, RateFit]]:
-        """Log-log slope per group, using error_x against the chosen axis."""
+        """Log-log slope per group, using error_x against the chosen axis.  A
+        group of one record, or holding an error that is not > 0, has no slope
+        and is left out."""
         groups: dict[tuple, list[ErrorRecord]] = {}
         for rec in self.records:
             gk = tuple(getattr(rec, k) for k in keys)
@@ -179,7 +204,7 @@ class SweepResult:
         out = []
         for gk in sorted(groups):
             recs = groups[gk]
-            if len(recs) < 2:
+            if len(recs) < 2 or not all(r.error_x > 0 for r in recs):
                 continue
             xs = [getattr(r, x_field) for r in recs]
             ys = [r.error_x for r in recs]
@@ -190,14 +215,10 @@ class SweepResult:
         return out
 
 
-def _sorted_records(records: list[ErrorRecord]) -> list[ErrorRecord]:
-    return sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j))
-
-
 def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, rate):
     """One eps cell: truth(base) once, where base is the reference-solve
-    configuration at eps, then a timed solve per scheme and tau, each
-    measured against that one truth and normalized by rate(eps).
+    configuration at eps, then one measure per scheme and tau against that
+    one truth, normalized by rate(eps).
 
     A failure to build the truth fails the cell once per scheme (keyed
     scheme=<s>,epsilon=<e>); a failing solve fails only its own tau.
@@ -219,28 +240,12 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, 
         msg = f"{type(exc).__name__}: {exc}"
         return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg) for s in schemes]
     for scheme, tau in product(schemes, taus):
-        tkey = f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}"
         try:
-            t0 = time.perf_counter()
-            res = solve(replace(base, scheme=scheme, tau=tau))
-            wall = time.perf_counter() - t0
-            err = error_x(res.final, exact, cfg.deriv_order)
-            recs.append(
-                ErrorRecord(
-                    scheme=scheme.value,
-                    kappa=cfg.kappa,
-                    alpha=cfg.alpha,
-                    epsilon=eps,
-                    tau=tau,
-                    z_final=cfg.z_final,
-                    j=cfg.deriv_order,
-                    error_x=err,
-                    normalized_error=err / rate(eps),
-                    walltime_s=wall,
-                )
-            )
+            config = replace(base, scheme=scheme, tau=tau)
+            recs.append(measure(config, exact, cfg.deriv_order, rate(eps))[0])
         except Exception as exc:  # noqa: BLE001
-            fails.append(CellFailure(tkey, f"{type(exc).__name__}: {exc}"))
+            fails.append(CellFailure(f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}",
+                                     f"{type(exc).__name__}: {exc}"))
     return recs, fails
 
 
@@ -259,8 +264,8 @@ def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
             results = list(pool.map(run_cell, cfg.epsilons))
     records = [r for recs, _ in results for r in recs]
     failures = [f for _, fails in results for f in fails]
-    return SweepResult(records=_sorted_records(records),
-                       failures=sorted(failures, key=lambda f: f.cell), grid_n=grid.n)
+    return SweepResult(records=sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j)),
+                       failures=sorted(failures, key=lambda f: f.cell))
 
 
 def convergence_sweep(cfg: SweepConfig) -> SweepResult:
@@ -282,11 +287,6 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
                   partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.deriv_order))
 
 
-def splitting_threshold(kappa: int, alpha: float, eps: float) -> float:
-    """Step-size scale eps^(kappa-alpha) where splitting schemes change regime."""
-    return eps ** (kappa - alpha)
-
-
 def comparable(cfg: SweepConfig) -> SweepConfig:
     """cfg, refused under schemes unless it names at least two to compare."""
     if len(cfg.schemes) < 2:
@@ -296,12 +296,6 @@ def comparable(cfg: SweepConfig) -> SweepConfig:
 
 
 def compare_methods(cfg: SweepConfig) -> SweepResult:
-    """Convergence sweep across schemes with regime tags tau vs eps^(k-a)."""
-    result = convergence_sweep(comparable(cfg))
-    tagged = []
-    for rec in result.records:
-        thr = splitting_threshold(rec.kappa, rec.alpha, rec.epsilon)
-        regime = "small_tau" if rec.tau <= thr else "large_tau"
-        tagged.append(replace(rec, regime=regime))
-    result.records = tagged
-    return result
+    """Convergence sweep across at least two schemes; each record's regime
+    places its tau against eps^(kappa-alpha)."""
+    return convergence_sweep(comparable(cfg))

@@ -6,9 +6,11 @@ src/ would silently zero its metrics, so a tiny traced compare and a tiny
 traced verify-phase must still show steps, FFTs, reference solves and scan
 points.  Only "> 0" is asserted where later work is meant to lower a count;
 the reference solves are pinned at one per eps, the least a sweep can do,
-and the FFTs at the step loop's 2 a step plus 2 a solve.
+and the FFTs at the step loop's 2 a step plus 2 a solve.  The benchmark's
+checks read results.csv by column name, so its header must hold them all.
 """
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -19,16 +21,20 @@ import pytest
 from dispersia import cli, harness, integrators, model
 
 SCHEMES = ("ei", "lt", "strang", "lri")
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses resolve the module by name
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def Tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # its dataclasses resolve the module by name
-    spec.loader.exec_module(mod)
-    return mod.Tracer
+    return perfbench_module("tracing").Tracer
 
 
 def traced(Tracer, argv):
@@ -77,3 +83,23 @@ def test_traced_verify_phase_sees_the_scan(Tracer, tmp_path):
     assert metrics["model.phase_points"] > 0
     assert metrics["model.scan_points"] > 0
     assert metrics["model.c0_candidates"] > 0
+
+
+def test_results_header_holds_every_column_the_checks_parse(tmp_path):
+    # parse_results converts each of its columns by name, so one missing from
+    # the header raises KeyError; every column but scheme comes back a number
+    parse_results = perfbench_module("checks").parse_results
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid_n": 256, "z_final": 0.2}))
+    out = tmp_path / "out"
+    assert cli.main([
+        "sweep-convergence", "--preset", "schrodinger-a1", "--config", str(config),
+        "--epsilon", "0.125", "--tau", "0.01,0.02", "--out", str(out),
+    ]) == 0
+    text = (out / "results.csv").read_text()
+    header = [f.name for f in dataclasses.fields(harness.ErrorRecord)]
+    assert text.splitlines()[0] == ",".join(header)
+    rows = parse_results(text)
+    assert [(r["scheme"], r["tau"]) for r in rows] == [("ei", 0.01), ("ei", 0.02)]
+    for column in header[1:]:
+        assert all(isinstance(r[column], (int, float)) for r in rows), column

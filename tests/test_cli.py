@@ -150,7 +150,7 @@ def test_solve_free_flow_preserves_x_norm(tmp_path):
     initial = x_norm(
         SpectralField(grid, values=sample_initial(InitialDataSpec.gaussian(), grid))
     )
-    assert evolved == pytest.approx(initial, rel=1e-12)
+    assert evolved == pytest.approx(initial, rel=1e-12, abs=0.0)
 
 
 def test_solve_normalized_column_uses_regularity_rate(tmp_path):
@@ -161,7 +161,7 @@ def test_solve_normalized_column_uses_regularity_rate(tmp_path):
     _, rows = read_rows(out / "results.csv")
     err, normalized = float(rows[0][7]), float(rows[0][8])
     norm = regularity_normalizer(2, 1.0, 0, 0.25)
-    assert normalized * norm == pytest.approx(err, rel=1e-12)
+    assert normalized * norm == pytest.approx(err, rel=1e-12, abs=0.0)
 
 
 def test_solve_run_json_round_trip(tmp_path):
@@ -225,7 +225,7 @@ def test_solve_rejects_multiple_taus(tmp_path, capsys):
 def test_sweep_convergence_artifacts_and_slope(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_SWEEP)
     out = tmp_path / "out"
-    rc = main(["sweep-convergence", "--config", cfg, "--out", str(out), "--emit-plots"])
+    rc = main(["sweep-convergence", "--config", cfg, "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "sweep-convergence: 3 cells" in printed
@@ -239,10 +239,16 @@ def test_sweep_convergence_artifacts_and_slope(tmp_path, capsys):
     assert float(rrows[0][1]) == pytest.approx(1.0, abs=0.15)
     assert int(rrows[0][4]) == 3
 
+    # plot.gp is always written, and reads results.csv's columns by their position
     gp = (out / "plot.gp").read_text()
     assert "set logscale xy" in gp
     assert '"results.csv"' in gp
     assert 'title "ei eps=0.5"' in gp
+    assert 'using 5:(strcol(1) eq "ei" && $4 == 0.5 ? $8 : 1/0)' in gp
+    assert [header.index(c) + 1 for c in ("scheme", "epsilon", "tau", "error_x")] == [1, 4, 5, 8]
+    # a rerun asking for the plot by flag is refused: the flag is gone
+    assert main(["sweep-convergence", "--config", cfg, "--out", str(out), "--emit-plots"]) == 1
+    assert "unrecognized arguments: --emit-plots" in capsys.readouterr().err
 
 
 def test_sweep_reruns_are_byte_identical_except_walltime(tmp_path):
@@ -285,6 +291,40 @@ def test_sweep_cell_failure_exit_code(tmp_path, capsys):
     _, rows = read_rows(out / "results.csv")
     assert len(rows) == 2
     assert all(float(r[3]) == 0.6 for r in rows)
+
+
+def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
+    # at z_final = 0 every solve returns its sampled data, so every error is
+    # exactly 0: the rows are written and no rate is fitted to them
+    out = tmp_path / "out"
+    rc = main(["sweep-convergence", "--preset", "schrodinger-a1", "--tau", "0.05,0.1",
+               "--config", write_config(tmp_path, {"z_final": 0.0}), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    _, rows = read_rows(out / "results.csv")
+    assert [(float(r[4]), float(r[7])) for r in rows] == [(0.05, 0.0), (0.1, 0.0)]
+    assert read_rows(out / "rates.csv") == (["group", "slope", "intercept", "r_squared",
+                                             "points"], [])
+    assert "0 fitted rates, 0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scheme,j", [("ei", 0), ("lt", 1)])
+def test_solve_row_is_the_row_of_a_one_eps_regularity_sweep(tmp_path, scheme, j):
+    # both measure one solve against the free flow through the same harness
+    # function, so the rows agree in every column but walltime_s
+    doc = dict(FREE_SOLVE, scheme=scheme, deriv_order=j,
+               potential={"kind": "gaussian", "amplitude": -1.0, "width_sq": 1.0})
+    sweep = dict(doc, epsilons=[doc["epsilon"]], reference_scheme=scheme,
+                 reference_tau=doc["tau"])
+    rows = []
+    for command, config in (("solve", doc), ("sweep-regularity", sweep)):
+        out = tmp_path / command
+        assert main([command, "--config", write_config(tmp_path, config, f"{command}.json"),
+                     "--out", str(out)]) == 0
+        rows.append(read_rows(out / "results.csv"))
+    (header, solved), (sweep_header, swept) = rows
+    assert header == sweep_header and len(solved) == len(swept) == 1
+    assert solved[0][:9] == swept[0][:9]
+    assert solved[0][0] == scheme and solved[0][6] == str(j)
 
 
 def test_sweep_regularity_records_reference_tau(tmp_path):
@@ -372,7 +412,7 @@ def test_verify_phase_quadratic(tmp_path, capsys):
     doc = json.loads((out / "phase_report.json").read_text())
     assert doc["identityOk"] is True
     assert doc["maxRelDeviation"] <= 1e-10
-    assert doc["minRatio"] == pytest.approx(0.5, rel=1e-12)
+    assert doc["minRatio"] == pytest.approx(0.5, rel=1e-12, abs=0.0)
     assert doc["c0"] == 1.0 and doc["c0Searched"] is True
     assert doc["lowerBoundOk"] is True
     assert doc["admissibleCount"] > 0

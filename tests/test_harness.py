@@ -95,12 +95,12 @@ def test_error_normalizer_figure_style():
     eps = 2.0**-6
     # kappa=2, alpha=1: second branch dominates, log factor present
     want = eps * math.log(64.0)
-    assert error_normalizer(2, 1.0, eps) == pytest.approx(want, rel=1e-14)
+    assert error_normalizer(2, 1.0, eps) == pytest.approx(want, rel=1e-14, abs=0.0)
     # kappa=2, alpha=0.5: first branch dominates, no log
-    assert error_normalizer(2, 0.5, eps) == pytest.approx(eps**1.25, rel=1e-14)
+    assert error_normalizer(2, 0.5, eps) == pytest.approx(eps**1.25, rel=1e-14, abs=0.0)
     # kappa=3 never carries the log
-    assert error_normalizer(3, 3.0, eps) == pytest.approx(1.0, rel=1e-14)
-    assert error_normalizer(3, 0.75, eps) == pytest.approx(eps**1.5, rel=1e-14)
+    assert error_normalizer(3, 3.0, eps) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+    assert error_normalizer(3, 0.75, eps) == pytest.approx(eps**1.5, rel=1e-14, abs=0.0)
 
 
 def test_regularity_normalizer():
@@ -219,7 +219,7 @@ def test_convergence_sweep_shape(small_sweep):
     cfg, result = small_sweep
     assert not result.failures
     assert len(result.records) == len(cfg.taus)
-    assert result.grid_n == 128
+    assert cfg.grid().n == 128
     assert all(r.scheme == "ei" and r.epsilon == 0.5 for r in result.records)
     # records are sorted by (scheme, epsilon, tau, j)
     assert [r.tau for r in result.records] == sorted(cfg.taus)
@@ -236,7 +236,7 @@ def test_convergence_sweep_normalization_identity(small_sweep):
     cfg, result = small_sweep
     for r in result.records:
         back = r.normalized_error * error_normalizer(r.kappa, r.alpha, r.epsilon)
-        assert back == pytest.approx(r.error_x, rel=1e-14)
+        assert back == pytest.approx(r.error_x, rel=1e-14, abs=0.0)
 
 
 def test_convergence_sweep_reference_dominates(small_sweep):
@@ -330,7 +330,7 @@ def test_regularity_sweep_normalization_and_orders():
     for r in result.records:
         assert r.j == 1
         norm = regularity_normalizer(r.kappa, r.alpha, r.j, r.epsilon)
-        assert r.normalized_error * norm == pytest.approx(r.error_x, rel=1e-14)
+        assert r.normalized_error * norm == pytest.approx(r.error_x, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +424,12 @@ def test_rates_by_group_labels_and_slopes():
 def test_rates_by_group_skips_singletons():
     rec = ErrorRecord("ei", 2, 1.0, 0.5, 0.1, 1.0, 0, 0.1, 0.0, 0.0)
     assert SweepResult(records=[rec]).rates_by_group() == []
+
+
+def test_rates_by_group_skips_groups_holding_a_zero_error():
+    # a log-log slope needs every error > 0; the other group is still fitted
+    recs = [ErrorRecord(s, 2, 1.0, 0.5, tau, 1.0, 0, err, 0.0, 0.0)
+            for s, errs in (("ei", (0.0, 0.2)), ("lt", (0.1, 0.2)))
+            for tau, err in zip((0.1, 0.2), errs)]
+    rates = SweepResult(records=recs).rates_by_group()
+    assert [label for label, _ in rates] == ["scheme=lt,epsilon=0.5,x=tau"]

@@ -132,7 +132,7 @@ def test_ei_zero_mode_recursion():
     got = np.fft.fft(out)[0]
     r = sample_potential(GAUSS_POT, GRID, MODEL.epsilon)
     want = np.fft.fft(mu)[0] + tau * np.fft.fft(r * mu)[0]
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_lt_with_identity_flow_is_pure_potential_factor():
@@ -315,7 +315,7 @@ def test_free_solution_is_isometry():
     mu0 = SpectralField(GRID, values=sample_initial(GAUSS_INI, GRID))
     for j in (0, 1):
         assert x_norm(free_solution(cfg), j) == pytest.approx(
-            x_norm(mu0, j), rel=1e-12
+            x_norm(mu0, j), rel=1e-12, abs=0.0
         )
 
 

@@ -169,14 +169,14 @@ def test_eval_q_positive_coefficients():
 def test_phase_frozen_examples():
     m = DispersiveModel(2, (1.0,), 1.0, 0.25)
     assert eval_phase(m, 0.0, 5.0) == 0.0
-    assert eval_phase(m, 1.0, 2.0) == pytest.approx(8.0, rel=1e-14)
+    assert eval_phase(m, 1.0, 2.0) == pytest.approx(8.0, rel=1e-14, abs=0.0)
     m3 = DispersiveModel(3, (1.0, 0.0), 0.0, 0.5)
-    assert eval_phase(m3, 1.0, 0.0) == pytest.approx(8.0, rel=1e-14)
+    assert eval_phase(m3, 1.0, 0.0) == pytest.approx(8.0, rel=1e-14, abs=0.0)
 
 
 def test_phase_factored_frozen_examples():
     m = DispersiveModel(2, (1.0,), 1.0, 0.25)
-    assert eval_phase_factored(m, 1.0, 2.0) == pytest.approx(8.0, rel=1e-12)
+    assert eval_phase_factored(m, 1.0, 2.0) == pytest.approx(8.0, rel=1e-12, abs=0.0)
     for m_any in (m, DispersiveModel(5, (1.0, -1.0, 2.0), 3.0, 0.125)):
         assert eval_phase_factored(m_any, 0.0, 11.3) == 0.0
 
@@ -293,7 +293,7 @@ def test_bound_scan_kappa2_is_exactly_half(c0):
     m = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
     axis = np.linspace(-8, 8, 201)
     rep = verify_phase_lower_bound(m, c0, axis, axis)
-    assert rep.min_ratio == pytest.approx(0.5, rel=1e-12)
+    assert rep.min_ratio == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -307,12 +307,12 @@ def test_bound_scan_matches_brute_force(kappa, coeffs):
     rep = verify_phase_lower_bound(m, c0, axis, axis)
     b_best, _b_worst, b_count = brute_bound_scan(m, c0, axis, axis)
     assert rep.admissible_count == b_count
-    assert rep.min_ratio == pytest.approx(b_best, rel=1e-10)
+    assert rep.min_ratio == pytest.approx(b_best, rel=1e-10, abs=0.0)
     # the reported worst point reproduces the reported minimum
     best_again, _, _ = brute_bound_scan(
         m, c0, np.array([rep.worst_xi1]), np.array([(rep.worst_xi2)])
     )
-    assert best_again == pytest.approx(rep.min_ratio, rel=1e-10)
+    assert best_again == pytest.approx(rep.min_ratio, rel=1e-10, abs=0.0)
 
 
 def test_bound_scan_filters_inadmissible_points():

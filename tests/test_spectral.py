@@ -109,8 +109,8 @@ def test_plane_wave_transforms_to_single_coefficient():
     f = SpectralField(g, values=sample_initial(InitialDataSpec.plane_wave(xi0), g))
     c = f.coefficients
     k = int(np.argmin(np.abs(g.xi - xi0)))
-    assert g.xi[k] == pytest.approx(xi0, rel=1e-14)
-    assert c[k] == pytest.approx(2.0 * g.half_width, rel=1e-11)
+    assert g.xi[k] == pytest.approx(xi0, rel=1e-14, abs=0.0)
+    assert c[k] == pytest.approx(2.0 * g.half_width, rel=1e-11, abs=0.0)
     rest = np.abs(np.delete(c, k))
     assert rest.max() <= 1e-9 * 2.0 * g.half_width
 
@@ -155,7 +155,7 @@ def test_parseval_identity():
     f = random_field(g, 11)
     phys = g.h * float(np.sum(np.abs(f.values) ** 2))
     spec = g.dxi / (2.0 * math.pi) * float(np.sum(np.abs(f.coefficients) ** 2))
-    assert spec == pytest.approx(phys, rel=1e-10)
+    assert spec == pytest.approx(phys, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_x_norm_weighted_gaussian():
     # integral of |xi| sqrt(2 pi) exp(-xi^2/2) is 2 sqrt(2 pi); the kink of
     # |xi| at 0 costs the Riemann sum about dxi^2 sqrt(2 pi)/4, so 3e-3 here
     f = unit_gaussian_field()
-    assert x_norm(f, j=1) == pytest.approx(2.0 * math.sqrt(2.0 * math.pi), rel=5e-3)
+    assert x_norm(f, j=1) == pytest.approx(2.0 * math.sqrt(2.0 * math.pi), rel=5e-3, abs=0.0)
 
 
 def test_x_norm_dilation_invariance():
@@ -180,7 +180,7 @@ def test_x_norm_dilation_invariance():
     base = x_norm(SpectralField(g, values=np.exp(-(g.nodes**2) / 2.0)))
     for lam in (2.0, 0.5):
         stretched = x_norm(SpectralField(g, values=np.exp(-((lam * g.nodes) ** 2) / 2.0)))
-        assert stretched == pytest.approx(base, rel=1e-8)
+        assert stretched == pytest.approx(base, rel=1e-8, abs=0.0)
 
 
 def test_x_norm_rejects_bad_weight():
@@ -214,8 +214,8 @@ def phi1_imag_oracle(y: float) -> complex:
 
 def test_phi1_special_values():
     assert phi1(0.0) == 1.0 + 0.0j
-    assert phi1(math.log(2.0)) == pytest.approx(1.0 / math.log(2.0), rel=1e-14)
-    assert phi1(1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert phi1(math.log(2.0)) == pytest.approx(1.0 / math.log(2.0), rel=1e-14, abs=0.0)
+    assert phi1(1.0) == pytest.approx(math.e - 1.0, rel=1e-14, abs=0.0)
 
 
 def test_phi1_scalar_and_array_paths_agree():
