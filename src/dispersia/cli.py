@@ -44,6 +44,7 @@ from .harness import (
 )
 from .integrators import NumericalBlowupError, SolveConfig, free_solution
 from .model import (
+    C0_FLOOR,
     DispersiveModel,
     ReducedModel,
     blocks,
@@ -56,8 +57,7 @@ from .model import (
     verify_phase_lower_bound,
 )
 from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
-from .spectral import (Grid, InitialDataSpec, PotentialSpec, resolving_grid_n, sample_initial,
-                       sample_potential)
+from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
 
 RATE_COLUMNS = ("group", "slope", "intercept", "r_squared", "points")
 
@@ -319,12 +319,8 @@ def _solve_config(f: dict) -> SolveConfig:
     hw, n = f["half_width"], f["grid_n"]
     grid = Grid(hw, resolving_grid_n(hw, model.epsilon) if n is None else n)
     f["grid_n"] = grid.n  # run.json echoes the grid the solve runs on
-    cfg = SolveConfig(model, grid, f["potential"], f["initial"], f["scheme"], f["tau"],
-                      f["z_final"])
-    # solve() samples both on the grid; a coarse grid or a wrong sample count is refused here
-    sample_potential(cfg.potential, grid, model.epsilon)
-    sample_initial(cfg.initial, grid)
-    return cfg
+    return SolveConfig(model, grid, f["potential"], f["initial"], f["scheme"], f["tau"],
+                       f["z_final"])
 
 
 def _sweep_config(f: dict) -> SweepConfig:
@@ -355,9 +351,11 @@ def _write_results_csv(path: Path, records) -> None:
 
 
 def _write_plot_script(path: Path, records, x_field: str) -> None:
-    """Small gnuplot script over results.csv; one curve per (scheme, epsilon)."""
+    """Small gnuplot script over results.csv: one log-scale curve per (scheme,
+    epsilon) whose errors are all > 0, as in rates_by_group; no plot without one."""
     col = {f.name: i for i, f in enumerate(dataclasses.fields(ErrorRecord), 1)}
-    groups = sorted({(r.scheme, r.epsilon) for r in records})
+    zero = {(r.scheme, r.epsilon) for r in records if not r.error_x > 0}
+    groups = sorted({(r.scheme, r.epsilon) for r in records} - zero)
     lines = [
         "# gnuplot script; run from the directory containing results.csv",
         "set datafile separator comma",
@@ -374,7 +372,8 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
             f'"results.csv" skip 1 using {col[x_field]}:{sel} with linespoints'
             f' title "{scheme} eps={eps:.6g}"'
         )
-    lines.append("plot \\\n    " + ", \\\n    ".join(plots))
+    if plots:
+        lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -462,9 +461,12 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     searched = f["c0"] is None
     if searched:
         report = search_lower_bound_constant(model, axis, axis)
+        bound_ok = report.min_ratio >= C0_FLOOR
+        why = f"no candidate c0 reaches min ratio {C0_FLOOR}; best was {report.min_ratio}"
     else:
         report = verify_phase_lower_bound(model, f["c0"], axis, axis)
-    bound_ok = report.min_ratio > 0.0
+        bound_ok = report.min_ratio > 0.0
+        why = f"minRatio={report.min_ratio} is not positive"
 
     doc = {
         "kappa": f["kappa"], "coeffs": list(f["coeffs"]), "alpha": alpha, "epsilon": eps,
@@ -485,8 +487,7 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
               f"{max_dev:.3e} exceeds {_IDENTITY_RTOL}", file=sys.stderr)
         return 2
     if not bound_ok:
-        print(f"numerical failure: cell bound-scan: minRatio={report.min_ratio} "
-              "is not positive", file=sys.stderr)
+        print(f"numerical failure: cell bound-scan: {why}", file=sys.stderr)
         return 2
     return 0
 

@@ -20,15 +20,7 @@ from .integrators import (SolveConfig, StepperKind, free_solution, solve, step_c
                           stepper_kind)
 from .model import (DispersiveModel, RateExponent, check_integer, expected_error_exponent,
                     expected_regularity_exponent)
-from .spectral import (
-    Grid,
-    InitialDataSpec,
-    PotentialSpec,
-    SpectralField,
-    check_sample_count,
-    resolving_grid_n,
-    x_norm,
-)
+from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, resolving_grid_n, x_norm
 
 
 def error_x(a: SpectralField, b: SpectralField, j: int = 0) -> float:
@@ -134,7 +126,8 @@ class SweepConfig:
     must undercut every test tau by at least a factor of ten so reference
     error stays negligible, and it and every tau must divide z_final; a
     regularity sweep, which runs no test tau, leaves taus empty.  A bad
-    field is refused under its own name before any cell runs.
+    field is refused under its own name before any cell runs: cell(eps) is
+    built for every eps, so a grid too coarse for one of them is refused too.
     """
 
     kappa: int
@@ -163,7 +156,6 @@ class SweepConfig:
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"epsilons: must lie in (0, 1], got {e}")
-        self.model(self.epsilons[0])  # kappa, coeffs, alpha
         for tau in self.taus:
             step_count(tau, self.z_final, "taus")
         step_count(self.reference_tau, self.z_final, "reference_tau")
@@ -172,9 +164,8 @@ class SweepConfig:
                              f"{min(self.taus) / 10.0}, got {self.reference_tau}")
         for key, lo in (("deriv_order", 0), ("workers", 1)):
             setattr(self, key, check_integer(getattr(self, key), lo, key))
-        n = self.grid().n  # half_width, grid_n
-        check_sample_count(self.potential, n, "potential")
-        check_sample_count(self.initial, n, "initial")
+        for e in self.epsilons:
+            self.cell(e)  # the model, the grid and the samples each cell solves on
 
     def grid(self) -> Grid:
         n = self.grid_n
@@ -182,8 +173,11 @@ class SweepConfig:
             n = resolving_grid_n(self.half_width, min(self.epsilons))
         return Grid(self.half_width, n)
 
-    def model(self, eps: float) -> DispersiveModel:
-        return DispersiveModel(self.kappa, self.coeffs, self.alpha, eps)
+    def cell(self, eps: float) -> SolveConfig:
+        """The reference solve of the eps cell, on the sweep's grid."""
+        return SolveConfig(DispersiveModel(self.kappa, self.coeffs, self.alpha, eps),
+                           self.grid(), self.potential, self.initial, self.reference_scheme,
+                           self.reference_tau, self.z_final)
 
 
 @dataclass
@@ -215,26 +209,18 @@ class SweepResult:
         return out
 
 
-def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, rate):
-    """One eps cell: truth(base) once, where base is the reference-solve
-    configuration at eps, then one measure per scheme and tau against that
-    one truth, normalized by rate(eps).
+def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
+    """One eps cell: truth(base) once, where base is cfg.cell(eps), then one
+    measure per scheme and tau against that one truth, normalized by
+    rate(eps).
 
     A failure to build the truth fails the cell once per scheme (keyed
     scheme=<s>,epsilon=<e>); a failing solve fails only its own tau.
     """
     recs: list[ErrorRecord] = []
     fails: list[CellFailure] = []
+    base = cfg.cell(eps)
     try:
-        base = SolveConfig(
-            model=cfg.model(eps),
-            grid=grid,
-            potential=cfg.potential,
-            initial=cfg.initial,
-            scheme=cfg.reference_scheme,
-            tau=cfg.reference_tau,
-            z_final=cfg.z_final,
-        )
         exact = truth(base)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         msg = f"{type(exc).__name__}: {exc}"
@@ -252,10 +238,8 @@ def _sweep_cell(cfg: SweepConfig, grid: Grid, eps: float, schemes, taus, truth, 
 def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
     """Run one eps cell per epsilon, concurrently; aggregation order is
     fixed by sorting."""
-    grid = cfg.grid()
-
     def run_cell(eps):
-        return _sweep_cell(cfg, grid, eps, schemes, taus, truth, rate)
+        return _sweep_cell(cfg, eps, schemes, taus, truth, rate)
 
     if cfg.workers <= 1:
         results = [run_cell(e) for e in cfg.epsilons]

@@ -34,8 +34,9 @@ from enum import Enum
 import numpy as np
 
 from .model import DispersiveModel
-from .spectral import (Grid, InitialDataSpec, PotentialSpec, SpectralField, flow_phase,
-                       free_propagator_symbol, phi1, sample_initial, sample_potential)
+from .spectral import (Grid, InitialDataSpec, PotentialSpec, SpectralField, check_mesh,
+                       check_sample_count, flow_phase, free_propagator_symbol, phi1,
+                       sample_initial, sample_potential)
 
 
 class NumericalBlowupError(RuntimeError):
@@ -60,6 +61,10 @@ def stepper_kind(name, key: str = "scheme") -> StepperKind:
 
 @dataclass
 class SolveConfig:
+    """One solve's inputs, checked when built: a grid too coarse for eps is
+    refused under grid_n (a marginal one warns), and tabulated data must hold
+    one sample per grid node."""
+
     model: DispersiveModel
     grid: Grid
     potential: PotentialSpec
@@ -71,6 +76,9 @@ class SolveConfig:
     def __post_init__(self):
         self.scheme = stepper_kind(self.scheme)
         self.step_count()  # tau, z_final
+        check_mesh(self.grid, self.model.epsilon)
+        check_sample_count(self.potential, self.grid.n, "potential")
+        check_sample_count(self.initial, self.grid.n, "initial")
 
     def step_count(self) -> int:
         return step_count(self.tau, self.z_final)

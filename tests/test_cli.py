@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersia.cli import main
-from dispersia.harness import regularity_normalizer
+from dispersia import harness
+from dispersia.cli import _write_plot_script, main
+from dispersia.harness import ErrorRecord, regularity_normalizer
+from dispersia.integrators import NumericalBlowupError
 from dispersia.spectral import Grid, InitialDataSpec, SpectralField, sample_initial, x_norm
 
 FREE_SOLVE = {
@@ -277,20 +279,39 @@ def test_sweep_run_json_round_trip_keeps_deriv_order(tmp_path):
     assert [r[:9] for r in rows1] == [r[:9] for r in rows2]
 
 
-def test_sweep_cell_failure_exit_code(tmp_path, capsys):
-    doc = dict(SMALL_SWEEP)
-    doc.update(half_width=16.0, grid_n=64, epsilons=[0.6, 0.1],
-               taus=[0.05, 0.025], reference_tau=2e-3, z_final=0.5)
+def test_sweep_cell_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # every solve at eps 0.25 blows up: its cell fails once per scheme, exit 2
+    real_solve = harness.solve
+
+    def solve_or_blow_up(config):
+        if config.model.epsilon == 0.25:
+            raise NumericalBlowupError("non-finite values at step 1/1")
+        return real_solve(config)
+
+    monkeypatch.setattr(harness, "solve", solve_or_blow_up)
+    doc = dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[0.05, 0.025], schemes=["ei", "lt"])
     out = tmp_path / "out"
     rc = main(["sweep-convergence", "--config", write_config(tmp_path, doc),
                "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "numerical failure: cell scheme=ei,epsilon=0.1" in err
-    # the resolved cell still produced its records
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"numerical failure: cell scheme={s},epsilon=0.25: NumericalBlowupError: "
+                   "non-finite values at step 1/1" for s in ("ei", "lt")]
+    # the other cell still produced its records
     _, rows = read_rows(out / "results.csv")
-    assert len(rows) == 2
-    assert all(float(r[3]) == 0.6 for r in rows)
+    assert [(r[0], float(r[3])) for r in rows] == [("ei", 0.5)] * 2 + [("lt", 0.5)] * 2
+
+
+def test_sweep_grid_too_coarse_for_one_epsilon_is_config_error(tmp_path, capsys):
+    # h = 0.5 resolves eps 0.6 but exceeds 4 * 0.1: refused before any solve
+    doc = dict(SMALL_SWEEP, half_width=16.0, grid_n=64, epsilons=[0.6, 0.1],
+               taus=[0.05, 0.025], reference_tau=2e-3, z_final=0.5)
+    rc = main(["sweep-convergence", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: grid_n: grid spacing h=0.5 exceeds 4*epsilon=0.4")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
@@ -305,6 +326,25 @@ def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
     assert read_rows(out / "rates.csv") == (["group", "slope", "intercept", "r_squared",
                                              "points"], [])
     assert "0 fitted rates, 0 failures" in capsys.readouterr().out
+    # gnuplot gets no log-scale curve over zeros, and no empty plot command
+    assert not any(line.startswith("plot") for line in (out / "plot.gp").read_text().splitlines())
+
+
+def test_plot_script_draws_a_curve_only_where_every_error_is_positive(tmp_path):
+    def row(scheme, eps, tau, err):
+        return ErrorRecord(scheme, 2, 1.0, eps, tau, 1.0, 0, err, err, 0.0)
+
+    records = [row("ei", 0.5, 0.1, 1e-3), row("ei", 0.5, 0.05, 5e-4),
+               row("lt", 0.5, 0.1, 2e-3), row("lt", 0.5, 0.05, 0.0), row("ei", 0.25, 0.1, 0.0)]
+    path = tmp_path / "plot.gp"
+    _write_plot_script(path, records, "tau")
+    lines = path.read_text().splitlines()
+    assert lines[-2:] == ["plot \\", '    "results.csv" skip 1 using 5:(strcol(1) eq "ei" && '
+                          '$4 == 0.5 ? $8 : 1/0) with linespoints title "ei eps=0.5"']
+    # a sweep with no records, or none > 0, ends at the axis labels
+    for rows in ([], records[3:]):
+        _write_plot_script(path, rows, "tau")
+        assert path.read_text().splitlines()[-1] == 'set ylabel "error_x"'
 
 
 @pytest.mark.parametrize("scheme,j", [("ei", 0), ("lt", 1)])
@@ -439,6 +479,23 @@ def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, valu
     assert rc == 1
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+def test_verify_phase_failed_c0_search_is_numerical_failure(tmp_path, capsys):
+    # the near-resonant kappa = 4 model keeps its ratio below the floor at
+    # every candidate c0: the scan ran, so the run writes its report and exits 2
+    doc = {"coeffs": [1.0, -10000.0], "samples": 1000, "grid_points": 100}
+    out = tmp_path / "out"
+    rc = main(["verify-phase", "--kappa", "4", "--alpha", "1", "--epsilon", "0.015625",
+               "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    report = json.loads((out / "phase_report.json").read_text())
+    assert report["c0Searched"] is True and report["c0"] == 64.0
+    assert report["lowerBoundOk"] is False and report["identityOk"] is True
+    assert capsys.readouterr().err == (
+        "numerical failure: cell bound-scan: no candidate c0 reaches min ratio 0.05; "
+        f"best was {report['minRatio']}\n")
+    assert json.loads((out / "run.json").read_text())["c0"] is None
 
 
 def test_verify_phase_memory_stays_block_sized(tmp_path):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from dispersia import harness
 from dispersia.harness import (
     CellFailure,
     ErrorRecord,
@@ -24,10 +25,11 @@ from dispersia.harness import (
     regularity_sweep,
     splitting_threshold,
 )
-from dispersia.integrators import SolveConfig, StepperKind, solve
-from dispersia.model import eval_q, expected_regularity_exponent, reduce_moment
+from dispersia.integrators import NumericalBlowupError, SolveConfig, StepperKind, solve
+from dispersia.model import DispersiveModel, eval_q, expected_regularity_exponent, reduce_moment
 from dispersia.presets import get_preset
-from dispersia.spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, x_norm
+from dispersia.spectral import (Grid, InitialDataSpec, MeshResolutionError,
+                                MeshResolutionWarning, PotentialSpec, SpectralField, x_norm)
 
 
 def small_sweep_config(**kw):
@@ -176,7 +178,7 @@ def test_sweep_runs_with_numpy_integer_fields():
     cfg = small_sweep_config(taus=(0.05,), deriv_order=np.int64(1), workers=np.int64(2),
                              kappa=np.int64(2), grid_n=np.int64(128))
     assert type(cfg.deriv_order) is int and type(cfg.workers) is int
-    assert type(cfg.model(0.5).kappa) is int and type(cfg.grid().n) is int
+    assert type(cfg.cell(0.5).model.kappa) is int and type(cfg.grid().n) is int
     result = convergence_sweep(cfg)
     assert not result.failures
     assert [(r.tau, r.j) for r in result.records] == [(0.05, 1)]
@@ -245,7 +247,7 @@ def test_convergence_sweep_reference_dominates(small_sweep):
     # recompute the same cell against a reference twice as fine
     grid = cfg.grid()
     base = SolveConfig(
-        model=cfg.model(0.5),
+        model=DispersiveModel(cfg.kappa, cfg.coeffs, cfg.alpha, 0.5),
         grid=grid,
         potential=cfg.potential,
         initial=cfg.initial,
@@ -271,19 +273,36 @@ def test_convergence_sweep_rate_slope(small_sweep):
     assert fit.n_points == 3
 
 
-def test_sweep_cell_failure_continues():
-    # grid fixed too coarse for the small epsilon: its reference fails once
-    # per scheme, the resolved epsilon still produces every record
-    cfg = small_sweep_config(
-        half_width=16.0, epsilons=(0.6, 0.1), grid_n=64, taus=(0.05,),
-        schemes=("ei", "lt"),
-    )
+def blow_up_at(epsilon):
+    """harness.solve, raising NumericalBlowupError for every solve at epsilon."""
+    def solve_or_blow_up(config):
+        if config.model.epsilon == epsilon:
+            raise NumericalBlowupError("non-finite values at step 1/1")
+        return solve(config)
+    return solve_or_blow_up
+
+
+def test_sweep_cell_failure_continues(monkeypatch):
+    # the reference at eps 0.25 blows up: that cell fails once per scheme, and
+    # the other epsilon still produces every record
+    monkeypatch.setattr(harness, "solve", blow_up_at(0.25))
+    cfg = small_sweep_config(epsilons=(0.5, 0.25), taus=(0.05,), schemes=("ei", "lt"))
     result = convergence_sweep(cfg)
-    assert [(r.scheme, r.epsilon) for r in result.records] == [("ei", 0.6), ("lt", 0.6)]
-    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.1", "scheme=lt,epsilon=0.1"]
+    assert [(r.scheme, r.epsilon) for r in result.records] == [("ei", 0.5), ("lt", 0.5)]
+    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.25",
+                                                 "scheme=lt,epsilon=0.25"]
     for f in result.failures:
-        assert f.message.startswith("MeshResolutionError: ")
-    assert result.failures[0].message == result.failures[1].message
+        assert f.message == "NumericalBlowupError: non-finite values at step 1/1"
+
+
+def test_sweep_config_refuses_a_grid_too_coarse_for_one_epsilon():
+    # h = 0.5 resolves eps 0.6 but exceeds 4 * 0.1: refused before any cell
+    # runs, under grid_n; h in (eps, 4 eps] only warns
+    with pytest.raises(MeshResolutionError, match=r"^grid_n: grid spacing h=0.5 exceeds "
+                                                  r"4\*epsilon=0.4"):
+        small_sweep_config(half_width=16.0, epsilons=(0.6, 0.1), grid_n=64)
+    with pytest.warns(MeshResolutionWarning, match="exceeds epsilon=0.25"):
+        small_sweep_config(half_width=16.0, epsilons=(0.6, 0.25), grid_n=64)
 
 
 def test_sweep_workers_equivalence():
@@ -382,8 +401,8 @@ def test_compare_methods_shares_the_reference_exactly():
     grid = Grid(p.half_width, 256)
     for r in result.records:
         mk = lambda scheme, tau: SolveConfig(
-            model=cfg.model(r.epsilon), grid=grid, potential=p.potential,
-            initial=p.initial, scheme=scheme, tau=tau, z_final=0.01)
+            model=DispersiveModel(p.kappa, p.coeffs, p.alpha, r.epsilon), grid=grid,
+            potential=p.potential, initial=p.initial, scheme=scheme, tau=tau, z_final=0.01)
         ref = solve(mk(cfg.reference_scheme, cfg.reference_tau)).final
         assert r.error_x == error_x(solve(mk(r.scheme, r.tau)).final, ref)
 

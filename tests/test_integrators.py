@@ -29,6 +29,8 @@ from dispersia.model import DispersiveModel
 from dispersia.spectral import (
     Grid,
     InitialDataSpec,
+    MeshResolutionError,
+    MeshResolutionWarning,
     PotentialSpec,
     SpectralField,
     flow_phase,
@@ -288,6 +290,29 @@ def test_solve_config_validation():
     with pytest.raises(ValueError, match="^scheme: "):
         make_config(scheme="rk4")
     assert make_config(scheme="strang").scheme is StepperKind.STRANG
+
+
+def test_solve_config_enforces_mesh_rule():
+    # h = 0.5: refused under grid_n past 4 eps, a warning in (eps, 4 eps]
+    grid = Grid(16.0, 64)
+    with pytest.raises(MeshResolutionError, match="^grid_n: grid spacing h=0.5 exceeds"):
+        make_config(grid=grid, model=DispersiveModel(2, (1.0,), 1.0, 0.1))
+    with pytest.warns(MeshResolutionWarning, match="exceeds epsilon=0.25"):
+        make_config(grid=grid, model=DispersiveModel(2, (1.0,), 1.0, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_config(grid=grid)  # h = eps = 0.5: resolved, silent
+
+
+def test_solve_config_checks_tabulated_sample_counts():
+    # one sample per node of GRID (256), under the key of the spec that holds them
+    with pytest.raises(ValueError, match="^potential: tabulated data needs exactly 256 "
+                                         "samples, got 32"):
+        make_config(potential=PotentialSpec.tabulated(np.zeros(32)))
+    with pytest.raises(ValueError, match="^initial: tabulated data needs exactly 256 "
+                                         "samples, got 32"):
+        make_config(initial=InitialDataSpec.tabulated(np.zeros(32, dtype=complex)))
+    assert make_config(potential=PotentialSpec.tabulated(np.zeros(256))).grid.n == 256
 
 
 @pytest.mark.parametrize("scheme", list(StepperKind))

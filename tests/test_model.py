@@ -362,12 +362,14 @@ def test_search_lower_bound_constant():
 
 
 def test_search_reports_failure_when_floor_unreachable(monkeypatch):
-    # the pure quadratic's ratio is 0.5 at every candidate
-    monkeypatch.setattr("dispersia.model._C0_FLOOR", 10.0)
+    # the pure quadratic's ratio is 0.5 at every candidate: the search returns
+    # the scan at the largest, whose ratio the caller finds below the floor
+    monkeypatch.setattr("dispersia.model.C0_FLOOR", 10.0)
     m = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
     axis = np.linspace(-8, 8, 60)
-    with pytest.raises(ValueError, match=r"^no candidate c0 reaches min ratio 10.0; best was 0.5"):
-        search_lower_bound_constant(m, axis, axis)
+    rep = search_lower_bound_constant(m, axis, axis)
+    assert rep == verify_phase_lower_bound(m, 64.0, axis, axis)
+    assert rep.min_ratio == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

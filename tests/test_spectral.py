@@ -302,12 +302,6 @@ def test_mesh_rule_thresholds():
         check_mesh(g, 0.1)  # h > 4 eps
 
 
-def test_sample_potential_enforces_mesh_rule():
-    g = Grid(16.0, 64)
-    with pytest.raises(MeshResolutionError):
-        sample_potential(PotentialSpec.gaussian(-1.0, 1.0), g, 0.05)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -327,30 +321,12 @@ def test_sample_exp_abs_potential_values():
     np.testing.assert_allclose(r, 3.0 * np.exp(-np.abs(g.nodes / 0.25)), rtol=1e-14)
 
 
-def test_sample_potential_epsilon_range():
-    g = Grid(8.0, 256)
-    spec = PotentialSpec.gaussian(-1.0, 1.0)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            sample_potential(spec, g, bad)
-
-
 def test_tabulated_potential_guard():
     vals = np.exp(-np.linspace(-4, 4, 64) ** 2)
     spec = PotentialSpec.tabulated(vals + 1e-12j * vals)  # noise is zeroed
     assert all(isinstance(s, float) for s in spec.samples)
     with pytest.raises(ValueError):
         PotentialSpec.tabulated(vals + 1e-5j * vals)
-
-
-def test_tabulated_length_checked_at_sampling():
-    g = Grid(8.0, 64)
-    pot = PotentialSpec.tabulated(np.zeros(32))
-    with pytest.raises(ValueError):
-        sample_potential(pot, g, 0.5)
-    ini = InitialDataSpec.tabulated(np.zeros(32, dtype=complex))
-    with pytest.raises(ValueError):
-        sample_initial(ini, g)
 
 
 def test_unknown_kind_rejected():
