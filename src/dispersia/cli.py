@@ -44,6 +44,7 @@ from .harness import (
 )
 from .integrators import NumericalBlowupError, SolveConfig, free_solution
 from .model import (
+    C0_CANDIDATES,
     C0_FLOOR,
     DispersiveModel,
     ReducedModel,
@@ -335,6 +336,19 @@ def _regularity_config(f: dict) -> SweepConfig:
     return sweep
 
 
+def _phase_scan(f: dict) -> tuple[DispersiveModel, np.ndarray]:
+    """verify-phase's model and scan axis, refused unless a scan of the axis'
+    ends, where |xi1| and |eta| peak, admits a point at the scan's first c0."""
+    model = _model_at(f["epsilon"], f)
+    axis = np.linspace(-f["xi_max"], f["xi_max"], f["grid_points"])
+    ends = axis[[0, -1]]
+    try:
+        verify_phase_lower_bound(model, f["c0"] or C0_CANDIDATES[0], ends, ends)
+    except ValueError as exc:
+        raise ValueError(f"xi_max: {exc}") from None
+    return model, axis
+
+
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -350,12 +364,11 @@ def _write_results_csv(path: Path, records) -> None:
                map(dataclasses.astuple, records))
 
 
-def _write_plot_script(path: Path, records, x_field: str) -> None:
-    """Small gnuplot script over results.csv: one log-scale curve per (scheme,
-    epsilon) whose errors are all > 0, as in rates_by_group; no plot without one."""
+def _write_plot_script(path: Path, result, x_field: str, keys) -> None:
+    """Small gnuplot script over results.csv: one log-scale curve per group of
+    result.positive_groups(keys), keys being columns of it; no plot without one."""
     col = {f.name: i for i, f in enumerate(dataclasses.fields(ErrorRecord), 1)}
-    zero = {(r.scheme, r.epsilon) for r in records if not r.error_x > 0}
-    groups = sorted({(r.scheme, r.epsilon) for r in records} - zero)
+    title = {"scheme": "{}", "epsilon": "eps={:.6g}", "j": "j={}"}  # one part per key
     lines = [
         "# gnuplot script; run from the directory containing results.csv",
         "set datafile separator comma",
@@ -365,13 +378,12 @@ def _write_plot_script(path: Path, records, x_field: str) -> None:
         'set ylabel "error_x"',
     ]
     plots = []
-    for scheme, eps in groups:
-        sel = (f'(strcol({col["scheme"]}) eq "{scheme}" && ${col["epsilon"]} == {_fmt(eps)}'
-               f' ? ${col["error_x"]} : 1/0)')
-        plots.append(
-            f'"results.csv" skip 1 using {col[x_field]}:{sel} with linespoints'
-            f' title "{scheme} eps={eps:.6g}"'
-        )
+    for gk in result.positive_groups(keys):
+        match = " && ".join(f'strcol({col[k]}) eq "{v}"' if isinstance(v, str)
+                            else f"${col[k]} == {_fmt(v)}" for k, v in zip(keys, gk))
+        name = " ".join(title[k].format(v) for k, v in zip(keys, gk))
+        plots.append(f'"results.csv" skip 1 using {col[x_field]}:({match} ? ${col["error_x"]}'
+                     f' : 1/0) with linespoints title "{name}"')
     if plots:
         lines.append("plot \\\n    " + ", \\\n    ".join(plots))
     path.write_text("\n".join(lines) + "\n")
@@ -410,7 +422,7 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
         (label.replace(",", ";"), fit.slope, fit.intercept, fit.r_squared, fit.n_points)
         for label, fit in rates
     ))
-    _write_plot_script(out / "plot.gp", result.records, x_field)
+    _write_plot_script(out / "plot.gp", result, x_field, tuple(k for k in keys if k != "regime"))
 
     print(f"{command}: {len(result.records)} cells on grid n={f['grid_n']}, "
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
@@ -440,8 +452,9 @@ def _run_reduce(args, f: dict, red: ReducedModel, out: Path) -> int:
     return 0
 
 
-def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
+def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, np.ndarray], out: Path) -> int:
     eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
+    model, axis = scan
 
     # sampled identity check: both forms are certified to 2^-36 relative, so
     # their gap against the larger of them needs no cancellation floor
@@ -457,7 +470,6 @@ def _run_verify_phase(args, f: dict, model: DispersiveModel, out: Path) -> int:
     max_dev = float(np.max(block_max))
     identity_ok = max_dev <= _IDENTITY_RTOL
 
-    axis = np.linspace(-xi_max, xi_max, f["grid_points"])
     searched = f["c0"] is None
     if searched:
         report = search_lower_bound_constant(model, axis, axis)
@@ -508,7 +520,7 @@ _COMMANDS = {
     "reduce-moment": (_REDUCE_MOMENT,
                       lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),
                       _run_reduce),
-    "verify-phase": (_VERIFY_PHASE, lambda f: _model_at(f["epsilon"], f), _run_verify_phase),
+    "verify-phase": (_VERIFY_PHASE, _phase_scan, _run_verify_phase),
 }
 
 

@@ -20,6 +20,7 @@ from .integrators import (SolveConfig, StepperKind, free_solution, solve, step_c
                           stepper_kind)
 from .model import (DispersiveModel, RateExponent, check_integer, expected_error_exponent,
                     expected_regularity_exponent)
+from .presets import REFERENCE_TAU
 from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, resolving_grid_n, x_norm
 
 
@@ -140,7 +141,7 @@ class SweepConfig:
     taus: tuple[float, ...] = ()
     schemes: tuple[StepperKind, ...] = (StepperKind.EI,)
     z_final: float = 1.0
-    reference_tau: float = 1e-4
+    reference_tau: float = REFERENCE_TAU
     reference_scheme: StepperKind = StepperKind.EI
     deriv_order: int = 0
     grid_n: int | None = None
@@ -156,6 +157,10 @@ class SweepConfig:
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
                 raise ValueError(f"epsilons: must lie in (0, 1], got {e}")
+        for key in ("epsilons", "taus", "schemes"):  # a repeat would measure a cell twice
+            values = [getattr(v, "value", v) for v in getattr(self, key)]
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key}: each value may appear once, got {values}")
         for tau in self.taus:
             step_count(tau, self.z_final, "taus")
         step_count(self.reference_tau, self.z_final, "reference_tau")
@@ -185,20 +190,23 @@ class SweepResult:
     records: list[ErrorRecord] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
 
+    def positive_groups(self, keys: tuple[str, ...]) -> dict[tuple, list[ErrorRecord]]:
+        """The records by their values of keys, sorted; no log scale shows a
+        group with an error that is not > 0, so it is left out."""
+        groups: dict[tuple, list[ErrorRecord]] = {}
+        for rec in self.records:
+            groups.setdefault(tuple(getattr(rec, k) for k in keys), []).append(rec)
+        return {gk: recs for gk, recs in sorted(groups.items())
+                if all(r.error_x > 0 for r in recs)}
+
     def rates_by_group(
         self, x_field: str = "tau", keys: tuple[str, ...] = ("scheme", "epsilon")
     ) -> list[tuple[str, RateFit]]:
-        """Log-log slope per group, using error_x against the chosen axis.  A
-        group of one record, or holding an error that is not > 0, has no slope
-        and is left out."""
-        groups: dict[tuple, list[ErrorRecord]] = {}
-        for rec in self.records:
-            gk = tuple(getattr(rec, k) for k in keys)
-            groups.setdefault(gk, []).append(rec)
+        """Log-log slope per positive group, using error_x against the chosen
+        axis; a group of one record has no slope and is left out."""
         out = []
-        for gk in sorted(groups):
-            recs = groups[gk]
-            if len(recs) < 2 or not all(r.error_x > 0 for r in recs):
+        for gk, recs in self.positive_groups(keys).items():
+            if len(recs) < 2:
                 continue
             xs = [getattr(r, x_field) for r in recs]
             ys = [r.error_x for r in recs]

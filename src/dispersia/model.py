@@ -372,7 +372,7 @@ def verify_phase_lower_bound(
 
 # the c0 search: the first candidate whose scan ratio reaches the floor
 C0_FLOOR = 0.05
-_C0_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+C0_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def search_lower_bound_constant(
@@ -384,7 +384,7 @@ def search_lower_bound_constant(
     Brute-force calibration for the admissibility constant: growing c0
     excludes a wider near-resonant strip and can only raise the min ratio.
     """
-    for c0 in _C0_CANDIDATES:
+    for c0 in C0_CANDIDATES:
         report = verify_phase_lower_bound(model, c0, xi1, xi2)
         if report.min_ratio >= C0_FLOOR:
             break

@@ -16,7 +16,7 @@ import pytest
 
 from dispersia import harness
 from dispersia.cli import _write_plot_script, main
-from dispersia.harness import ErrorRecord, regularity_normalizer
+from dispersia.harness import ErrorRecord, SweepResult, regularity_normalizer
 from dispersia.integrators import NumericalBlowupError
 from dispersia.spectral import Grid, InitialDataSpec, SpectralField, sample_initial, x_norm
 
@@ -334,17 +334,25 @@ def test_plot_script_draws_a_curve_only_where_every_error_is_positive(tmp_path):
     def row(scheme, eps, tau, err):
         return ErrorRecord(scheme, 2, 1.0, eps, tau, 1.0, 0, err, err, 0.0)
 
+    def plot(rows, x_field="tau", keys=("scheme", "epsilon")):
+        _write_plot_script(path, SweepResult(records=rows), x_field, keys)
+        return path.read_text().splitlines()
+
     records = [row("ei", 0.5, 0.1, 1e-3), row("ei", 0.5, 0.05, 5e-4),
                row("lt", 0.5, 0.1, 2e-3), row("lt", 0.5, 0.05, 0.0), row("ei", 0.25, 0.1, 0.0)]
     path = tmp_path / "plot.gp"
-    _write_plot_script(path, records, "tau")
-    lines = path.read_text().splitlines()
-    assert lines[-2:] == ["plot \\", '    "results.csv" skip 1 using 5:(strcol(1) eq "ei" && '
-                          '$4 == 0.5 ? $8 : 1/0) with linespoints title "ei eps=0.5"']
+    assert plot(records)[-2:] == ["plot \\", '    "results.csv" skip 1 using 5:(strcol(1) eq "ei"'
+                                  ' && $4 == 0.5 ? $8 : 1/0) with linespoints title "ei eps=0.5"']
     # a sweep with no records, or none > 0, ends at the axis labels
     for rows in ([], records[3:]):
-        _write_plot_script(path, rows, "tau")
-        assert path.read_text().splitlines()[-1] == 'set ylabel "error_x"'
+        assert plot(rows)[-1] == 'set ylabel "error_x"'
+    # a regularity sweep draws one curve per (scheme, j) across eps, as its rates group
+    regularity = [row("ei", eps, 0.01, 1e-3 * eps) for eps in (0.125, 0.25, 0.5)]
+    assert plot(regularity, "epsilon", ("scheme", "j"))[-2:] == [
+        "plot \\", '    "results.csv" skip 1 using 4:(strcol(1) eq "ei" && $7 == 0'
+        ' ? $8 : 1/0) with linespoints title "ei j=0"']
+    assert plot(regularity + [row("ei", 1.0, 0.01, 0.0)], "epsilon", ("scheme", "j"))[-1] \
+        == 'set ylabel "error_x"'
 
 
 @pytest.mark.parametrize("scheme,j", [("ei", 0), ("lt", 1)])
@@ -481,6 +489,21 @@ def test_verify_phase_bad_sampling_is_config_error(tmp_path, capsys, field, valu
     assert not (tmp_path / "out" / "run.json").exists()
 
 
+@pytest.mark.parametrize("c0,xi_max", [(None, 1e-9), (4.0, 0.05)])
+def test_verify_phase_grid_with_no_admissible_point_is_config_error(tmp_path, capsys, c0,
+                                                                    xi_max):
+    # the scan would start at the given c0, or at the search's first, 1: either
+    # way every |xi1| and |eta| on the grid lies below c0*eps
+    doc = {"xi_max": xi_max, "c0": c0, "samples": 10, "grid_points": 5}
+    rc = main(["verify-phase", "--kappa", "2", "--alpha", "1",
+               "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: xi_max: no admissible samples: all |xi1| and |eta| below "
+        f"c0*eps = {(c0 or 1.0) * 2.0**-6}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_phase_failed_c0_search_is_numerical_failure(tmp_path, capsys):
     # the near-resonant kappa = 4 model keeps its ratio below the floor at
     # every candidate c0: the scan ran, so the run writes its report and exits 2
@@ -555,6 +578,9 @@ def test_verify_phase_memory_stays_block_sized(tmp_path):
     pytest.param("sweep-convergence", "initial", {"kind": "tabulated", "samples": [1, 1, 1]},
                  id="sweep-convergence-initial-3-samples"),
     ("compare", "schemes", "ei"), ("verify-phase", "xi_max", 1e308),
+    # a repeated value would measure its cells twice (and compare ei with itself)
+    ("compare", "schemes", "ei,ei"), ("sweep-convergence", "taus", "0.05,0.025,0.05"),
+    ("sweep-convergence", "epsilons", "0.5,0.5"),
     # a spec refuses a non-finite parameter or sample, which would blow up the first step
     pytest.param("solve", "potential", {"kind": "gaussian", "amplitude": math.nan},
                  id="solve-potential-amplitude-nan"),
@@ -734,7 +760,8 @@ def test_run_json_replay_reproduces_the_run(tmp_path, command):
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 # The fixtures were written by the step loop that marched values; the loop
-# that marches Fourier coefficients rounds differently (ROADMAP direction 2).
+# that marches Fourier coefficients rounds differently (regenerating the
+# fixtures from the program is ROADMAP direction 1).
 # Measured drift: error_x and normalized_error 2.5e-7 relative; slope 1.5e-7,
 # intercept 7.6e-7 and r_squared 4.8e-9 absolute.  Each tolerance is at most
 # 10x its drift; every other column must match to the byte.
@@ -760,7 +787,8 @@ def assert_replays(path, fixture):
     ("compare", "compare-schrodinger"), ("sweep-convergence", "convergence-kdv"),
 ])
 def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, workload):
-    # the fixtures carry the legacy derivative_order key, so this also pins old-file replay
+    # the fixtures' legacy derivative_order key is read by no table: they
+    # replay only because deriv_order defaults to 0
     fixture = FIXTURES / workload
     out = tmp_path / "out"
     assert main([command, "--config", str(fixture / "run.json"), "--out", str(out)]) == 0

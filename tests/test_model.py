@@ -500,6 +500,30 @@ def test_blocked_scan_with_no_valid_point_reports_none():
     assert math.isinf(rep.min_ratio) and math.isnan(rep.worst_xi1)
 
 
+def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
+    # |xi1| and |eta| = |xi1 + 2 eps xi2|, rounded as the scan rounds them,
+    # peak at the corners of the grid: verify-phase checks its grid that way
+    model = SCAN_MODELS[0]
+
+    def refused(c0, xi1, xi2):
+        try:
+            verify_phase_lower_bound(model, c0, xi1, xi2)
+        except ValueError:
+            return True
+        return False
+
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(300):
+        c0 = float(rng.choice([0.5, 1.0, 2.0]))
+        xi1, xi2 = (rng.uniform(-1.0, 1.0, size) * model.epsilon * rng.uniform(0.0, 2.0)
+                    for size in rng.integers(1, 6, 2))
+        whole = refused(c0, xi1, xi2)
+        assert refused(c0, [xi1.min(), xi1.max()], [xi2.min(), xi2.max()]) == whole
+        seen.add(whole)
+    assert seen == {True, False}
+
+
 def test_blocked_scan_with_no_admissible_point_raises_the_same_error():
     model = SCAN_MODELS[2]
     axis = np.linspace(-1e-3, 1e-3, 1000)
