@@ -452,22 +452,36 @@ def _run_reduce(args, f: dict, red: ReducedModel, out: Path) -> int:
     return 0
 
 
+def _sample_blocks(seed: int, n: int, xi_max: float):
+    """verify-phase's samples, a block at a time: xi1 is the first n uniform
+    draws of default_rng(seed) on [-xi_max, xi_max) and xi2 the next n, as if
+    both were drawn whole.  uniform takes one 64-bit word per double, so xi2
+    comes from the seed's generator advanced by n words."""
+    first, second = np.random.default_rng(seed), np.random.default_rng(seed)
+    second.bit_generator.advance(n)
+    for b in blocks(n):
+        size = b.stop - b.start
+        yield first.uniform(-xi_max, xi_max, size), second.uniform(-xi_max, xi_max, size)
+
+
+def _max_rel_deviation(model: DispersiveModel, seed: int, n: int, xi_max: float) -> float:
+    """The sampled identity check: the largest gap between the subtractive and
+    the factored phase, relative to the larger of them, over n sampled pairs.
+    Both forms are certified to 2^-36 relative, so it needs no cancellation
+    floor."""
+    block_max = []  # np.max over these is np.max over every sample, NaN winning
+    for xi1, xi2 in _sample_blocks(seed, n, xi_max):
+        direct = eval_phase(model, xi1, xi2)
+        factored = eval_phase_factored(model, xi1, xi2)
+        denom = np.maximum(np.abs(direct), np.abs(factored))
+        block_max.append(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
+    return float(np.max(block_max))
+
+
 def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, np.ndarray], out: Path) -> int:
     eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
     model, axis = scan
-
-    # sampled identity check: both forms are certified to 2^-36 relative, so
-    # their gap against the larger of them needs no cancellation floor
-    rng = np.random.default_rng(f["seed"])
-    xi1 = rng.uniform(-xi_max, xi_max, f["samples"])
-    xi2 = rng.uniform(-xi_max, xi_max, f["samples"])
-    block_max = []  # np.max over these is np.max over every sample, NaN winning
-    for b in blocks(f["samples"]):
-        direct = eval_phase(model, xi1[b], xi2[b])
-        factored = eval_phase_factored(model, xi1[b], xi2[b])
-        denom = np.maximum(np.abs(direct), np.abs(factored))
-        block_max.append(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
-    max_dev = float(np.max(block_max))
+    max_dev = _max_rel_deviation(model, f["seed"], f["samples"], xi_max)
     identity_ok = max_dev <= _IDENTITY_RTOL
 
     searched = f["c0"] is None

@@ -129,13 +129,27 @@ _TRUST_RTOL = 2.0**-36  # largest error bound, relative to the value, kept as is
 _MAX_SHIFT = 2.0**-20  # largest relative input error the linear bound covers
 _TINY_INPUT = 2.0**-500  # smaller inputs square below the normal range
 _TINY_SIZE = 2.0**-900  # smaller term sizes may have lost digits to underflow
-_CHUNK = 1 << 16  # points per pass, which bounds the size of the temporaries
+# Points per pass, which bounds the size of the temporaries.  A block of
+# float64 stays below glibc's 128 KiB mmap threshold, so its temporaries come
+# from the heap; larger ones are mapped and fault in fresh pages on every
+# pass, and much smaller blocks pay for it in per-pass overhead.
+_CHUNK = 16_000
+# glibc also gives free memory at the top of the heap back to the system once
+# it exceeds M_TRIM_THRESHOLD (128 KiB by default), and a pass frees about
+# 1.4 MB of temporaries, so every pass would fault its pages in again.  Freeing
+# a mapped allocation of this many bytes raises that threshold to twice its
+# size (the dynamic mmap threshold of mallopt(3)); it is never touched, so
+# it costs no page.
+_HEAP_KEEP = 128 * _CHUNK
 
 
 def blocks(n: int, size: int = _CHUNK):
-    """Consecutive slices of range(n), each of at most size items."""
+    """Consecutive slices of range(n), each of at most size items, clipped
+    to n so that s.stop - s.start is the block's length.  The heap is kept
+    across the passes (see _HEAP_KEEP) before the first slice."""
+    np.empty(_HEAP_KEEP, dtype=np.uint8)
     for s in range(0, n, size):
-        yield slice(s, s + size)
+        yield slice(s, min(s + size, n))
 
 
 def _round_scaled(r: Fraction, scale: float) -> float:
@@ -278,6 +292,27 @@ def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
                       lambda u, v: _phase_exact(model, u, v, model.kappa), xi1, xi2)
 
 
+def _admissible(g1, eta, c0_eps):
+    """The scan's admissible points: |xi1| >= c0 eps or |eta| >= c0 eps."""
+    valid = np.abs(eta) >= c0_eps
+    valid |= np.abs(g1) >= c0_eps
+    return valid
+
+
+def admits_a_point(model: DispersiveModel, c0: float, xi1, xi2) -> bool:
+    """Whether the scan at c0 admits a point of the xi1 x xi2 grid.  |xi1| and
+    |eta| peak at the grid's corners (eta, as rounded, is monotone in xi1 and
+    in xi2), so the scan's rule run on the corners decides; NaN entries, which
+    it never admits, are passed over."""
+    def ends(v):
+        v = np.ravel(np.asarray(v, dtype=np.float64))
+        return np.array([np.fmin.reduce(v), np.fmax.reduce(v)])
+
+    g1 = ends(xi1)[:, None]
+    eps = model.epsilon
+    return bool(_admissible(g1, g1 + 2.0 * eps * ends(xi2), c0 * eps).any())
+
+
 @dataclass(frozen=True)
 class PhaseBoundReport:
     """Result of a lower-bound scan over a (xi1, xi2) product grid."""
@@ -315,6 +350,10 @@ def verify_phase_lower_bound(
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
     kappa, eps = model.kappa, model.epsilon
+    if not admits_a_point(model, c0, xi1, xi2):
+        raise ValueError(
+            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
+        )
     h = (kappa - 1) // 2  # the envelope's pw is 2h
     c0_eps, shift = c0 * eps, 2.0 * eps * xi2
     n_adm, any_valid = 0, False
@@ -323,10 +362,8 @@ def verify_phase_lower_bound(
         # a column of xi1 against the xi2 row: what depends on xi1 alone is
         # computed once per row, and the rest broadcasts to the block
         g1 = xi1[rows, None]
-        a1 = np.abs(g1)
         eta = g1 + shift
-        valid = np.abs(eta) >= c0_eps
-        valid |= a1 >= c0_eps
+        valid = _admissible(g1, eta, c0_eps)
         n_adm += int(np.count_nonzero(valid))
         x, y = g1 * g1, eta * eta
         ratio, _ = _factored_sum(model, x, y)
@@ -335,7 +372,7 @@ def verify_phase_lower_bound(
         del y  # the dels keep the block's peak at the phase evaluation
         if kappa % 2:
             ratio *= g1
-            denom *= a1
+            denom *= np.abs(g1)
         else:
             f = g1 * eta  # |xi1 eta| = |xi1| |eta| exactly
             ratio *= f
@@ -355,10 +392,6 @@ def verify_phase_lower_bound(
         # strictly smaller, or the first NaN: what one argmin over the grid picks
         if r < best or (math.isnan(r) and not math.isnan(best)):
             best, w1, w2 = r, float(g1[i, 0]), float(xi2[j])
-    if n_adm == 0:
-        raise ValueError(
-            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
-        )
     if not any_valid:
         best, w1, w2 = math.inf, math.nan, math.nan
     return PhaseBoundReport(
@@ -379,15 +412,18 @@ def search_lower_bound_constant(
     model: DispersiveModel, xi1: np.ndarray, xi2: np.ndarray
 ) -> PhaseBoundReport:
     """The scan at the smallest candidate c0 whose ratio clears C0_FLOOR, or,
-    when none does, at the largest: the caller judges its ratio.
+    when none does, at the largest candidate that admits a point of the grid:
+    the caller judges its ratio.
 
     Brute-force calibration for the admissibility constant: growing c0
-    excludes a wider near-resonant strip and can only raise the min ratio.
+    excludes a wider near-resonant strip and can only raise the min ratio,
+    until it excludes every point.
     """
-    for c0 in C0_CANDIDATES:
-        report = verify_phase_lower_bound(model, c0, xi1, xi2)
-        if report.min_ratio >= C0_FLOOR:
+    report = verify_phase_lower_bound(model, C0_CANDIDATES[0], xi1, xi2)
+    for c0 in C0_CANDIDATES[1:]:
+        if report.min_ratio >= C0_FLOOR or not admits_a_point(model, c0, xi1, xi2):
             break
+        report = verify_phase_lower_bound(model, c0, xi1, xi2)
     return report
 
 

@@ -18,6 +18,7 @@ from dispersia import harness
 from dispersia.cli import _write_plot_script, main
 from dispersia.harness import ErrorRecord, SweepResult, regularity_normalizer
 from dispersia.integrators import NumericalBlowupError
+from dispersia.model import _CHUNK, DispersiveModel, eval_phase, eval_phase_factored
 from dispersia.spectral import Grid, InitialDataSpec, SpectralField, sample_initial, x_norm
 
 FREE_SOLVE = {
@@ -504,6 +505,23 @@ def test_verify_phase_grid_with_no_admissible_point_is_config_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_phase_c0_search_stops_at_the_last_candidate_that_admits_a_point(tmp_path,
+                                                                               capsys):
+    # c0 = 1 admits points but keeps the ratio below the floor; at c0 = 2,
+    # c0*eps = 0.03125 exceeds every |xi1| and |eta| of the grid
+    doc = {"xi_max": 0.0234, "samples": 10, "grid_points": 101, "coeffs": [1.0, -1.0]}
+    out = tmp_path / "out"
+    rc = main(["verify-phase", "--kappa", "4", "--alpha", "1",
+               "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 2
+    report = json.loads((out / "phase_report.json").read_text())
+    assert report["c0"] == 1.0 and report["c0Searched"] is True
+    assert report["admissibleCount"] > 0 and report["lowerBoundOk"] is False
+    assert capsys.readouterr().err == (
+        "numerical failure: cell bound-scan: no candidate c0 reaches min ratio 0.05; "
+        f"best was {report['minRatio']}\n")
+
+
 def test_verify_phase_failed_c0_search_is_numerical_failure(tmp_path, capsys):
     # the near-resonant kappa = 4 model keeps its ratio below the floor at
     # every candidate c0: the scan ran, so the run writes its report and exits 2
@@ -522,18 +540,50 @@ def test_verify_phase_failed_c0_search_is_numerical_failure(tmp_path, capsys):
 
 
 def test_verify_phase_memory_stays_block_sized(tmp_path):
-    doc = {"kappa": 5, "alpha": 1.0, "epsilon": 2.0**-6, "samples": 500_000,
-           "grid_points": 1500, "xi_max": 8.0}
-    tracemalloc.start()
-    try:
-        rc = main(["verify-phase", "--config", write_config(tmp_path, doc),
-                   "--out", str(tmp_path / "out")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0
-    # the two sample arrays are 8 MB; one 1500 x 1500 float array is 18 MB
-    assert peak < 40e6
+    def traced_peak(samples):
+        doc = {"kappa": 5, "alpha": 1.0, "epsilon": 2.0**-6, "samples": samples,
+               "grid_points": 1500, "xi_max": 8.0}
+        tracemalloc.start()
+        try:
+            rc = main(["verify-phase", "--config", write_config(tmp_path, doc),
+                       "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        return peak
+
+    # an untraced first call, so that what it loads once is not counted
+    assert main(["verify-phase", "--out", str(tmp_path / "warm"), "--kappa", "5",
+                 "--alpha", "1", "--config", write_config(tmp_path, {"samples": 10})]) == 0
+    peak = traced_peak(500_000)
+    # the samples are drawn a block at a time and the scan walks blocks of
+    # rows: the peak is at most a few dozen block-sized arrays (a
+    # 500,000-sample array alone is 4 MB), and four times the samples add
+    # less than one
+    block = 8 * _CHUNK
+    assert peak < 32 * block
+    assert traced_peak(2_000_000) < peak + block
+
+
+def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
+    # xi1 is the seed's first n draws and xi2 the next n; a sample count that
+    # is no multiple of the block puts a short block at the end of both
+    n, seed, xi_max = 2 * _CHUNK + 17, 4, 8.0
+    doc = {"kappa": 5, "alpha": 1.0, "epsilon": 2.0**-6, "samples": n, "grid_points": 20,
+           "xi_max": xi_max}
+    out = tmp_path / "out"
+    assert main(["verify-phase", "--config", write_config(tmp_path, doc), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    rng = np.random.default_rng(seed)
+    xi1, xi2 = rng.uniform(-xi_max, xi_max, n), rng.uniform(-xi_max, xi_max, n)
+    model = DispersiveModel(5, (1.0, 0.0, 0.0), 1.0, 2.0**-6)
+    direct, factored = eval_phase(model, xi1, xi2), eval_phase_factored(model, xi1, xi2)
+    denom = np.maximum(np.abs(direct), np.abs(factored))
+    whole = float(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
+    report = json.loads((out / "phase_report.json").read_text())
+    assert whole > 0.0  # a deviation that tells one draw from another
+    assert report["maxRelDeviation"] == whole
 
 
 @pytest.mark.parametrize("command,field,value", [

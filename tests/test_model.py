@@ -21,6 +21,7 @@ from dispersia.model import (
     PhaseBoundReport,
     _CHUNK,
     _factored_sum,
+    admits_a_point,
     eval_p,
     eval_phase,
     eval_phase_factored,
@@ -454,11 +455,12 @@ def test_blocked_scan_takes_one_row_per_block_when_xi2_is_long():
 def test_blocked_scan_tie_across_blocks_goes_to_the_earliest_point():
     # the scaled phase of an odd kappa is odd under (xi1, xi2) -> (-xi1, -xi2)
     # and the envelope is even, so on mirrored axes every ratio recurs at the
-    # mirrored point; 436 xi2 points make blocks of 150 rows, so the negative
-    # xi1 rows are the first block and the positive ones the second
+    # mirrored point; 2 * (_CHUNK // 300) xi2 points make blocks of 150 rows,
+    # so the negative xi1 rows are the first block and the positive ones the second
     model = DispersiveModel(3, (1.0, 0.5), 1.0, 2.0**-5)
     mirror = lambda half: np.concatenate([-half[::-1], half])  # noqa: E731
-    xi1, xi2 = mirror(np.linspace(0.05, 6, 150)), mirror(np.linspace(0.05, 6, 218))
+    xi1 = mirror(np.linspace(0.05, 6, 150))
+    xi2 = mirror(np.linspace(0.05, 6, _CHUNK // 300))
     assert rows_per_block(xi2) == 150
     rep = assert_scan_matches_full_grid(model, 4.0, xi1, xi2)
     mirrored = verify_phase_lower_bound(model, 4.0, [-rep.worst_xi1], [-rep.worst_xi2])
@@ -502,12 +504,14 @@ def test_blocked_scan_with_no_valid_point_reports_none():
 
 def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
     # |xi1| and |eta| = |xi1 + 2 eps xi2|, rounded as the scan rounds them,
-    # peak at the corners of the grid: verify-phase checks its grid that way
+    # peak at the corners of the grid: admits_a_point, which the scan and the
+    # c0 search ask, and verify-phase's scan of its axis ends decide that way.
+    # A NaN entry is never admitted and must not hide the others.
     model = SCAN_MODELS[0]
 
-    def refused(c0, xi1, xi2):
+    def refused(scan, c0, xi1, xi2):
         try:
-            verify_phase_lower_bound(model, c0, xi1, xi2)
+            scan(model, c0, xi1, xi2)
         except ValueError:
             return True
         return False
@@ -518,8 +522,13 @@ def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
         c0 = float(rng.choice([0.5, 1.0, 2.0]))
         xi1, xi2 = (rng.uniform(-1.0, 1.0, size) * model.epsilon * rng.uniform(0.0, 2.0)
                     for size in rng.integers(1, 6, 2))
-        whole = refused(c0, xi1, xi2)
-        assert refused(c0, [xi1.min(), xi1.max()], [xi2.min(), xi2.max()]) == whole
+        if rng.random() < 0.3:
+            xi2 = np.insert(xi2, rng.integers(0, xi2.size + 1), math.nan)
+        whole = refused(full_grid_scan, c0, xi1, xi2)
+        assert admits_a_point(model, c0, xi1, xi2) == (not whole)
+        assert refused(verify_phase_lower_bound, c0, xi1, xi2) == whole
+        ends = [np.nanmin(xi2), np.nanmax(xi2)]
+        assert refused(verify_phase_lower_bound, c0, [xi1.min(), xi1.max()], ends) == whole
         seen.add(whole)
     assert seen == {True, False}
 
