@@ -44,9 +44,9 @@ from .harness import (
 )
 from .integrators import NumericalBlowupError, SolveConfig, free_solution
 from .model import (
-    C0_CANDIDATES,
     C0_FLOOR,
     DispersiveModel,
+    PhaseBoundReport,
     ReducedModel,
     blocks,
     eval_p,  # unused here, but perfbench's tracer wraps cli.eval_p by name
@@ -310,7 +310,8 @@ def _out_dir(args) -> Path:
 
 # ---------------------------------------------------------------------------
 # library inputs.  Each command's fields are turned into the library object it
-# runs before --out is made, so that a config error leaves no directory behind.
+# runs before --out is made, so that a config error leaves no directory behind;
+# verify-phase's build runs its bound scan, which is what refuses a grid.
 
 
 def _solve_config(f: dict) -> SolveConfig:
@@ -336,17 +337,18 @@ def _regularity_config(f: dict) -> SweepConfig:
     return sweep
 
 
-def _phase_scan(f: dict) -> tuple[DispersiveModel, np.ndarray]:
-    """verify-phase's model and scan axis, refused unless a scan of the axis'
-    ends, where |xi1| and |eta| peak, admits a point at the scan's first c0."""
+def _phase_scan(f: dict) -> tuple[DispersiveModel, PhaseBoundReport]:
+    """verify-phase's model and its bound scan over the grid axis x axis: the
+    c0 search when c0 is null, the scan at the given c0 otherwise.  A grid
+    that the scan's first c0 admits no point of is refused under xi_max."""
     model = _model_at(f["epsilon"], f)
     axis = np.linspace(-f["xi_max"], f["xi_max"], f["grid_points"])
-    ends = axis[[0, -1]]
     try:
-        verify_phase_lower_bound(model, f["c0"] or C0_CANDIDATES[0], ends, ends)
+        if f["c0"] is None:
+            return model, search_lower_bound_constant(model, axis, axis)
+        return model, verify_phase_lower_bound(model, f["c0"], axis, axis)
     except ValueError as exc:
         raise ValueError(f"xi_max: {exc}") from None
-    return model, axis
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +480,18 @@ def _max_rel_deviation(model: DispersiveModel, seed: int, n: int, xi_max: float)
     return float(np.max(block_max))
 
 
-def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, np.ndarray], out: Path) -> int:
+def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, PhaseBoundReport],
+                      out: Path) -> int:
     eps, alpha, xi_max = f["epsilon"], f["alpha"], f["xi_max"]
-    model, axis = scan
+    model, report = scan
     max_dev = _max_rel_deviation(model, f["seed"], f["samples"], xi_max)
     identity_ok = max_dev <= _IDENTITY_RTOL
 
     searched = f["c0"] is None
     if searched:
-        report = search_lower_bound_constant(model, axis, axis)
         bound_ok = report.min_ratio >= C0_FLOOR
         why = f"no candidate c0 reaches min ratio {C0_FLOOR}; best was {report.min_ratio}"
     else:
-        report = verify_phase_lower_bound(model, f["c0"], axis, axis)
         bound_ok = report.min_ratio > 0.0
         why = f"minRatio={report.min_ratio} is not positive"
 

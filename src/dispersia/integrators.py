@@ -195,7 +195,7 @@ def solve(config: SolveConfig) -> SolveResult:
     grid = config.grid
     pc = precompute(config.model, grid, config.potential, config.scheme, config.tau)
     kernel = _kernel(pc)
-    mu = sample_initial(config.initial, grid).copy()
+    mu = sample_initial(config.initial, grid)
     v = pc.entry * np.fft.fft(mu)
     scratch = np.empty_like(v)
     t0 = time.perf_counter()

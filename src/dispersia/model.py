@@ -25,13 +25,6 @@ class DegenerateReductionError(ValueError):
     """Raised when a moment reduction leaves no derivative term."""
 
 
-def _scalar_or_array(out, *inputs):
-    """A python float when every input is a scalar, the array otherwise."""
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class DispersiveModel:
     """Immutable problem parameters.
@@ -77,22 +70,20 @@ def _check_kappa_alpha(kappa, alpha) -> int:
     return kappa
 
 
-def _nested(coeffs, y2):
-    """sum_j coeffs[j] * y2^(n-1-j) in nested form."""
-    acc = np.full_like(y2, coeffs[0])
+def _poly(coeffs, odd, y):
+    """sum_j coeffs[j] y^(r-2j), of odd degree r when odd and even otherwise:
+    the nested form in y^2 started from coeffs[0], times the parity factor
+    (y when odd, y^2 otherwise).  Serves floats, arrays and Fractions alike."""
+    y2 = y * y
+    acc = coeffs[0]
     for c in coeffs[1:]:
         acc = acc * y2 + c
-    return acc
+    return acc * (y if odd else y2)
 
 
-def eval_p(model: DispersiveModel, y) -> np.ndarray | float:
-    """Dispersion polynomial P(y), vectorized over y.
-
-    Nested form in y^2 times the parity factor (y for odd kappa, y^2 for even).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    y2 = y * y
-    return _scalar_or_array(_nested(model.coeffs, y2) * (y if model.kappa % 2 else y2), y)
+def eval_p(model: DispersiveModel, y) -> np.ndarray:
+    """Dispersion polynomial P(y), vectorized over y (0-d for a scalar y)."""
+    return np.asarray(_poly(model.coeffs, model.kappa % 2, np.asarray(y, dtype=np.float64)))
 
 
 def _q(r: int, x, y):
@@ -108,7 +99,7 @@ def _q(r: int, x, y):
     return acc
 
 
-def eval_q(r: int, x, y) -> np.ndarray | float:
+def eval_q(r: int, x, y) -> np.ndarray:
     """Q_r(x, y): the odd-column binomial sum entering the phase factorization.
 
     Q_1 is identically 1; for r >= 2 all terms carry positive binomial
@@ -116,7 +107,7 @@ def eval_q(r: int, x, y) -> np.ndarray | float:
     """
     r = check_integer(r, 1, "r")
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    return _scalar_or_array(np.full(x.shape, _q(r, x, y), dtype=np.float64), x, y)
+    return np.full(x.shape, _q(r, x, y), dtype=np.float64)
 
 
 # Both phase evaluations below carry a running bound on their rounding error.
@@ -184,10 +175,8 @@ def _shift_bound(size, theta, k: int, evaluation: float):
 
 def _p_and_size(model: DispersiveModel, y):
     """P(y) and T(y) = sum_j |d_j| |y|^(kappa-2j), which sizes its rounding error."""
-    y2 = y * y
-    parity = y if model.kappa % 2 else y2
-    size = _nested([abs(c) for c in model.coeffs], y2) * np.abs(parity)
-    return _nested(model.coeffs, y2) * parity, size
+    odd = model.kappa % 2
+    return _poly(model.coeffs, odd, y), _poly([abs(c) for c in model.coeffs], odd, np.abs(y))
 
 
 def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> float:
@@ -196,22 +185,15 @@ def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> floa
     float scale eps^(alpha-m): m = 0 is the subtractive form's scale and
     m = kappa the factored form's, whose sum times F is that rational."""
     eps = Fraction(model.epsilon)
-    coeffs = [Fraction(c) for c in model.coeffs]
-
-    def p(y):
-        y2 = y * y
-        acc = Fraction(0)
-        for c in coeffs:
-            acc = acc * y2 + c
-        return acc * (y if model.kappa % 2 else y2)
-
+    coeffs, odd = [Fraction(c) for c in model.coeffs], model.kappa % 2
     b = Fraction(xi2)
-    diff = p(Fraction(xi1) / eps + b) - p(b)
+    diff = _poly(coeffs, odd, Fraction(xi1) / eps + b) - _poly(coeffs, odd, b)
     return _round_scaled(eps**m * diff, model.epsilon ** (model.alpha - m))
 
 
-def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
-    """Oscillatory phase eps^alpha * (P(xi1/eps + xi2) - P(xi2)).
+def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray:
+    """Oscillatory phase eps^alpha * (P(xi1/eps + xi2) - P(xi2)), in the
+    broadcast shape of xi1 and xi2 (0-d for scalars).
 
     This is the defining subtractive form.  Where it loses digits to
     cancellation (|xi1| << eps*|xi2|, or xi1/eps + xi2 near a root of the
@@ -219,10 +201,6 @@ def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     """
     xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
                                    np.asarray(xi2, dtype=np.float64))
-    return _scalar_or_array(_phase_certified(model, xi1, xi2), xi1, xi2)
-
-
-def _phase_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     eps, kappa = model.epsilon, model.kappa
     scale = eps**model.alpha
     h = xi1 / eps
@@ -260,7 +238,7 @@ def _factored_sum(model: DispersiveModel, x, y, sizes: bool = False):
     return acc, size
 
 
-def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
+def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     """Same phase through the factored form
 
         eps^(alpha-kappa) * sum_j eps^(2j) d~_{k-2j} Q_{k-2j}(xi1^2, eta^2) * F,
@@ -271,14 +249,11 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray | float:
     finished product instead lets a tiny xi1 drive it subnormal first, which
     loses digits that the scale cannot bring back.  Q_r never cancels, but
     the sum over j does when the d_r differ in sign, and eta does when
-    xi1 ~ -2 eps xi2; such points are evaluated exactly instead.
+    xi1 ~ -2 eps xi2; such points are evaluated exactly instead.  Shaped
+    as eval_phase.
     """
     xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
                                    np.asarray(xi2, dtype=np.float64))
-    return _scalar_or_array(_phase_factored_certified(model, xi1, xi2), xi1, xi2)
-
-
-def _phase_factored_certified(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     scale = model.epsilon ** (model.alpha - model.kappa)
     eta = xi1 + 2.0 * model.epsilon * xi2
     acc, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=True)

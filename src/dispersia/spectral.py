@@ -109,7 +109,7 @@ def x_norm(f: SpectralField, j: int = 0) -> float:
 
 def phi1(z):
     """phi1(z) = (e^z - 1)/z: np.expm1(z) / z, with a 4-term Taylor branch for
-    |z| < 1e-4.
+    |z| < 1e-4; an array in the shape of z (0-d for a scalar z).
 
     numpy forms the real part of e^z - 1 as expm1(x) cos(y) - 2 sin^2(y/2),
     so the quotient cancels nowhere, neither near 0 nor near z = 2*pi*i*k.
@@ -118,15 +118,13 @@ def phi1(z):
     relative, so the switch is seamless.
     """
     za = np.asarray(z, dtype=np.complex128)
-    scalar = za.ndim == 0
-    za = np.atleast_1d(za)
     small = np.abs(za) < 1e-4
     out = np.empty_like(za)
     zs = za[small]
     out[small] = 1.0 + zs * (0.5 + zs * (1.0 / 6.0 + zs / 24.0))
     zb = za[~small]
     out[~small] = np.expm1(zb) / zb
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def flow_phase(model: DispersiveModel, grid: Grid, z: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersia import harness
+from dispersia import cli, harness, model
 from dispersia.cli import _write_plot_script, main
 from dispersia.harness import ErrorRecord, SweepResult, regularity_normalizer
 from dispersia.integrators import NumericalBlowupError
@@ -537,6 +537,28 @@ def test_verify_phase_failed_c0_search_is_numerical_failure(tmp_path, capsys):
         "numerical failure: cell bound-scan: no candidate c0 reaches min ratio 0.05; "
         f"best was {report['minRatio']}\n")
     assert json.loads((out / "run.json").read_text())["c0"] is None
+
+
+@pytest.mark.parametrize("c0", [2.0, None])
+def test_verify_phase_scans_each_c0_once(tmp_path, monkeypatch, c0):
+    # a given c0, or a search whose first candidate (c0 = 1, min ratio 0.5)
+    # clears the floor: one scan either way, through either binding
+    calls = []
+    scan = model.verify_phase_lower_bound
+
+    def counted(*args):
+        calls.append(args[1])
+        return scan(*args)
+
+    for mod in (cli, model):
+        monkeypatch.setattr(mod, "verify_phase_lower_bound", counted)
+    doc = {"kappa": 2, "alpha": 1.0, "epsilon": 0.0625, "samples": 100, "grid_points": 81,
+           "c0": c0}
+    out = tmp_path / "out"
+    assert main(["verify-phase", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    assert calls == [c0 or 1.0]
+    assert json.loads((out / "phase_report.json").read_text())["c0"] == (c0 or 1.0)
 
 
 def test_verify_phase_memory_stays_block_sized(tmp_path):

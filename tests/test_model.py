@@ -182,6 +182,14 @@ def test_phase_factored_frozen_examples():
         assert eval_phase_factored(m_any, 0.0, 11.3) == 0.0
 
 
+def test_scalar_inputs_give_0d_arrays():
+    m = DispersiveModel(3, (1.0, -2.0), 1.0, 0.25)
+    # the last point is evaluated exactly: xi1 = 1e-300 squares below the normal range
+    for out in (eval_p(m, 2.0), eval_q(3, 2.0, 1.0), eval_phase(m, 1.0, 2.0),
+                eval_phase_factored(m, 1.0, 2.0), eval_phase(m, 1e-300, 2.0)):
+        assert isinstance(out, np.ndarray) and out.shape == () and out.dtype == np.float64
+
+
 def _identity_gap(model, xi1, xi2):
     # both forms are certified, so no cancellation floor is needed
     direct = eval_phase(model, xi1, xi2)

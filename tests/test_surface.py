@@ -1,6 +1,7 @@
 """Public surface guard: the modules are the API, and every public name one
 of them defines is used by the library itself, so that an entry point only
-tests reach cannot linger."""
+tests reach cannot linger.  Every private module-level name is read by the
+library too, so that a helper a refactor left behind fails here."""
 
 import ast
 from pathlib import Path
@@ -22,9 +23,9 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text())
 
 
-def public_names() -> set[str]:
+def module_names() -> set[str]:
     """Module-level functions, classes and assigned or annotated constants
-    of the library modules whose names do not start with an underscore."""
+    of the library modules."""
     names = set()
     for path in MODULES:
         for node in _tree(path).body:
@@ -34,7 +35,15 @@ def public_names() -> set[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(n.id for t in targets for n in ast.walk(t)
                              if isinstance(n, ast.Name))
-    return {n for n in names if not n.startswith("_")}
+    return names
+
+
+def public_names() -> set[str]:
+    return {n for n in module_names() if not n.startswith("_")}
+
+
+def private_names() -> set[str]:
+    return {n for n in module_names() if n.startswith("_")}
 
 
 def referenced_names() -> set[str]:
@@ -58,6 +67,15 @@ def test_collector_sees_functions_classes_and_constants():
 def test_every_public_name_is_used_by_the_library_or_allowed():
     unused = public_names() - referenced_names() - ALLOWED
     assert not unused, f"public but read by no library module: {sorted(unused)}"
+
+
+def test_collector_sees_private_functions_and_constants():
+    assert {"_CHUNK", "_certified", "_REQUIRED"} <= private_names()
+
+
+def test_every_private_name_is_read_by_the_library():
+    unused = private_names() - referenced_names()
+    assert not unused, f"private but read by no library module: {sorted(unused)}"
 
 
 def test_allowed_names_are_still_public():
