@@ -60,6 +60,12 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def without_walltime(header, rows):
+    """The header and rows with the walltime_s column, the one timing, dropped."""
+    keep = [i for i, column in enumerate(header) if column != "walltime_s"]
+    return [[row[i] for i in keep] for row in (header, *rows)]
+
+
 def read_state(path):
     header, rows = read_rows(path)
     assert header == ["x", "re", "im"]
@@ -813,7 +819,7 @@ REPLAY_CASES = {
 
 def _without_timing(path):
     if path.suffix == ".csv":
-        return [row[:9] for row in read_rows(path)[1]]  # all columns except walltime_s
+        return without_walltime(*read_rows(path))
     doc = json.loads(path.read_text())
     doc.get("meta", {}).pop("written_unix", None)
     return doc
@@ -829,43 +835,20 @@ def test_run_json_replay_reproduces_the_run(tmp_path, command):
         assert _without_timing(out1 / name) == _without_timing(out2 / name), name
 
 
-FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-
-# The fixtures were written by the step loop that marched values; the loop
-# that marches Fourier coefficients rounds differently (regenerating the
-# fixtures from the program is ROADMAP direction 1).
-# Measured drift: error_x and normalized_error 2.5e-7 relative; slope 1.5e-7,
-# intercept 7.6e-7 and r_squared 4.8e-9 absolute.  Each tolerance is at most
-# 10x its drift; every other column must match to the byte.
-FIXTURE_TOLERANCE = {
-    "error_x": {"rel_tol": 1e-6}, "normalized_error": {"rel_tol": 1e-6},
-    "slope": {"abs_tol": 1e-6}, "intercept": {"abs_tol": 5e-6}, "r_squared": {"abs_tol": 2e-8},
-}
-
-
-def assert_replays(path, fixture):
-    header, rows = read_rows(path)
-    assert (header, len(rows)) == (read_rows(fixture)[0], len(read_rows(fixture)[1]))
-    for row, want in zip(rows, read_rows(fixture)[1]):
-        for column, got, expected in zip(header, row, want):
-            if column in FIXTURE_TOLERANCE:
-                assert math.isclose(float(got), float(expected),
-                                    **FIXTURE_TOLERANCE[column]), (column, want)
-            elif column != "walltime_s":
-                assert got == expected, (column, want)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("command,workload", [
     ("compare", "compare-schrodinger"), ("sweep-convergence", "convergence-kdv"),
 ])
 def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, workload):
-    # the fixtures' legacy derivative_order key is read by no table: they
-    # replay only because deriv_order defaults to 0
-    fixture = FIXTURES / workload
+    # the golden outputs are what the program wrote from that run.json; a
+    # replay matches them to the byte in every column but walltime_s
+    golden = GOLDEN / workload
     out = tmp_path / "out"
-    assert main([command, "--config", str(fixture / "run.json"), "--out", str(out)]) == 0
-    assert_replays(out / "results.csv", fixture / "results.csv")
-    assert_replays(out / "rates.csv", fixture / "rates.csv")
+    assert main([command, "--config", str(golden / "run.json"), "--out", str(out)]) == 0
+    for name in ("run.json", "results.csv", "rates.csv"):
+        assert _without_timing(out / name) == _without_timing(golden / name), name
 
 
 # ---------------------------------------------------------------------------
