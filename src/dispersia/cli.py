@@ -9,10 +9,11 @@ compare             scheme comparison on both sides of the tau ~ eps^(kappa-alph
 reduce-moment       moment reduction to polynomial coefficients (JSON report)
 verify-phase        sampled phase-identity check and lower-bound scan (JSON report)
 
-Every run writes run.json echoing the fully resolved configuration; feeding
-that file back through --config reproduces the same outputs.  Floats are
-written with 17 significant digits and rows in a fixed order, so reruns are
-byte-identical in every column except walltime_s.
+Every run writes run.json echoing every configuration field as read; feeding
+that file back through --config reproduces the same outputs.  A null grid_n
+stays null there: each solve sizes its grid from half_width and its eps.
+Floats are written with 17 significant digits and rows in a fixed order, so
+reruns are byte-identical in every column except walltime_s.
 
 Exit codes: 0 success, 1 configuration error (message names the offending
 field), 2 numerical failure (message names the failing cell or check).
@@ -58,7 +59,7 @@ from .model import (
     verify_phase_lower_bound,
 )
 from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
-from .spectral import Grid, InitialDataSpec, PotentialSpec, resolving_grid_n
+from .spectral import InitialDataSpec, PotentialSpec, resolving_grid
 
 RATE_COLUMNS = ("group", "slope", "intercept", "r_squared", "points")
 
@@ -192,7 +193,7 @@ _ALPHA = _field("alpha", float, flag="--alpha")
 _HALF_WIDTH = _field("half_width", float, 16.0)
 _Z_FINAL = _field("z_final", float, 1.0)
 _DERIV_ORDER = _field("deriv_order", _integer, 0, "--deriv-order")
-# None: the build sizes the grid to resolve h <= eps (see _solve_config, _sweep_config)
+# None: every solve runs on the grid resolving_grid sizes to h <= its eps
 _GRID_N = _field("grid_n", _integer, None)
 _POTENTIAL = _field("potential", lambda d: _spec(PotentialSpec, d), {"kind": "gaussian"})
 _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaussian"})
@@ -318,21 +319,13 @@ def _solve_config(f: dict) -> SolveConfig:
     model = _model_at(f["epsilon"], f)
     # the regularity rate that normalizes the error exists only for j < kappa
     expected_regularity_exponent(model.kappa, model.alpha, f["deriv_order"])
-    hw, n = f["half_width"], f["grid_n"]
-    grid = Grid(hw, resolving_grid_n(hw, model.epsilon) if n is None else n)
-    f["grid_n"] = grid.n  # run.json echoes the grid the solve runs on
+    grid = resolving_grid(f["half_width"], model.epsilon, f["grid_n"])
     return SolveConfig(model, grid, f["potential"], f["initial"], f["scheme"], f["tau"],
                        f["z_final"])
 
 
-def _sweep_config(f: dict) -> SweepConfig:
-    sweep = SweepConfig(**f)
-    f["grid_n"] = sweep.grid().n  # run.json echoes the grid the sweep runs on
-    return sweep
-
-
 def _regularity_config(f: dict) -> SweepConfig:
-    sweep = _sweep_config(f)
+    sweep = SweepConfig(**f)
     expected_regularity_exponent(sweep.kappa, sweep.alpha, sweep.deriv_order)  # j < kappa
     return sweep
 
@@ -426,7 +419,9 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
     ))
     _write_plot_script(out / "plot.gp", result, x_field, tuple(k for k in keys if k != "regime"))
 
-    print(f"{command}: {len(result.records)} cells on grid n={f['grid_n']}, "
+    sizes = sorted({resolving_grid(sweep.half_width, e, sweep.grid_n).n
+                    for e in sweep.epsilons})  # the grids its cells ran on
+    print(f"{command}: {len(result.records)} cells on grid n={','.join(map(str, sizes))}, "
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
     for label, fit in rates:
         print(f"  {label}: slope={fit.slope:.4f} r2={fit.r_squared:.5f}")
@@ -526,12 +521,13 @@ def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, PhaseBoundRepo
 # per subcommand: its table, the library input built from the fields, the run
 _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
-    "sweep-convergence": (_sweep_table(("epsilon",), ("ei",)), _sweep_config, _run_sweep),
+    "sweep-convergence": (_sweep_table(("epsilon",), ("ei",)), lambda f: SweepConfig(**f),
+                          _run_sweep),
     # a rate in eps needs several eps values (a preset's single epsilon is
     # ignored), and the reference solve is all it runs: it reads no ladder
     "sweep-regularity": (_sweep_table(()), _regularity_config, _run_sweep),
     "compare": (_sweep_table(("epsilon",), ("ei", "lt", "strang", "lri")),
-                lambda f: comparable(_sweep_config(f)), _run_sweep),
+                lambda f: comparable(SweepConfig(**f)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT,
                       lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),
                       _run_reduce),

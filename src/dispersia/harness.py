@@ -21,7 +21,7 @@ from .integrators import (SolveConfig, StepperKind, free_solution, solve, step_c
 from .model import (DispersiveModel, RateExponent, check_integer, expected_error_exponent,
                     expected_regularity_exponent)
 from .presets import REFERENCE_TAU
-from .spectral import Grid, InitialDataSpec, PotentialSpec, SpectralField, resolving_grid_n, x_norm
+from .spectral import InitialDataSpec, PotentialSpec, SpectralField, resolving_grid, x_norm
 
 
 def error_x(a: SpectralField, b: SpectralField, j: int = 0) -> float:
@@ -122,13 +122,13 @@ def fit_rate(x, y) -> RateFit:
 class SweepConfig:
     """Cross-product sweep description over (scheme, epsilon, tau).
 
-    One shared grid serves every cell; when grid_n is None it is chosen as
-    the smallest power of two resolving h <= min(epsilons).  reference_tau
-    must undercut every test tau by at least a factor of ten so reference
-    error stays negligible, and it and every tau must divide z_final; a
-    regularity sweep, which runs no test tau, leaves taus empty.  A bad
-    field is refused under its own name before any cell runs: cell(eps) is
-    built for every eps, so a grid too coarse for one of them is refused too.
+    reference_tau must undercut every test tau by at least a factor of ten,
+    and it and every tau must divide z_final; at that factor the reference's
+    own error measures about 10% of ei's error at the smallest tau (eps 2^-7,
+    tau 1e-3 against 1e-4).  A regularity sweep, which runs no test tau,
+    leaves taus empty.  A bad field is refused under its own name before any
+    cell runs: cell(eps) is built for every eps, so a grid_n too coarse for
+    one of them is refused too.
     """
 
     kappa: int
@@ -172,17 +172,13 @@ class SweepConfig:
         for e in self.epsilons:
             self.cell(e)  # the model, the grid and the samples each cell solves on
 
-    def grid(self) -> Grid:
-        n = self.grid_n
-        if n is None:
-            n = resolving_grid_n(self.half_width, min(self.epsilons))
-        return Grid(self.half_width, n)
-
     def cell(self, eps: float) -> SolveConfig:
-        """The reference solve of the eps cell, on the sweep's grid."""
+        """The reference solve of the eps cell, on the grid resolving_grid
+        gives eps: grid_n points when it is set."""
         return SolveConfig(DispersiveModel(self.kappa, self.coeffs, self.alpha, eps),
-                           self.grid(), self.potential, self.initial, self.reference_scheme,
-                           self.reference_tau, self.z_final)
+                           resolving_grid(self.half_width, eps, self.grid_n), self.potential,
+                           self.initial, self.reference_scheme, self.reference_tau,
+                           self.z_final)
 
 
 @dataclass

@@ -63,12 +63,14 @@ class Grid:
         return f"Grid(half_width={self.half_width}, n={self.n})"
 
 
-def resolving_grid_n(half_width: float, epsilon: float) -> int:
-    """Smallest power of two n >= 8 whose spacing 2L/n resolves h <= epsilon,
-    for epsilon > 0.  A half_width that is not finite and > 0 gives 8, which
-    leaves its refusal to the Grid built on it."""
-    r = 2.0 * half_width / epsilon
-    return 2 ** math.ceil(math.log2(r)) if 8 < r < math.inf else 8
+def resolving_grid(half_width: float, epsilon: float, n: int | None = None) -> Grid:
+    """Grid(half_width, n); when n is None, n is the smallest power of two
+    >= 8 whose spacing 2L/n resolves h <= epsilon, for epsilon > 0.  A
+    half_width that is not finite and > 0 is refused by the Grid."""
+    if n is None:
+        r = 2.0 * half_width / epsilon
+        n = 2 ** math.ceil(math.log2(r)) if 8 < r < math.inf else 8
+    return Grid(half_width, n)
 
 
 class SpectralField:

@@ -7,6 +7,7 @@ budget.  Budgets are wall-clock on a single desk core.
 
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +33,10 @@ from dispersia.model import (
 )
 from dispersia.presets import DESK_EPSILONS, DESK_TAUS, PRESETS, REFERENCE_TAU, get_preset
 from dispersia.spectral import (
-    Grid,
     InitialDataSpec,
     PotentialSpec,
     SpectralField,
-    resolving_grid_n,
+    resolving_grid,
     sample_initial,
     x_norm,
 )
@@ -103,7 +103,7 @@ def preset_model_and_grid(preset):
     """The preset's model at its default epsilon, on the grid that resolves it."""
     eps = preset.default_epsilon
     model = DispersiveModel(preset.kappa, preset.coeffs, preset.alpha, eps)
-    return model, Grid(preset.half_width, resolving_grid_n(preset.half_width, eps))
+    return model, resolving_grid(preset.half_width, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,9 @@ def test_criterion_5_regularity_rates():
     elapsed = time.perf_counter() - t0
 
     # measured on this desk window the kappa=2 rate is still climbing toward
-    # its limit (local slopes 0.26 at 2^-4 up to 0.45 by 2^-10) and the
-    # kappa=3 j=1 distance is still drifting; neither fit lands in band
+    # its limit (local slopes 0.26 at 2^-4 up to 0.45 by 2^-10), so its fit
+    # lands out of band; the kappa=3 j=1 fit, each eps on its own grid,
+    # lands in band while its local slopes still drift toward 0
     ok2 = abs(s2 - 0.5) <= 0.1
     ok3 = abs(s3 - 0.0) <= 0.1
     ok = ok2 and ok3 and elapsed < 300.0
@@ -257,11 +258,7 @@ def test_criterion_7_splitting_regimes():
     st_slope = slope_for(result, scheme="strang")
 
     # crossover: one large step per unit interval dwarfs the splitting error
-    model = DispersiveModel(2, (1.0,), 1.0, eps)
-    grid = sweep.grid()
-    mk = lambda scheme, tau: SolveConfig(
-        model=model, grid=grid, potential=GAUSS_WELL, initial=GAUSS_INI,
-        scheme=scheme, tau=tau, z_final=1.0)
+    mk = lambda scheme, tau: replace(sweep.cell(eps), scheme=scheme, tau=tau)
     ref = solve(mk(StepperKind.EI, 1e-4)).final
     ei_err = x_norm(solve(mk(StepperKind.EI, 0.05)).final - ref)
     lt_err = x_norm(solve(mk(StepperKind.LT, 0.05)).final - ref)

@@ -60,10 +60,16 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
-def without_walltime(header, rows):
-    """The header and rows with the walltime_s column, the one timing, dropped."""
-    keep = [i for i, column in enumerate(header) if column != "walltime_s"]
-    return [[row[i] for i in keep] for row in (header, *rows)]
+def without_timing(path):
+    """A CSV's header and rows without the walltime_s column, or a JSON
+    document without run.json's written_unix stamp: what a rerun repeats."""
+    if path.suffix == ".csv":
+        header, rows = read_rows(path)
+        keep = [i for i, column in enumerate(header) if column != "walltime_s"]
+        return [[row[i] for i in keep] for row in (header, *rows)]
+    doc = json.loads(path.read_text())
+    doc.get("meta", {}).pop("written_unix", None)
+    return doc
 
 
 def read_state(path):
@@ -181,9 +187,7 @@ def test_solve_run_json_round_trip(tmp_path):
     assert main(["solve", "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
 
     assert (out1 / "final_state.csv").read_bytes() == (out2 / "final_state.csv").read_bytes()
-    _, rows1 = read_rows(out1 / "results.csv")
-    _, rows2 = read_rows(out2 / "results.csv")
-    assert rows1[0][:9] == rows2[0][:9]  # all columns except walltime_s
+    assert without_timing(out1 / "results.csv") == without_timing(out2 / "results.csv")
 
 
 def test_solve_determinism(tmp_path):
@@ -216,7 +220,9 @@ def test_solve_with_preset(tmp_path):
     assert run["alpha"] == 1.0
     assert run["epsilon"] == 2.0**-6
     assert run["tau"] == 0.05
-    assert run["grid_n"] == 2048
+    assert run["grid_n"] is None  # echoed as read; the solve sized its own grid
+    x, _ = read_state(out / "final_state.csv")
+    assert x.size == 2048  # the smallest power of two with h <= eps = 2^-6
 
 
 def test_solve_rejects_multiple_taus(tmp_path, capsys):
@@ -266,11 +272,9 @@ def test_sweep_reruns_are_byte_identical_except_walltime(tmp_path):
     for sub in ("s1", "s2"):
         out = tmp_path / sub
         assert main(["sweep-convergence", "--config", cfg, "--out", str(out)]) == 0
-        _, r = read_rows(out / "results.csv")
-        rows.append(r)
+        rows.append(without_timing(out / "results.csv"))
         (tmp_path / f"{sub}_rates").write_bytes((out / "rates.csv").read_bytes())
-    for r1, r2 in zip(*rows):
-        assert r1[:9] == r2[:9]
+    assert rows[0] == rows[1]
     assert (tmp_path / "s1_rates").read_bytes() == (tmp_path / "s2_rates").read_bytes()
 
 
@@ -281,9 +285,8 @@ def test_sweep_run_json_round_trip_keeps_deriv_order(tmp_path):
     assert main(["sweep-convergence", "--config", str(out1 / "run.json"),
                  "--out", str(out2)]) == 0
     _, rows1 = read_rows(out1 / "results.csv")
-    _, rows2 = read_rows(out2 / "results.csv")
     assert all(r[6] == "1" for r in rows1)
-    assert [r[:9] for r in rows1] == [r[:9] for r in rows2]
+    assert without_timing(out1 / "results.csv") == without_timing(out2 / "results.csv")
 
 
 def test_sweep_cell_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -365,21 +368,23 @@ def test_plot_script_draws_a_curve_only_where_every_error_is_positive(tmp_path):
 @pytest.mark.parametrize("scheme,j", [("ei", 0), ("lt", 1)])
 def test_solve_row_is_the_row_of_a_one_eps_regularity_sweep(tmp_path, scheme, j):
     # both measure one solve against the free flow through the same harness
-    # function, so the rows agree in every column but walltime_s
+    # function, so the rows agree in every column but walltime_s; with grid_n
+    # null, each eps of a sweep runs on the grid a solve at that eps runs on
     doc = dict(FREE_SOLVE, scheme=scheme, deriv_order=j,
                potential={"kind": "gaussian", "amplitude": -1.0, "width_sq": 1.0})
-    sweep = dict(doc, epsilons=[doc["epsilon"]], reference_scheme=scheme,
-                 reference_tau=doc["tau"])
-    rows = []
-    for command, config in (("solve", doc), ("sweep-regularity", sweep)):
-        out = tmp_path / command
-        assert main([command, "--config", write_config(tmp_path, config, f"{command}.json"),
+
+    def run(command, config):
+        out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+        assert main([command, "--config", write_config(tmp_path, config),
                      "--out", str(out)]) == 0
-        rows.append(read_rows(out / "results.csv"))
-    (header, solved), (sweep_header, swept) = rows
-    assert header == sweep_header and len(solved) == len(swept) == 1
-    assert solved[0][:9] == swept[0][:9]
-    assert solved[0][0] == scheme and solved[0][6] == str(j)
+        return without_timing(out / "results.csv")
+
+    for epsilons, grid_n in (([0.25], 128), ([0.125, 0.25], None)):  # ascending, as rows sort
+        swept = run("sweep-regularity", dict(doc, epsilons=epsilons, grid_n=grid_n,
+                                             reference_scheme=scheme, reference_tau=doc["tau"]))
+        solved = [run("solve", dict(doc, epsilon=eps, grid_n=grid_n)) for eps in epsilons]
+        assert swept == [solved[0][0], *(rows[1] for rows in solved)]
+    assert swept[1][0] == scheme and swept[1][6] == str(j)
 
 
 def test_sweep_regularity_records_reference_tau(tmp_path):
@@ -807,7 +812,9 @@ def test_version_flag(capsys):
 REPLAY_CASES = {
     "solve": (FREE_SOLVE, "results.csv"),
     "sweep-convergence": (SMALL_SWEEP, "results.csv"),
-    "sweep-regularity": (dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[]), "results.csv"),
+    # grid_n is left null, which run.json must echo as such
+    "sweep-regularity": (dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[], grid_n=None),
+                         "results.csv"),
     "compare": (dict(SMALL_SWEEP, taus=[0.05, 0.025]), "results.csv"),
     "reduce-moment": ({"kappa": 3, "beta": "3/2", "sign": "-", "lambda": 2.0},
                       "reduction.json"),
@@ -817,14 +824,6 @@ REPLAY_CASES = {
 }
 
 
-def _without_timing(path):
-    if path.suffix == ".csv":
-        return without_walltime(*read_rows(path))
-    doc = json.loads(path.read_text())
-    doc.get("meta", {}).pop("written_unix", None)
-    return doc
-
-
 @pytest.mark.parametrize("command", sorted(REPLAY_CASES))
 def test_run_json_replay_reproduces_the_run(tmp_path, command):
     doc, primary = REPLAY_CASES[command]
@@ -832,7 +831,7 @@ def test_run_json_replay_reproduces_the_run(tmp_path, command):
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out1)]) == 0
     assert main([command, "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
     for name in ("run.json", primary):
-        assert _without_timing(out1 / name) == _without_timing(out2 / name), name
+        assert without_timing(out1 / name) == without_timing(out2 / name), name
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -848,7 +847,7 @@ def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, 
     out = tmp_path / "out"
     assert main([command, "--config", str(golden / "run.json"), "--out", str(out)]) == 0
     for name in ("run.json", "results.csv", "rates.csv"):
-        assert _without_timing(out / name) == _without_timing(golden / name), name
+        assert without_timing(out / name) == without_timing(golden / name), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ to a 10% band, and normalized_error times the normalizer reproduces error_x.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_sweep_runs_with_numpy_integer_fields():
     cfg = small_sweep_config(taus=(0.05,), deriv_order=np.int64(1), workers=np.int64(2),
                              kappa=np.int64(2), grid_n=np.int64(128))
     assert type(cfg.deriv_order) is int and type(cfg.workers) is int
-    assert type(cfg.cell(0.5).model.kappa) is int and type(cfg.grid().n) is int
+    assert type(cfg.cell(0.5).model.kappa) is int and type(cfg.cell(0.5).grid.n) is int
     result = convergence_sweep(cfg)
     assert not result.failures
     assert [(r.tau, r.j) for r in result.records] == [(0.05, 1)]
@@ -199,12 +200,13 @@ def test_library_integers_take_numpy_ints_and_refuse_bools():
 
 
 def test_sweep_grid_auto_sizing():
-    cfg = small_sweep_config(half_width=16.0, epsilons=(0.0625,), grid_n=None)
-    assert cfg.grid().n == 512  # 2L/eps = 512 exactly
-    cfg = small_sweep_config(half_width=16.0, epsilons=(0.05,), grid_n=None)
-    assert cfg.grid().n == 1024  # next power of two above 640
-    cfg = small_sweep_config(grid_n=256)
-    assert cfg.grid().n == 256
+    # each eps cell runs on the grid a solve at that eps runs on
+    cfg = small_sweep_config(half_width=16.0, epsilons=(0.0625, 0.05), grid_n=None)
+    assert cfg.cell(0.0625).grid.n == 512  # 2L/eps = 512 exactly
+    assert cfg.cell(0.05).grid.n == 1024  # next power of two above 640
+    # a given grid_n applies to every cell
+    cfg = small_sweep_config(epsilons=(0.5, 0.25), grid_n=256)
+    assert [cfg.cell(e).grid.n for e in cfg.epsilons] == [256, 256]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def test_convergence_sweep_shape(small_sweep):
     cfg, result = small_sweep
     assert not result.failures
     assert len(result.records) == len(cfg.taus)
-    assert cfg.grid().n == 128
+    assert cfg.cell(0.5).grid.n == 128
     assert all(r.scheme == "ei" and r.epsilon == 0.5 for r in result.records)
     # records are sorted by (scheme, epsilon, tau, j)
     assert [r.tau for r in result.records] == sorted(cfg.taus)
@@ -245,19 +247,8 @@ def test_convergence_sweep_reference_dominates(small_sweep):
     cfg, result = small_sweep
     finest = min(result.records, key=lambda r: r.tau)
     # recompute the same cell against a reference twice as fine
-    grid = cfg.grid()
-    base = SolveConfig(
-        model=DispersiveModel(cfg.kappa, cfg.coeffs, cfg.alpha, 0.5),
-        grid=grid,
-        potential=cfg.potential,
-        initial=cfg.initial,
-        scheme=StepperKind.EI,
-        tau=cfg.reference_tau / 2.0,
-        z_final=cfg.z_final,
-    )
+    base = replace(cfg.cell(0.5), tau=cfg.reference_tau / 2.0)
     ref2 = solve(base).final
-    from dataclasses import replace
-
     test_run = solve(replace(base, tau=finest.tau)).final
     err2 = error_x(test_run, ref2)
     assert abs(finest.error_x - err2) <= 0.05 * err2

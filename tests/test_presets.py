@@ -9,7 +9,7 @@ from dispersia.presets import (
     REFERENCE_TAU,
     get_preset,
 )
-from dispersia.spectral import Grid, resolving_grid_n
+from dispersia.spectral import resolving_grid
 
 
 def test_catalogue_names():
@@ -43,7 +43,7 @@ def test_desk_scales():
 
 def test_grid_resolves_small_epsilon():
     p = get_preset("schrodinger-a1")
-    n = resolving_grid_n(p.half_width, 2.0**-6)
-    assert n == 2048
-    assert Grid(p.half_width, n).h <= 2.0**-6  # mesh below epsilon, no resolution warning
-    assert resolving_grid_n(get_preset("kdv-a2").half_width, 0.25) == 256
+    grid = resolving_grid(p.half_width, 2.0**-6)
+    assert grid.n == 2048
+    assert grid.h <= 2.0**-6  # mesh below epsilon, no resolution warning
+    assert resolving_grid(get_preset("kdv-a2").half_width, 0.25).n == 256

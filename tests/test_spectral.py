@@ -25,7 +25,7 @@ from dispersia.spectral import (
     check_mesh,
     free_propagator_symbol,
     phi1,
-    resolving_grid_n,
+    resolving_grid,
     sample_initial,
     sample_potential,
     x_norm,
@@ -74,10 +74,13 @@ def test_grid_refusals_start_with_the_config_key(half_width, n, key):
         Grid(half_width, n)
 
 
-def test_resolving_grid_n_leaves_a_bad_half_width_to_the_grid():
-    assert resolving_grid_n(16.0, 0.05) == 1024
+def test_resolving_grid_leaves_a_bad_half_width_to_the_grid():
+    assert resolving_grid(16.0, 0.0625) == Grid(16.0, 512)  # 2L/eps = 512 exactly
+    assert resolving_grid(16.0, 0.05) == Grid(16.0, 1024)  # next power of two above 640
+    assert resolving_grid(16.0, 0.05, 256) == Grid(16.0, 256)  # a given n is kept
     for half_width in (-1.0, 0.0, math.inf, math.nan):
-        assert resolving_grid_n(half_width, 0.05) == 8
+        with pytest.raises(ValueError, match="^half_width: "):
+            resolving_grid(half_width, 0.05)
 
 
 def test_grid_equality_and_hash():
