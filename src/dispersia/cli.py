@@ -419,8 +419,7 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
     ))
     _write_plot_script(out / "plot.gp", result, x_field, tuple(k for k in keys if k != "regime"))
 
-    sizes = sorted({resolving_grid(sweep.half_width, e, sweep.grid_n).n
-                    for e in sweep.epsilons})  # the grids its cells ran on
+    sizes = sorted({resolving_grid(sweep.half_width, e, sweep.grid_n).n for e in sweep.epsilons})
     print(f"{command}: {len(result.records)} cells on grid n={','.join(map(str, sizes))}, "
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
     for label, fit in rates:
