@@ -3,7 +3,7 @@
 Subcommands
 -----------
 solve               single run; writes final_state.csv plus a one-row results.csv
-sweep-convergence   tau-refinement errors against a fine reference solve
+sweep-convergence   tau-refinement errors against a Richardson pair of reference solves
 sweep-regularity    distance to the free flow across epsilon
 compare             scheme comparison on both sides of the tau ~ eps^(kappa-alpha) threshold
 reduce-moment       moment reduction to polynomial coefficients (JSON report)

@@ -1,9 +1,10 @@
 """Sweep orchestration: reference solves, error records, rate fits.
 
-Error measurement convention: a reference solve at a much smaller step on the
-same grid stands in for the exact solution, so spatial error cancels and the
-recorded number isolates the time-stepping error.  Records normalize against
-the predicted eps-rate so that curves for different eps collapse.
+Error measurement convention: the Richardson combination of two reference
+solves on the same grid, at reference_tau and at twice it, stands in for the
+exact solution, so spatial error cancels and the recorded number isolates
+the time-stepping error.  Records normalize against the predicted eps-rate
+so that curves for different eps collapse.
 """
 
 from __future__ import annotations
@@ -122,13 +123,17 @@ def fit_rate(x, y) -> RateFit:
 class SweepConfig:
     """Cross-product sweep description over (scheme, epsilon, tau).
 
-    reference_tau must undercut every test tau by at least a factor of ten,
-    and it and every tau must divide z_final; at that factor the reference's
-    own error measures about 10% of ei's error at the smallest tau (eps 2^-7,
-    tau 1e-3 against 1e-4).  A regularity sweep, which runs no test tau,
-    leaves taus empty.  A bad field is refused under its own name before any
-    cell runs: cell(eps) is built for every eps, so a grid_n too coarse for
-    one of them is refused too.
+    Every tau and reference_tau must divide z_final.  Each eps cell measures
+    against richardson_truth(cell(eps)), the pair of reference solves at
+    reference_tau and at twice it, so with a tau ladder reference_tau must
+    also be at most min(taus)/4, and twice it must divide z_final.  At the
+    desk's reference_tau of 2.5e-4 the truth's own error measured at most
+    7e-3 of ei's error at tau 1e-3 on every cell held against a
+    Taylor-series truth.  A regularity sweep, which runs no test tau, leaves
+    taus empty and runs its reference scheme at reference_tau alone.  A bad
+    field is refused under its own name before any cell runs: cell(eps) is
+    built for every eps, so a grid_n too coarse for one of them is refused
+    too.
     """
 
     kappa: int
@@ -163,18 +168,22 @@ class SweepConfig:
                 raise ValueError(f"{key}: each value may appear once, got {values}")
         for tau in self.taus:
             step_count(tau, self.z_final, "taus")
-        step_count(self.reference_tau, self.z_final, "reference_tau")
-        if self.taus and self.reference_tau > min(self.taus) / 10.0:
-            raise ValueError(f"reference_tau: must be at most min(taus)/10 = "
-                             f"{min(self.taus) / 10.0}, got {self.reference_tau}")
+        reference_steps = step_count(self.reference_tau, self.z_final, "reference_tau")
+        if self.taus:  # measured against richardson_truth
+            if reference_steps % 2:
+                raise ValueError(f"reference_tau: the truth also solves at twice it, so "
+                                 f"z_final/reference_tau must be even, got {reference_steps}")
+            if self.reference_tau > min(self.taus) / 4.0:
+                raise ValueError(f"reference_tau: must be at most min(taus)/4 = "
+                                 f"{min(self.taus) / 4.0}, got {self.reference_tau}")
         for key, lo in (("deriv_order", 0), ("workers", 1)):
             setattr(self, key, check_integer(getattr(self, key), lo, key))
         for e in self.epsilons:
             self.cell(e)  # the model, the grid and the samples each cell solves on
 
     def cell(self, eps: float) -> SolveConfig:
-        """The reference solve of the eps cell, on the grid resolving_grid
-        gives eps: grid_n points when it is set."""
+        """The reference solve of the eps cell at reference_tau, on the grid
+        resolving_grid gives eps: grid_n points when it is set."""
         return SolveConfig(DispersiveModel(self.kappa, self.coeffs, self.alpha, eps),
                            resolving_grid(self.half_width, eps, self.grid_n), self.potential,
                            self.initial, self.reference_scheme, self.reference_tau,
@@ -211,6 +220,24 @@ class SweepResult:
             label += f",x={x_field}"
             out.append((label, fit_rate(xs, ys)))
         return out
+
+
+# (fine, coarse) weights of the Richardson truth of a scheme of order p:
+# 2^p/(2^p - 1) and -1/(2^p - 1)
+_RICHARDSON_WEIGHTS = {
+    StepperKind.EI: (2.0, -1.0), StepperKind.LT: (2.0, -1.0), StepperKind.LRI: (2.0, -1.0),
+    StepperKind.STRANG: (4.0 / 3.0, -1.0 / 3.0),
+}
+
+
+def richardson_truth(config: SolveConfig) -> SpectralField:
+    """The solve of config at its tau and at twice it, combined with the
+    Richardson weights of its scheme's order, so that their leading error
+    terms cancel."""
+    fine = solve(config).final
+    coarse = solve(replace(config, tau=2.0 * config.tau)).final
+    w_fine, w_coarse = _RICHARDSON_WEIGHTS[config.scheme]
+    return SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
 
 
 def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
@@ -257,10 +284,10 @@ def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
 
 
 def convergence_sweep(cfg: SweepConfig) -> SweepResult:
-    """Error against a small-step reference for every (scheme, eps, tau);
-    each eps solves its reference once for all schemes and taus; errors are
+    """Error against the Richardson truth for every (scheme, eps, tau); each
+    eps solves its reference pair once for all schemes and taus; errors are
     normalized by the predicted eps-rate error_normalizer."""
-    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: solve(base).final,
+    return _sweep(cfg, cfg.schemes, cfg.taus, richardson_truth,
                   partial(error_normalizer, cfg.kappa, cfg.alpha))
 
 

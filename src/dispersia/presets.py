@@ -14,7 +14,7 @@ from .spectral import InitialDataSpec, PotentialSpec
 
 DESK_EPSILONS = (2.0**-8, 2.0**-7, 2.0**-6, 2.0**-5, 2.0**-4)
 DESK_TAUS = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
-REFERENCE_TAU = 1e-4
+REFERENCE_TAU = 2.5e-4
 
 
 @dataclass(frozen=True)

@@ -799,6 +799,18 @@ def test_fractional_step_count_is_config_error(tmp_path, capsys):
     assert "step count" in capsys.readouterr().err
 
 
+def test_reference_tau_whose_double_does_not_divide_z_final_is_config_error(tmp_path, capsys):
+    # a sweep's truth also solves at twice reference_tau: 1/0.2 = 5 steps are
+    # whole, 1/0.4 = 2.5 are not, so the run is refused before --out is made
+    cfg = write_config(tmp_path, dict(SMALL_SWEEP, taus=[1.0], z_final=1.0, reference_tau=0.2))
+    for command in ("sweep-convergence", "compare"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "config error: reference_tau: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    # sweep-regularity runs reference_tau alone, so an odd step count is fine there
+    assert main(["sweep-regularity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

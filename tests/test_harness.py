@@ -1,11 +1,13 @@
 """Rate fitting, normalizers, and the sweep drivers.
 
-The sweep invariants checked here: the reference solve dominates (halving the
-reference step moves measured errors by under 5%), errors shrink with tau up
-to a 10% band, and normalized_error times the normalizer reproduces error_x.
+The sweep invariants checked here: the Richardson truth dominates (halving
+the reference step moves measured errors by under 1%), errors shrink with tau
+up to a 10% band, and normalized_error times the normalizer reproduces error_x.
 """
 
+import functools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,15 +24,18 @@ from dispersia.harness import (
     error_normalizer,
     error_x,
     fit_rate,
+    measure,
     regularity_normalizer,
     regularity_sweep,
+    richardson_truth,
     splitting_threshold,
 )
 from dispersia.integrators import NumericalBlowupError, SolveConfig, StepperKind, solve
 from dispersia.model import DispersiveModel, eval_q, expected_regularity_exponent, reduce_moment
-from dispersia.presets import get_preset
+from dispersia.presets import REFERENCE_TAU, get_preset
 from dispersia.spectral import (Grid, InitialDataSpec, MeshResolutionError,
-                                MeshResolutionWarning, PotentialSpec, SpectralField, x_norm)
+                                MeshResolutionWarning, PotentialSpec, SpectralField,
+                                resolving_grid, sample_initial, sample_potential, x_norm)
 
 
 def small_sweep_config(**kw):
@@ -144,8 +149,12 @@ def test_sweep_config_validation():
         small_sweep_config(epsilons=(1.5,))
     with pytest.raises(ValueError, match="^epsilons: "):
         small_sweep_config(epsilons=(math.nan,))
-    with pytest.raises(ValueError, match="^reference_tau: must be at most"):
+    # the pair at reference_tau and twice it sits at most at min(taus)/4
+    with pytest.raises(ValueError, match=r"^reference_tau: must be at most min\(taus\)/4 = "
+                                         r"0.003125, got 0.01$"):
         small_sweep_config(reference_tau=0.01)
+    for fine_enough in (0.003125, 0.0025):
+        assert small_sweep_config(reference_tau=fine_enough).reference_tau == fine_enough
     # every step size is finite, positive and divides z_final = 0.4
     for bad in (math.nan, math.inf, -math.inf, 0.0, -0.05, 0.3):
         with pytest.raises(ValueError, match="^taus: "):
@@ -171,6 +180,14 @@ def test_sweep_config_validation():
         small_sweep_config(half_width=-1.0, grid_n=None)
     cfg = small_sweep_config(schemes=("ei", "strang"))
     assert cfg.schemes == (StepperKind.EI, StepperKind.STRANG)
+
+
+def test_sweep_config_refuses_a_reference_tau_whose_double_does_not_divide_z_final():
+    # 1/0.2 = 5 steps, but the truth's coarse solve at 0.4 would take 2.5
+    with pytest.raises(ValueError, match="^reference_tau: .*must be even, got 5$"):
+        small_sweep_config(taus=(1.0,), z_final=1.0, reference_tau=0.2)
+    # a regularity sweep runs reference_tau alone, so its step count may be odd
+    assert small_sweep_config(taus=(), z_final=1.0, reference_tau=0.2).reference_tau == 0.2
 
 
 def test_sweep_runs_with_numpy_integer_fields():
@@ -246,12 +263,12 @@ def test_convergence_sweep_normalization_identity(small_sweep):
 def test_convergence_sweep_reference_dominates(small_sweep):
     cfg, result = small_sweep
     finest = min(result.records, key=lambda r: r.tau)
-    # recompute the same cell against a reference twice as fine
+    # recompute the same cell against the truth of a pair twice as fine
     base = replace(cfg.cell(0.5), tau=cfg.reference_tau / 2.0)
-    ref2 = solve(base).final
+    ref2 = richardson_truth(base)
     test_run = solve(replace(base, tau=finest.tau)).final
     err2 = error_x(test_run, ref2)
-    assert abs(finest.error_x - err2) <= 0.05 * err2
+    assert abs(finest.error_x - err2) <= 0.01 * err2
 
 
 def test_convergence_sweep_rate_slope(small_sweep):
@@ -377,25 +394,114 @@ def test_compare_methods_regime_tags_and_strang_scaling():
 
 
 def test_compare_methods_shares_the_reference_exactly():
-    # every scheme and tau of an eps is measured against the one reference
-    # solve of that eps, so each error is bit-identical to a direct recompute
+    # every scheme and tau of an eps is measured against the one Richardson
+    # pair of that eps, w_fine R(tau_r) + w_coarse R(2 tau_r) with weights
+    # of the reference scheme's order, so each error is bit-identical to a
+    # direct recompute
     p = get_preset("schrodinger-a1")
-    cfg = SweepConfig(
-        kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
-        initial=p.initial, half_width=p.half_width, epsilons=(0.125, 0.25),
-        taus=(0.005, 0.01), schemes=("ei", "lt", "strang", "lri"), z_final=0.01,
-        grid_n=256,
-    )
-    result = compare_methods(cfg)
-    assert not result.failures
-    assert len(result.records) == 2 * 2 * 4
     grid = Grid(p.half_width, 256)
-    for r in result.records:
-        mk = lambda scheme, tau: SolveConfig(
-            model=DispersiveModel(p.kappa, p.coeffs, p.alpha, r.epsilon), grid=grid,
-            potential=p.potential, initial=p.initial, scheme=scheme, tau=tau, z_final=0.01)
-        ref = solve(mk(cfg.reference_scheme, cfg.reference_tau)).final
-        assert r.error_x == error_x(solve(mk(r.scheme, r.tau)).final, ref)
+    for reference_scheme, (w_fine, w_coarse) in (("ei", (2.0, -1.0)),
+                                                 ("strang", (4.0 / 3.0, -1.0 / 3.0))):
+        cfg = SweepConfig(
+            kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+            initial=p.initial, half_width=p.half_width, epsilons=(0.125, 0.25),
+            taus=(0.005, 0.01), schemes=("ei", "lt", "strang", "lri"), z_final=0.01,
+            reference_scheme=reference_scheme, grid_n=256,
+        )
+        result = compare_methods(cfg)
+        assert not result.failures
+        assert len(result.records) == 2 * 2 * 4
+        for r in result.records:
+            mk = lambda scheme, tau: SolveConfig(
+                model=DispersiveModel(p.kappa, p.coeffs, p.alpha, r.epsilon), grid=grid,
+                potential=p.potential, initial=p.initial, scheme=scheme, tau=tau,
+                z_final=0.01)
+            fine = solve(mk(reference_scheme, cfg.reference_tau)).final
+            coarse = solve(mk(reference_scheme, 2.0 * cfg.reference_tau)).final
+            ref = SpectralField(grid, values=w_fine * fine.values + w_coarse * coarse.values)
+            assert r.error_x == error_x(solve(mk(r.scheme, r.tau)).final, ref)
+
+
+def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatch):
+    # per eps: the reference scheme at reference_tau and at twice it, then
+    # one solve per (scheme, tau), all through harness.solve
+    calls = Counter()
+
+    def counting_solve(config):
+        calls[(config.model.epsilon, config.scheme.value, config.tau)] += 1
+        return solve(config)
+
+    monkeypatch.setattr(harness, "solve", counting_solve)
+    cfg = small_sweep_config(epsilons=(0.5, 0.25), taus=(0.05, 0.025), schemes=("ei", "lt"))
+    assert not compare_methods(cfg).failures
+    tau_r = cfg.reference_tau
+    cells = [("ei", tau_r), ("ei", 2.0 * tau_r)] + [(s, t) for s in ("ei", "lt")
+                                                   for t in (0.05, 0.025)]
+    assert calls == Counter({(eps, s, t): 1 for eps in (0.5, 0.25) for s, t in cells})
+
+
+# ---------------------------------------------------------------------------
+# the Richardson truth against a Taylor-series truth
+
+TAYLOR_EPS = 2.0**-4
+
+
+@functools.cache
+def taylor_truth(name: str) -> SpectralField:
+    """The preset's solution at eps 2^-4 and z_final on the grid that resolves
+    eps, exp(z_final A) mu0 for A v = ifft(-i eps^a P(xi) fft(v)) + R_eps v,
+    the semi-discrete problem every scheme approximates.  The Taylor series
+    of the exponential is summed to rounding in substeps dt with rho dt <= 1,
+    rho = max eps^a |P(xi)| + max |R_eps| bounding the norm of A, so that no
+    term outgrows the sum."""
+    p = get_preset(name)
+    grid = resolving_grid(p.half_width, TAYLOR_EPS)
+    poly = sum(c * grid.xi ** (p.kappa - 2 * j) for j, c in enumerate(p.coeffs))
+    symbol = -1j * TAYLOR_EPS**p.alpha * poly
+    r = sample_potential(p.potential, grid, TAYLOR_EPS)
+    substeps = math.ceil((np.max(np.abs(symbol)) + np.max(np.abs(r))) * p.z_final)
+    dt = p.z_final / substeps
+    v = sample_initial(p.initial, grid).astype(np.complex128)
+    for _ in range(substeps):
+        term, total, k = v, v.copy(), 0
+        while np.max(np.abs(term)) > 1e-17 * np.max(np.abs(total)):
+            k += 1
+            term = (dt / k) * (np.fft.ifft(symbol * np.fft.fft(term)) + r * term)
+            total += term
+        v = total
+    return SpectralField(grid, values=v)
+
+
+@pytest.mark.parametrize("name", ["schrodinger-a1", "kdv-a3/2"])  # n = 512 and 1024
+@pytest.mark.parametrize("scheme,taus,order,band", [
+    # ei on the finest desk steps, against the pair at the desk's reference_tau
+    pytest.param("ei", (1e-3, 2e-3, 5e-3, 1e-2), 1.0, 0.05, id="ei"),
+    # Strang in its tau^2 regime, which on the rough well starts near 2^-10
+    pytest.param("strang", (2.0**-12, 2.0**-11, 2.0**-10), 2.0, 0.1, id="strang"),
+])
+def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, scheme, taus,
+                                                         order, band):
+    # a sweep of scheme against its own pair; the truth and the finals it
+    # hands to measure are held against the Taylor truth
+    p = get_preset(name)
+    cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+                      initial=p.initial, half_width=p.half_width, epsilons=(TAYLOR_EPS,),
+                      taus=taus, schemes=(scheme,), reference_scheme=scheme,
+                      reference_tau=REFERENCE_TAU if scheme == "ei" else taus[0] / 4)
+    seen = {}
+
+    def recording_measure(config, truth, j, rate):
+        record, final = measure(config, truth, j, rate)
+        seen[config.tau] = truth, final
+        return record, final
+
+    monkeypatch.setattr(harness, "measure", recording_measure)
+    assert not convergence_sweep(cfg).failures
+    exact = taylor_truth(name)
+    errors = [error_x(seen[tau][1], exact) for tau in taus]
+    # the truth's own error is under 1% of the smallest-tau error it measures
+    assert error_x(seen[taus[0]][0], exact) <= 0.01 * errors[0]
+    assert fit_rate(taus, errors).slope == pytest.approx(order, abs=band)
 
 
 # ---------------------------------------------------------------------------

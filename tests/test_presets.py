@@ -9,6 +9,7 @@ from dispersia.presets import (
     REFERENCE_TAU,
     get_preset,
 )
+from dispersia.integrators import step_count
 from dispersia.spectral import resolving_grid
 
 
@@ -37,8 +38,11 @@ def test_desk_scales():
     assert DESK_EPSILONS == (2.0**-8, 2.0**-7, 2.0**-6, 2.0**-5, 2.0**-4)
     assert len(DESK_TAUS) == 7
     assert all(t1 < t2 for t1, t2 in zip(DESK_TAUS, DESK_TAUS[1:]))
-    # the reference step sits an order of magnitude under the finest desk step
-    assert REFERENCE_TAU <= min(DESK_TAUS) / 10
+    # the Richardson truth pairs solves at REFERENCE_TAU and twice it: the
+    # pair sits at a quarter of the finest desk step or below, and both
+    # steps divide a unit z_final
+    assert REFERENCE_TAU <= min(DESK_TAUS) / 4
+    assert step_count(2.0 * REFERENCE_TAU, 1.0) == 2000
 
 
 def test_grid_resolves_small_epsilon():
