@@ -9,19 +9,25 @@ Fourier multiplier -P(xi); F = flow(tau) has symbol exp(-i tau eps^a P(xi)):
     lri    low-regularity variant  mu+ = F mu + tau (phi1(-i tau eps^a D) R_eps) * mu
 
 precompute() is the one place that tells the schemes apart: it turns a scheme
-into the inputs of one of two in-place kernels of exactly 2 FFTs, which solve()
-runs on the raw transform v = fft(mu), forming values only at the end (a solve
-of N steps costs 2N + 2):
+into the inputs of one of two in-place kernels of exactly 2 transforms, which
+solve() runs on the raw transform v = T(mu), forming values only at the end (a
+solve of N steps costs 2N + 2):
 
-    dressed (ei, lri)   v <- flow v + gain fft(weight ifft(v)); gain = tau phi1 and
+    dressed (ei, lri)   v <- flow v + gain T(weight T^-1(v)); gain = tau phi1 and
                         weight = R_eps for ei, gain = tau and weight = the
                         filtered R_eps for lri
-    split (lt, strang)  v <- flow fft(weight ifft(v)), weight = exp(tau R_eps)
+    split (lt, strang)  v <- flow T(weight T^-1(v)), weight = exp(tau R_eps)
 
-Strang marches v = H fft(mu), its entry factor: as |H| = 1, H E H = H^-1 (F E) H
+Strang marches v = H T(mu), its entry factor: as |H| = 1, H E H = H^-1 (F E) H
 is a Lie step with flow F = H^2, entered with H and left with conj(H).  step()
 takes one kernel step from values.  Plain transforms suffice: the h and
 origin-phase factors of the field convention cancel for pure multipliers.
+
+T is one of two transform pairs, run by the same two kernels.  For odd kappa
+P is odd and R real, so every symbol is Hermitian (flow_phase's Nyquist rule
+sees to the mode n/2) and real data stays real: such a solve marches the n/2 + 1
+entries of T = rfft, with irfft as its inverse, and returns values whose
+imaginary part is exactly 0.  Every other solve marches T = fft.
 """
 
 from __future__ import annotations
@@ -108,8 +114,9 @@ def step_count(tau: float, z_final: float, key: str = "tau") -> int:
 class PrecomputedStep:
     """One step of a scheme as the inputs of its kernel, for one (model, grid,
     tau).  The dressed kernel (ei, lri) has a gain; the split kernel (lt,
-    strang) has none.  entry is the factor v = entry fft(mu) is marched in:
-    the half flow H for strang, 1.0 otherwise."""
+    strang) has none.  entry is the factor v = entry T(mu) is marched in:
+    the half flow H for strang, 1.0 otherwise.  odd is whether kappa is odd,
+    so that every symbol is Hermitian and real values may march on rfft."""
 
     scheme: StepperKind
     tau: float
@@ -117,6 +124,7 @@ class PrecomputedStep:
     weight: np.ndarray
     gain: np.ndarray | float | None = None
     entry: np.ndarray | float = 1.0
+    odd: bool = False
 
 
 def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
@@ -126,44 +134,67 @@ def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
         # negative tau is legitimate (adjoint/time-reversal checks)
         raise ValueError("tau must be nonzero")
     tau = float(tau)
+    odd = bool(model.kappa % 2)
     r = sample_potential(potential, grid, model.epsilon)
     theta = flow_phase(model, grid, tau)
     if scheme is StepperKind.STRANG:
         half = np.exp(-1j * (theta / 2.0))
-        return PrecomputedStep(scheme, tau, half * half, np.exp(tau * r), entry=half)
+        return PrecomputedStep(scheme, tau, half * half, np.exp(tau * r), entry=half, odd=odd)
     flow = np.exp(-1j * theta)
     if scheme is StepperKind.EI:
-        return PrecomputedStep(scheme, tau, flow, r, gain=tau * phi1(-1j * theta))
+        return PrecomputedStep(scheme, tau, flow, r, gain=tau * phi1(-1j * theta), odd=odd)
     if scheme is StepperKind.LT:
-        return PrecomputedStep(scheme, tau, flow, np.exp(tau * r))
+        return PrecomputedStep(scheme, tau, flow, np.exp(tau * r), odd=odd)
     r_hat = np.fft.fft(r.astype(np.complex128))
-    return PrecomputedStep(scheme, tau, flow, np.fft.ifft(phi1(1j * theta) * r_hat), gain=tau)
+    return PrecomputedStep(scheme, tau, flow, np.fft.ifft(phi1(1j * theta) * r_hat), gain=tau,
+                           odd=odd)
 
 
-def _kernel(pc: PrecomputedStep):
-    """pc's step as an in-place kernel on v = entry fft(mu); s is scratch.
+def _kernel(pc: PrecomputedStep, mu: np.ndarray):
+    """pc's step from values mu: the state v = entry T(mu), an in-place
+    kernel that advances v by one step, and the map from v back to values.
 
-    The weight is cast to complex once, with ifft's 1/n folded in (exact, as n
-    is a power of two), so that the step's ifft runs unscaled and the product
-    with the weight casts nothing."""
-    flow, gain = pc.flow, pc.gain
-    weight = (pc.weight * (1.0 / pc.flow.size)).astype(np.complex128, copy=False)
+    T is rfft when pc.odd and mu has no imaginary part, with the symbols cut
+    to their n/2 + 1 entries and the weight to its real part; fft otherwise.
+    The parity test comes first, so a complex march scans nothing.  The
+    transform pair and the scratch are bound here, once.  The weight takes the
+    inverse's 1/n (exact, as n is a power of two), so that the step's inverse
+    runs unscaled and the product with the weight casts nothing."""
+    n = mu.size
+    if pc.odd and not mu.imag.any():
+        m = n // 2 + 1
+        forward, inverse = np.fft.rfft, np.fft.irfft
+        flow, gain, entry = (a[:m] if isinstance(a, np.ndarray) else a
+                             for a in (pc.flow, pc.gain, pc.entry))
+        weight = pc.weight.real * (1.0 / n)
+        mu = mu.real
+        s, t = np.empty(n), np.empty(m, dtype=np.complex128)
+    else:
+        forward, inverse = np.fft.fft, np.fft.ifft
+        flow, gain, entry = pc.flow, pc.gain, pc.entry
+        weight = (pc.weight * (1.0 / n)).astype(np.complex128, copy=False)
+        s = t = np.empty(n, dtype=np.complex128)
+    state, exit_ = entry * forward(mu), np.conj(entry)
+
+    def values(v):
+        return inverse(exit_ * v, n).astype(np.complex128, copy=False)
+
     if gain is None:
-        def split(v, s):  # v <- flow fft(weight ifft(v))
-            np.fft.ifft(v, out=s, norm="forward")
-            s *= weight
-            np.fft.fft(s, out=v)
+        def split(v):  # v <- flow T(weight T^-1(v))
+            inverse(v, n, out=s, norm="forward")
+            np.multiply(s, weight, out=s)
+            forward(s, out=v)
             v *= flow
-        return split
+        return state, split, values
 
-    def dressed(v, s):  # v <- flow v + gain fft(weight ifft(v))
-        np.fft.ifft(v, out=s, norm="forward")
-        s *= weight
-        np.fft.fft(s, out=s)
-        s *= gain
+    def dressed(v):  # v <- flow v + gain T(weight T^-1(v))
+        inverse(v, n, out=s, norm="forward")
+        np.multiply(s, weight, out=s)
+        forward(s, out=t)
+        np.multiply(t, gain, out=t)
         v *= flow
-        v += s
-    return dressed
+        v += t
+    return state, dressed, values
 
 
 def _all_finite(v: np.ndarray) -> bool:
@@ -177,9 +208,9 @@ def _all_finite(v: np.ndarray) -> bool:
 
 def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
     """One step from values mu through the kernel solve() marches."""
-    v = pc.entry * np.fft.fft(mu)
-    _kernel(pc)(v, np.empty_like(v))
-    return np.fft.ifft(np.conj(pc.entry) * v)
+    v, kernel, values = _kernel(pc, mu)
+    kernel(v)
+    return values(v)
 
 
 @dataclass
@@ -194,15 +225,13 @@ def solve(config: SolveConfig) -> SolveResult:
     n_steps = config.step_count()
     grid = config.grid
     pc = precompute(config.model, grid, config.potential, config.scheme, config.tau)
-    kernel = _kernel(pc)
     mu = sample_initial(config.initial, grid)
-    v = pc.entry * np.fft.fft(mu)
-    scratch = np.empty_like(v)
+    v, kernel, values = _kernel(pc, mu)
     t0 = time.perf_counter()
     # _all_finite's sum may overflow on a finite state, which is no blowup
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            kernel(v, scratch)
+            kernel(v)
             if not _all_finite(v):
                 raise NumericalBlowupError(
                     f"non-finite values at step {k}/{n_steps} (z={k * config.tau:.6g}, "
@@ -210,7 +239,7 @@ def solve(config: SolveConfig) -> SolveResult:
                     f"tau={config.tau:.6g})"
                 )
     if n_steps:
-        mu = np.fft.ifft(np.conj(pc.entry) * v)
+        mu = values(v)
     walltime = time.perf_counter() - t0
     return SolveResult(SpectralField(grid, values=mu), n_steps, walltime)
 
@@ -239,5 +268,7 @@ def lri_filter_rescaled(model: DispersiveModel, grid: Grid, potential: Potential
     p = np.zeros_like(sgrid.xi)
     for j, d in enumerate(model.coeffs):
         p += d * eps ** (2 * j) * sgrid.xi ** (model.kappa - 2 * j)
+    if model.kappa % 2:
+        p[grid.n // 2] = 0.0  # flow_phase's Nyquist rule
     theta = tau * eps ** (model.alpha - model.kappa) * p
     return np.fft.ifft(phi1(1j * theta) * np.fft.fft(r.astype(np.complex128)))

@@ -130,8 +130,19 @@ def phi1(z):
 
 
 def flow_phase(model: DispersiveModel, grid: Grid, z: float) -> np.ndarray:
-    """theta = z eps^alpha P(xi): the free flow over z has symbol exp(-i theta)."""
-    return z * model.epsilon**model.alpha * eval_p(model, grid.xi)
+    """theta = z eps^alpha P(xi): the free flow over z has symbol exp(-i theta).
+
+    For odd kappa, theta at the Nyquist index n/2 is 0, the mean of P(+-pi/h).
+    That one mode stands for both ends of the band, and an odd P takes
+    opposite values there, so P(-pi/h) alone would turn real data complex;
+    with the mean, theta is odd on the whole grid and the flow, and every
+    symbol built from theta, maps real values to real values (the usual
+    rule for odd derivatives, Trefethen, Spectral Methods in MATLAB, ch. 3).
+    """
+    theta = z * model.epsilon**model.alpha * eval_p(model, grid.xi)
+    if model.kappa % 2:
+        theta[grid.n // 2] = 0.0
+    return theta
 
 
 def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.ndarray:

@@ -450,13 +450,16 @@ TAYLOR_EPS = 2.0**-4
 def taylor_truth(name: str) -> SpectralField:
     """The preset's solution at eps 2^-4 and z_final on the grid that resolves
     eps, exp(z_final A) mu0 for A v = ifft(-i eps^a P(xi) fft(v)) + R_eps v,
-    the semi-discrete problem every scheme approximates.  The Taylor series
-    of the exponential is summed to rounding in substeps dt with rho dt <= 1,
-    rho = max eps^a |P(xi)| + max |R_eps| bounding the norm of A, so that no
-    term outgrows the sum."""
+    the semi-discrete problem every scheme approximates, with flow_phase's
+    Nyquist rule for odd kappa.  The Taylor series of the exponential is
+    summed to rounding in substeps dt with rho dt <= 1, rho = max eps^a
+    |P(xi)| + max |R_eps| bounding the norm of A, so that no term outgrows
+    the sum."""
     p = get_preset(name)
     grid = resolving_grid(p.half_width, TAYLOR_EPS)
     poly = sum(c * grid.xi ** (p.kappa - 2 * j) for j, c in enumerate(p.coeffs))
+    if p.kappa % 2:
+        poly[grid.n // 2] = 0.0  # the mean of P(+-pi/h), as spectral.flow_phase takes it
     symbol = -1j * TAYLOR_EPS**p.alpha * poly
     r = sample_potential(p.potential, grid, TAYLOR_EPS)
     substeps = math.ceil((np.max(np.abs(symbol)) + np.max(np.abs(r))) * p.z_final)

@@ -41,9 +41,14 @@ from dispersia.spectral import (
 )
 
 MODEL = DispersiveModel(2, (1.0,), 1.0, 0.5)
+# odd kappa: real data marches the real half-spectrum path
+KDV = DispersiveModel(3, (1.0, -1.0), 1.5, 0.5)
 GRID = Grid(4.0, 256)
 GAUSS_POT = PotentialSpec.gaussian(-1.0, 1.0)
 GAUSS_INI = InitialDataSpec.gaussian()
+# every scheme on MODEL (complex path) and on KDV (real path)
+SCHEME_MODELS = ([pytest.param(s, MODEL, id=s.value) for s in StepperKind]
+                 + [pytest.param(s, KDV, id=f"{s.value}-kappa3") for s in StepperKind])
 
 
 def l2_norm(grid, values):
@@ -423,13 +428,13 @@ def test_solve_state_whose_sum_overflows_is_not_a_blowup():
         assert res.steps == 10 and np.all(v.real > 4e305) and np.all(v.imag > 4e305)
 
 
-def physical_step(scheme, tau):
+def physical_step(model, scheme, tau):
     """One step marched in values, with the transforms the formulas name:
     3 FFTs for ei, 4 for strang, 2 for lt and lri.  Its flow, phi1 weight,
     potential factor and lri filter are built here, not taken from precompute."""
     fft, ifft = np.fft.fft, np.fft.ifft
-    r = sample_potential(GAUSS_POT, GRID, MODEL.epsilon)
-    theta = flow_phase(MODEL, GRID, tau)
+    r = sample_potential(GAUSS_POT, GRID, model.epsilon)
+    theta = flow_phase(model, GRID, tau)
     flow, half, factor = np.exp(-1j * theta), np.exp(-0.5j * theta), np.exp(tau * r)
     if scheme is StepperKind.EI:
         weight = tau * phi1(-1j * theta)
@@ -442,29 +447,51 @@ def physical_step(scheme, tau):
     return lambda mu: ifft(flow * fft(mu)) + tau * (filtered * mu)
 
 
-@pytest.mark.parametrize("scheme", list(StepperKind))
-def test_fourier_state_loop_matches_physical_space_steps(scheme):
+@pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
+def test_fourier_state_loop_matches_physical_space_steps(scheme, model):
     tau = 0.005
-    one_step = physical_step(scheme, tau)
+    one_step = physical_step(model, scheme, tau)
     mu = sample_initial(GAUSS_INI, GRID)
     for k in range(1, 201):
         mu = one_step(mu)
         if k % 50 == 0:
-            cfg = make_config(scheme=scheme, tau=tau, z_final=k * tau)
+            cfg = make_config(model=model, scheme=scheme, tau=tau, z_final=k * tau)
             res = solve(cfg)
             assert res.steps == k
             assert diff_norm(GRID, res.final.values, mu) <= 1e-11, (scheme, k)
             np.testing.assert_array_equal(solve(cfg).final.values, res.final.values)
 
 
-@pytest.mark.parametrize("scheme", list(StepperKind))
-def test_step_is_a_one_step_solve(scheme):
+@pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
+def test_step_is_a_one_step_solve(scheme, model):
     # step() and solve() run one kernel: a single step agrees bit for bit
     tau = 0.05
-    res = solve(make_config(scheme=scheme, tau=tau, z_final=tau))
-    pc = precompute(MODEL, GRID, GAUSS_POT, scheme, tau)
+    res = solve(make_config(model=model, scheme=scheme, tau=tau, z_final=tau))
+    pc = precompute(model, GRID, GAUSS_POT, scheme, tau)
     assert res.steps == 1
     np.testing.assert_array_equal(step(sample_initial(GAUSS_INI, GRID), pc), res.final.values)
+
+
+@pytest.mark.parametrize("scheme", list(StepperKind))
+def test_odd_kappa_real_data_stays_exactly_real(scheme):
+    # the Nyquist mode's flow is real, so real data has a real solution, and
+    # the half-spectrum march returns it with no imaginary part at all
+    res = solve(make_config(model=KDV, scheme=scheme, tau=0.01, z_final=0.5))
+    assert res.steps == 50
+    assert not res.final.values.imag.any()
+    assert res.final.values.real.any()
+
+
+@pytest.mark.parametrize("scheme", list(StepperKind))
+def test_odd_kappa_real_path_matches_complex_path(scheme):
+    # the problem is linear, so solving from 1j g on the complex path is 1j
+    # times solving from g on the real path, up to rounding
+    g = sample_initial(GAUSS_INI, GRID)
+    real = solve(make_config(model=KDV, scheme=scheme, tau=0.01, z_final=0.5)).final
+    cplx = solve(make_config(model=KDV, scheme=scheme, tau=0.01, z_final=0.5,
+                             initial=InitialDataSpec.tabulated(1j * g))).final
+    gap = x_norm(cplx - SpectralField(GRID, values=1j * real.values))
+    assert gap <= 1e-13 * x_norm(cplx)
 
 
 def test_all_schemes_hit_their_global_order_at_eps_one():

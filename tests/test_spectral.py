@@ -23,6 +23,7 @@ from dispersia.spectral import (
     PotentialSpec,
     SpectralField,
     check_mesh,
+    flow_phase,
     free_propagator_symbol,
     phi1,
     resolving_grid,
@@ -289,6 +290,24 @@ def test_free_symbol_group_law():
     np.testing.assert_allclose(
         free_propagator_symbol(m, g, -0.3), np.conj(s1), rtol=1e-13
     )
+
+
+@pytest.mark.parametrize("kappa,coeffs", [(2, (1.0,)), (3, (1.0, -1.0)), (4, (1.0, 0.5)),
+                                          (5, (1.0, 0.0, 2.0))])
+def test_flow_phase_takes_the_mean_of_p_at_the_nyquist_mode(kappa, coeffs):
+    # P(pi/h) and P(-pi/h) share the mode n/2: equal for even kappa, opposite
+    # for odd kappa, where the mean 0 keeps theta odd on the whole grid
+    m = DispersiveModel(kappa, coeffs, 1.0, 0.25)
+    g = Grid(8.0, 128)
+    theta = flow_phase(m, g, 0.3)
+    p = sum(c * g.xi ** (kappa - 2 * j) for j, c in enumerate(coeffs))
+    nyq = g.n // 2
+    want = 0.0 if kappa % 2 else pytest.approx(0.3 * 0.25 * p[nyq], rel=1e-14, abs=0.0)
+    assert theta[nyq] == want
+    others = np.arange(g.n) != nyq
+    np.testing.assert_allclose(theta[others], 0.3 * 0.25 * p[others], rtol=1e-14)
+    mirror = theta[-np.arange(g.n) % g.n]
+    np.testing.assert_array_equal(mirror, -theta if kappa % 2 else theta)
 
 
 # ---------------------------------------------------------------------------
