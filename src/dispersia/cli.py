@@ -220,9 +220,7 @@ def _sweep_table(eps_alias: tuple[str, ...], schemes: tuple[str, ...] = ()) -> t
         _Z_FINAL,
         _field("reference_tau", float, REFERENCE_TAU),
         _field("reference_scheme", str, "ei"),
-        _DERIV_ORDER, _GRID_N,
-        _field("workers", _integer, 1, "--workers"),
-        _POTENTIAL, _INITIAL,
+        _DERIV_ORDER, _GRID_N, _POTENTIAL, _INITIAL,
     )
 
 

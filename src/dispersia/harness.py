@@ -10,7 +10,6 @@ so that curves for different eps collapse.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -150,7 +149,6 @@ class SweepConfig:
     reference_scheme: StepperKind = StepperKind.EI
     deriv_order: int = 0
     grid_n: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         self.schemes = tuple(stepper_kind(s, "schemes") for s in self.schemes)
@@ -176,8 +174,7 @@ class SweepConfig:
             if self.reference_tau > min(self.taus) / 4.0:
                 raise ValueError(f"reference_tau: must be at most min(taus)/4 = "
                                  f"{min(self.taus) / 4.0}, got {self.reference_tau}")
-        for key, lo in (("deriv_order", 0), ("workers", 1)):
-            setattr(self, key, check_integer(getattr(self, key), lo, key))
+        self.deriv_order = check_integer(self.deriv_order, 0, "deriv_order")
         for e in self.epsilons:
             self.cell(e)  # the model, the grid and the samples each cell solves on
 
@@ -267,16 +264,8 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
 
 
 def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
-    """Run one eps cell per epsilon, concurrently; aggregation order is
-    fixed by sorting."""
-    def run_cell(eps):
-        return _sweep_cell(cfg, eps, schemes, taus, truth, rate)
-
-    if cfg.workers <= 1:
-        results = [run_cell(e) for e in cfg.epsilons]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_cell, cfg.epsilons))
+    """Run one eps cell per epsilon, in order; rows and failures are sorted."""
+    results = [_sweep_cell(cfg, eps, schemes, taus, truth, rate) for eps in cfg.epsilons]
     records = [r for recs, _ in results for r in recs]
     failures = [f for _, fails in results for f in fails]
     return SweepResult(records=sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j)),

@@ -438,24 +438,19 @@ def test_compare_defaults_to_all_schemes(tmp_path):
     assert run["schemes"] == ["ei", "lt", "strang", "lri"]
 
 
-def test_sweep_workers_flag(tmp_path):
-    cfg = write_config(tmp_path, SMALL_SWEEP)
-    out = tmp_path / "out"
-    assert main(["sweep-convergence", "--config", cfg, "--out", str(out),
-                 "--workers", "2"]) == 0
-    assert json.loads((out / "run.json").read_text())["workers"] == 2
-    rc = main(["sweep-convergence", "--config", cfg, "--out", str(out),
-               "--workers", "0"])
-    assert rc == 1
-
-
-def test_sweep_workers_default_is_one_whatever_the_environment(tmp_path, monkeypatch):
-    # no environment variable sets the worker count
-    monkeypatch.setenv("DISPERSIA_WORKERS", "zero")
-    out = tmp_path / "out"
-    assert main(["sweep-convergence", "--config", write_config(tmp_path, SMALL_SWEEP),
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "run.json").read_text())["workers"] == 1
+def test_a_config_holding_workers_runs_as_one_without_it(tmp_path):
+    # older configs hold workers: the sweep ignores the key like any other it
+    # does not read, and run.json does not echo it
+    outs = []
+    for name, doc in (("plain", SMALL_SWEEP), ("workers", dict(SMALL_SWEEP, workers=2))):
+        out = tmp_path / name
+        assert main(["sweep-convergence", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        assert "workers" not in json.loads((out / "run.json").read_text())
+        outs.append(out)
+    plain, workers = outs
+    assert without_timing(plain / "results.csv") == without_timing(workers / "results.csv")
+    assert (plain / "rates.csv").read_bytes() == (workers / "rates.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +616,6 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
 
 @pytest.mark.parametrize("command,field,value", [
     ("sweep-convergence", "grid_n", "big"),
-    ("sweep-convergence", "workers", True),
     # a library check on one field is reported under the field's config key
     ("solve", "grid_n", 12), ("sweep-convergence", "grid_n", 12),
     ("solve", "deriv_order", -3), ("sweep-convergence", "deriv_order", -3),
@@ -633,7 +627,6 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
     ("sweep-convergence", "taus", "nan"), ("sweep-convergence", "taus", 0),
     ("sweep-convergence", "reference_tau", "inf"), ("sweep-convergence", "reference_tau", 0),
     ("sweep-convergence", "z_final", -1), ("sweep-convergence", "z_final", "nan"),
-    ("sweep-convergence", "workers", -3),
     # refused by the library input (SweepConfig, the solve's step count, the
     # reduction), which is built before the output directory
     ("sweep-convergence", "reference_tau", 0.01), ("compare", "schemes", "ei,bogus"),
@@ -784,11 +777,17 @@ def test_invalid_json_config(tmp_path, capsys):
     ["reduce-moment", "--kappa", "2", "--beta", "1", "--sign", "+", "--lambda", "1",
      "--workers", "2"],
     ["verify-phase", "--kappa", "2", "--alpha", "1", "--emit-plots"],
-], ids=["frobnicate", "solve-seed", "reduce-moment-workers", "verify-phase-emit-plots"])
+    # a sweep runs its eps cells in order, so it has no worker count to set
+    *([command, "--preset", "schrodinger-a1", "--workers", "2"]
+      for command in ("sweep-convergence", "sweep-regularity", "compare")),
+], ids=["frobnicate", "solve-seed", "reduce-moment-workers", "verify-phase-emit-plots",
+        "sweep-convergence-workers", "sweep-regularity-workers", "compare-workers"])
 def test_unknown_flag_is_config_error(tmp_path, capsys, argv):
-    rc = main([*argv, "--out", str(tmp_path)])
+    out = tmp_path / "refused"
+    rc = main([*argv, "--out", str(out)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fractional_step_count_is_config_error(tmp_path, capsys):
