@@ -100,24 +100,18 @@ def _integer(v) -> int:
 
 
 def _items(v) -> list:
-    """A list, a comma-separated string or one value, as a list."""
+    """A list, a comma-separated string or one value, as a list; an empty one
+    is refused."""
     if isinstance(v, str):
-        return [p.strip() for p in v.split(",") if p.strip()]
-    return list(v) if isinstance(v, (list, tuple)) else [v]
+        v = [p.strip() for p in v.split(",") if p.strip()]
+    items = list(v) if isinstance(v, (list, tuple)) else [v]
+    if not items:
+        raise ValueError("needs at least one value")
+    return items
 
 
 def _numbers(v) -> list[float]:
     return [float(x) for x in _items(v)]
-
-
-def _one(read):
-    """read, then insist on exactly one value."""
-    def one(v):
-        values = read(v)
-        if len(values) != 1:
-            raise ValueError(f"needs exactly one value, got {values!r}")
-        return values[0]
-    return one
 
 
 def _beta(v):
@@ -125,22 +119,18 @@ def _beta(v):
     return Fraction(v) if isinstance(v, str) and "/" in v else float(v)
 
 
-# the parameters of each potential and initial-data kind, in the order its
-# constructor takes them; one not given takes the spec's default
-_KINDS = {
-    PotentialSpec: {"gaussian": ("amplitude", "width_sq"), "exp_abs": ("amplitude",),
-                    "tabulated": ("samples",)},
-    InitialDataSpec: {"gaussian": (), "plane_wave": ("xi0",), "tabulated": ("samples",)},
-}
-
-
 def _spec(cls, d):
-    kinds = _KINDS[cls]
-    if not isinstance(d, dict) or d.get("kind") not in kinds:
-        raise ValueError(f"expected an object of kind {' or '.join(kinds)}, got {d!r}")
+    """The spec of d's kind from that kind's parameters (cls.PARAMS), one not
+    given taking the spec's default; any other key is refused."""
+    if not isinstance(d, dict) or d.get("kind") not in cls.PARAMS:
+        raise ValueError(f"expected an object of kind {' or '.join(cls.PARAMS)}, got {d!r}")
+    params = cls.PARAMS[d["kind"]]
+    foreign = sorted(set(d) - {"kind", *params})
+    if foreign:
+        raise ValueError(f"kind {d['kind']} takes only {list(params)}, got {foreign}")
     if d["kind"] == "tabulated":  # samples have no default; complex ones are [re, im] pairs
         return cls.tabulated([complex(*s) if isinstance(s, list) else s for s in d["samples"]])
-    return getattr(cls, d["kind"])(*(d.get(p, getattr(cls, p)) for p in kinds[d["kind"]]))
+    return getattr(cls, d["kind"])(*(d.get(p, getattr(cls, p)) for p in params))
 
 
 def _jsonable(v):
@@ -149,7 +139,7 @@ def _jsonable(v):
         return [v.real, v.imag]
     if isinstance(v, Fraction):
         return str(v)
-    return {"kind": v.kind, **{p: getattr(v, p) for p in _KINDS[type(v)][v.kind]}}
+    return {"kind": v.kind, **{p: getattr(v, p) for p in v.PARAMS[v.kind]}}
 
 
 def _model_at(eps: float, fields: dict) -> DispersiveModel:
@@ -179,12 +169,11 @@ def _pure_coeffs(kappa: int) -> list[float]:
 _REQUIRED = object()
 
 
-def _field(key, read, default=_REQUIRED, flag=None, check=None, also=()) -> tuple:
+def _field(key, read, default=_REQUIRED, flag=None, check=None) -> tuple:
     """One row of a subcommand's table.  read(raw) gives the value; default (a
     constant or a function of the fields before it) stands in when no source
-    gives one; check(value) may raise; flag is the command-line flag,
-    if any; also lists keys accepted in place of key."""
-    return key, read, default, flag, check, also
+    gives one; check(value) may raise; flag is the command-line flag, if any."""
+    return key, read, default, flag, check
 
 
 _KAPPA = _field("kappa", _integer, flag="--kappa")
@@ -202,20 +191,20 @@ _INITIAL = _field("initial", lambda d: _spec(InitialDataSpec, d), {"kind": "gaus
 # one table of fields per subcommand
 _SOLVE = (
     _KAPPA, _COEFFS, _ALPHA,
-    _field("epsilon", _one(_numbers), flag="--epsilon", also=("epsilons",)),
-    _field("tau", _one(_numbers), flag="--tau", also=("taus",)),
-    _field("scheme", _one(_items), "ei", "--scheme", also=("schemes",)),
+    _field("epsilon", float, flag="--epsilon"),
+    _field("tau", float, flag="--tau"),
+    _field("scheme", str, "ei", "--scheme"),
     _Z_FINAL, _DERIV_ORDER, _HALF_WIDTH, _GRID_N, _POTENTIAL, _INITIAL,
 )
 
 
-def _sweep_table(eps_alias: tuple[str, ...], schemes: tuple[str, ...] = ()) -> tuple:
-    """A sweep's rows; one given default schemes also reads a scheme and tau ladder."""
+def _sweep_table(schemes: tuple[str, ...] = ()) -> tuple:
+    """A sweep's rows; one given default schemes reads a scheme and tau ladder too."""
     ladder = schemes and (_field("taus", _numbers, DESK_TAUS, "--tau"),
-                          _field("schemes", _items, schemes, "--scheme", also=("scheme",)))
+                          _field("schemes", _items, schemes, "--scheme"))
     return (
         _KAPPA, _COEFFS, _ALPHA, _HALF_WIDTH,
-        _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon", also=eps_alias),
+        _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon"),
         *ladder,
         _Z_FINAL,
         _field("reference_tau", float, REFERENCE_TAU),
@@ -233,7 +222,7 @@ _REDUCE_MOMENT = (
 
 _VERIFY_PHASE = (
     _KAPPA, _COEFFS, _ALPHA,
-    _field("epsilon", _one(_numbers), 2.0**-6, "--epsilon"),
+    _field("epsilon", float, 2.0**-6, "--epsilon"),
     _field("seed", _integer, 12345, "--seed", _above(-1)),
     _field("samples", _integer, 100000, check=_above(0)),
     _field("grid_points", _integer, 400, check=_above(0)),
@@ -277,10 +266,8 @@ def _read_fields(args, table) -> dict:
         vars(args),  # a flag's dest is its field's key
     ]
     fields: dict = {}
-    for key, read, default, _, check, also in table:
-        raw = None
-        for src in sources:
-            raw = next((src[k] for k in (key, *also) if src.get(k) is not None), raw)
+    for key, read, default, _, check in table:
+        raw = next((src[key] for src in reversed(sources) if src.get(key) is not None), None)
         if raw is None and default is _REQUIRED:
             raise ConfigError(f"{key}: required but not provided (flag, config or preset)")
         try:
@@ -417,7 +404,7 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
     ))
     _write_plot_script(out / "plot.gp", result, x_field, tuple(k for k in keys if k != "regime"))
 
-    sizes = sorted({resolving_grid(sweep.half_width, e, sweep.grid_n).n for e in sweep.epsilons})
+    sizes = sorted({sweep.cell(e).grid.n for e in sweep.epsilons})
     print(f"{command}: {len(result.records)} cells on grid n={','.join(map(str, sizes))}, "
           f"{len(rates)} fitted rates, {len(result.failures)} failures")
     for label, fit in rates:
@@ -518,12 +505,10 @@ def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, PhaseBoundRepo
 # per subcommand: its table, the library input built from the fields, the run
 _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
-    "sweep-convergence": (_sweep_table(("epsilon",), ("ei",)), lambda f: SweepConfig(**f),
-                          _run_sweep),
-    # a rate in eps needs several eps values (a preset's single epsilon is
-    # ignored), and the reference solve is all it runs: it reads no ladder
-    "sweep-regularity": (_sweep_table(()), _regularity_config, _run_sweep),
-    "compare": (_sweep_table(("epsilon",), ("ei", "lt", "strang", "lri")),
+    "sweep-convergence": (_sweep_table(("ei",)), lambda f: SweepConfig(**f), _run_sweep),
+    # the reference solve is all it runs: it reads no ladder
+    "sweep-regularity": (_sweep_table(), _regularity_config, _run_sweep),
+    "compare": (_sweep_table(("ei", "lt", "strang", "lri")),
                 lambda f: comparable(SweepConfig(**f)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT,
                       lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),
@@ -541,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--out", default="out", help="output directory (default: out)")
         sp.add_argument("--preset", help="named preset supplying model and domain defaults")
-        for key, read, _, flag, _, _ in table:
+        for key, read, _, flag, _ in table:
             if flag:
                 # integers are typed here; every other flag reaches its reader as text
                 sp.add_argument(flag, dest=key, type=int if read is _integer else None,

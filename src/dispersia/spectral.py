@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -150,13 +151,13 @@ def free_propagator_symbol(model: DispersiveModel, grid: Grid, z: float) -> np.n
     return np.exp(-1j * flow_phase(model, grid, z))
 
 
-def _check_spec(spec, key: str, kinds, names) -> None:
-    """Refuse, under key, a spec of a kind not in kinds; and refuse a spec
-    whose named parameters, or samples, are not all finite: one NaN or
-    infinity would only surface as a blowup of the first step."""
-    if spec.kind not in kinds:
+def _check_spec(spec, key: str) -> None:
+    """Refuse, under key, a spec of a kind not in its PARAMS; and refuse one
+    whose kind's parameters, samples included, are not all finite: one NaN
+    or infinity would only surface as a blowup of the first step."""
+    if spec.kind not in spec.PARAMS:
         raise ValueError(f"{key}: unknown kind {spec.kind!r}")
-    for name in names:
+    for name in spec.PARAMS[spec.kind]:
         v = getattr(spec, name)
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
@@ -171,14 +172,18 @@ class PotentialSpec:
            'tabulated' -> samples of the already-scaled R(x_j/eps)
     """
 
+    # the parameters of each kind, in the order its named builder takes them
+    PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "gaussian": ("amplitude", "width_sq"), "exp_abs": ("amplitude",),
+        "tabulated": ("samples",)}
+
     kind: str
     amplitude: float = -1.0
     width_sq: float = 1.0
     samples: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_spec(self, "potential", ("gaussian", "exp_abs", "tabulated"),
-                    ("amplitude", "width_sq", "samples"))
+        _check_spec(self, "potential")
         if not self.width_sq > 0:
             raise ValueError(f"width_sq must be positive, got {self.width_sq!r}")
 
@@ -211,13 +216,15 @@ class InitialDataSpec:
            'tabulated'  -> complex samples on the grid nodes
     """
 
+    PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "gaussian": (), "plane_wave": ("xi0",), "tabulated": ("samples",)}
+
     kind: str
     xi0: float = 0.0
     samples: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        _check_spec(self, "initial", ("gaussian", "plane_wave", "tabulated"),
-                    ("xi0", "samples"))
+        _check_spec(self, "initial")
 
     @classmethod
     def gaussian(cls) -> "InitialDataSpec":

@@ -6,6 +6,7 @@ failure naming the cell.  Reruns must be byte-identical except walltime_s.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from dispersia.cli import _write_plot_script, main
 from dispersia.harness import ErrorRecord, SweepResult, regularity_normalizer
 from dispersia.integrators import NumericalBlowupError
 from dispersia.model import _CHUNK, DispersiveModel, eval_phase, eval_phase_factored
+from dispersia.presets import DESK_EPSILONS
 from dispersia.spectral import Grid, InitialDataSpec, SpectralField, sample_initial, x_norm
 
 FREE_SOLVE = {
@@ -233,6 +235,17 @@ def test_solve_rejects_multiple_taus(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,ladder", [("epsilon", {"epsilons": [0.25]}),
+                                        ("tau", {"taus": [0.05]})])
+def test_solve_reads_no_sweep_ladder(tmp_path, capsys, key, ladder):
+    # solve reads each key under its own name: a sweep's list is not read
+    doc = {**{k: v for k, v in FREE_SOLVE.items() if k != key}, **ladder}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}: required")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -328,8 +341,9 @@ def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
     # at z_final = 0 every solve returns its sampled data, so every error is
     # exactly 0: the rows are written and no rate is fitted to them
     out = tmp_path / "out"
-    rc = main(["sweep-convergence", "--preset", "schrodinger-a1", "--tau", "0.05,0.1",
-               "--config", write_config(tmp_path, {"z_final": 0.0}), "--out", str(out)])
+    rc = main(["sweep-convergence", "--preset", "schrodinger-a1", "--epsilon", "0.015625",
+               "--tau", "0.05,0.1", "--config", write_config(tmp_path, {"z_final": 0.0}),
+               "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
     _, rows = read_rows(out / "results.csv")
     assert [(float(r[4]), float(r[7])) for r in rows] == [(0.05, 0.0), (0.1, 0.0)]
@@ -338,6 +352,18 @@ def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
     assert "0 fitted rates, 0 failures" in capsys.readouterr().out
     # gnuplot gets no log-scale curve over zeros, and no empty plot command
     assert not any(line.startswith("plot") for line in (out / "plot.gp").read_text().splitlines())
+
+
+@pytest.mark.parametrize("command", ["sweep-convergence", "compare", "sweep-regularity"])
+def test_preset_sweep_runs_the_desk_eps_ladder(tmp_path, command):
+    # a preset's single epsilon feeds solve and verify-phase, not a sweep;
+    # at z_final = 0 no solve takes a step, so the five cells are cheap
+    out = tmp_path / "out"
+    assert main([command, "--preset", "schrodinger-a1", "--config",
+                 write_config(tmp_path, {"z_final": 0.0}), "--out", str(out)]) == 0
+    _, rows = read_rows(out / "results.csv")
+    assert sorted({float(r[3]) for r in rows}) == sorted(DESK_EPSILONS)
+    assert json.loads((out / "run.json").read_text())["epsilons"] == list(DESK_EPSILONS)
 
 
 def test_plot_script_draws_a_curve_only_where_every_error_is_positive(tmp_path):
@@ -635,6 +661,9 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
     ("sweep-regularity", "reference_tau", 0.3), ("sweep-convergence", "taus", "inf"),
     ("sweep-convergence", "epsilons", "0"), ("sweep-convergence", "epsilons", "nan"),
     ("sweep-convergence", "epsilons", ""),
+    # an empty ladder or scheme list would run no cell and exit 0
+    ("sweep-convergence", "taus", ""), ("sweep-convergence", "taus", []),
+    ("sweep-convergence", "schemes", ""), ("compare", "taus", ""),
     # out of range: refused by the library object the field feeds
     ("solve", "kappa", 1), ("sweep-convergence", "kappa", 1),
     ("solve", "alpha", 9), ("sweep-convergence", "alpha", 9),
@@ -672,6 +701,13 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
     pytest.param("sweep-convergence", "initial",
                  {"kind": "tabulated", "samples": [1.0] * 127 + [[0.0, math.inf]]},
                  id="sweep-convergence-initial-inf-sample"),
+    # a key that is no parameter of the spec's kind is refused, not dropped
+    pytest.param("solve", "potential", {"kind": "gaussian", "amplitud": -5.0, "widthsq": 3.0},
+                 id="solve-potential-misspelt"),
+    pytest.param("solve", "initial", {"kind": "plane_wave", "xi": 2.0},
+                 id="solve-initial-misspelt"),
+    pytest.param("solve", "potential", {"kind": "exp_abs", "width_sq": 4.0},
+                 id="solve-potential-exp_abs-width_sq"),
 ])
 def test_bad_integer_field_is_config_error(tmp_path, capsys, command, field, value):
     doc = dict({"solve": FREE_SOLVE, "reduce-moment": REDUCTION}.get(command, SMALL_SWEEP))
@@ -859,6 +895,37 @@ def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, 
     assert main([command, "--config", str(golden / "run.json"), "--out", str(out)]) == 0
     for name in ("run.json", "results.csv", "rates.csv"):
         assert without_timing(out / name) == without_timing(golden / name), name
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_keys() -> dict[str, list[str]]:
+    """Per subcommand, the backticked keys of its bullet under README's "Each
+    subcommand reads the config keys below", up to the end of the bullet's
+    first sentence."""
+    text = README.read_text()
+    section = text[text.index("Each subcommand reads the config keys below"):]
+    section = section[:section.index("\n#")]
+    keys = {}
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, re.M):
+        head, _, body = " ".join(bullet.split()).partition(": ")
+        sentence = re.split(r"\.(?: |$)", body)[0]
+        for command in re.findall(r"`([\w-]+)`", head):
+            keys[command] = re.findall(r"`([^`]+)`", sentence)
+    return keys
+
+
+def test_readme_lists_the_keys_each_subcommand_reads():
+    # a key in brackets has a flag; a key the table does not read is not listed
+    listed = readme_keys()
+    assert sorted(listed) == sorted(cli._COMMANDS)
+    for command, (table, _, _) in cli._COMMANDS.items():
+        assert sorted(listed[command]) == sorted(
+            f"[{key}]" if flag else key for key, _, _, flag, _ in table), command
 
 
 # ---------------------------------------------------------------------------
