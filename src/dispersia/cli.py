@@ -43,7 +43,7 @@ from .harness import (
     regularity_normalizer,
     regularity_sweep,
 )
-from .integrators import NumericalBlowupError, SolveConfig, free_solution
+from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
 from .model import (
     C0_FLOOR,
     DispersiveModel,
@@ -375,8 +375,10 @@ def _write_plot_script(path: Path, result, x_field: str, keys) -> None:
 
 def _run_solve(args, f: dict, solve_cfg: SolveConfig, out: Path) -> int:
     j, m = f["deriv_order"], solve_cfg.model
-    record, final = measure(solve_cfg, free_solution(solve_cfg), j,
-                            regularity_normalizer(m.kappa, m.alpha, j, m.epsilon))
+    record_of = measure(solve_cfg, free_solution(solve_cfg), j,
+                        regularity_normalizer(m.kappa, m.alpha, j, m.epsilon))
+    res = solve(solve_cfg)
+    final, record = res.final, record_of(solve_cfg.tau, res.final, res.walltime)
 
     _write_results_csv(out / "results.csv", [record])
     _write_csv(out / "final_state.csv", ("x", "re", "im"), (

@@ -1,10 +1,14 @@
 """Sweep orchestration: reference solves, error records, rate fits.
 
 Error measurement convention: the Richardson combination of two reference
-solves on the same grid, at reference_tau and at twice it, stands in for the
+rows on the same grid, at reference_tau and at twice it, stands in for the
 exact solution, so spatial error cancels and the recorded number isolates
 the time-stepping error.  Records normalize against the predicted eps-rate
 so that curves for different eps collapse.
+
+Each eps cell makes one solve of two rows for its truth, then one solve per
+scheme with a row per tau of the ladder, each row measured as it retires
+(integrators.solve marches a solve's rows two at a time).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -74,17 +77,17 @@ class ErrorRecord:
         return "small_tau" if small else "large_tau"
 
 
-def measure(config: SolveConfig, truth: SpectralField, j: int,
-            rate: float) -> tuple[ErrorRecord, SpectralField]:
-    """solve(config) against truth: its record, with the j-th derivative
-    error divided by rate and walltime_s the solve's step-loop time, and its
-    final field."""
-    res = solve(config)
-    err = error_x(res.final, truth, j)
+def measure(config: SolveConfig, truth: SpectralField, j: int, rate: float):
+    """The reduce that makes a row (tau, final, seconds) of solve(config, ...)
+    its record against truth: the j-th derivative error, divided by rate,
+    with walltime_s the row's share of the stepping time."""
     m = config.model
-    record = ErrorRecord(config.scheme.value, m.kappa, m.alpha, m.epsilon, config.tau,
-                         config.z_final, j, err, err / rate, res.walltime)
-    return record, res.final
+
+    def record(tau: float, final: SpectralField, seconds: float) -> ErrorRecord:
+        err = error_x(final, truth, j)
+        return ErrorRecord(config.scheme.value, m.kappa, m.alpha, m.epsilon, tau,
+                           config.z_final, j, err, err / rate, seconds)
+    return record
 
 
 @dataclass(frozen=True)
@@ -228,22 +231,22 @@ _RICHARDSON_WEIGHTS = {
 
 
 def richardson_truth(config: SolveConfig) -> SpectralField:
-    """The solve of config at its tau and at twice it, combined with the
-    Richardson weights of its scheme's order, so that their leading error
-    terms cancel."""
-    fine = solve(config).final
-    coarse = solve(replace(config, tau=2.0 * config.tau)).final
+    """The solve of config at its tau and at twice it, one march of two rows,
+    combined with the Richardson weights of its scheme's order, so that their
+    leading error terms cancel."""
+    fine, coarse = solve(config, 2.0 * config.tau).rows
     w_fine, w_coarse = _RICHARDSON_WEIGHTS[config.scheme]
     return SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
 
 
 def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
-    """One eps cell: truth(base) once, where base is cfg.cell(eps), then one
-    measure per scheme and tau against that one truth, normalized by
-    rate(eps).
+    """One eps cell: truth(base) once, where base is cfg.cell(eps), then per
+    scheme one solve whose rows are the taus, each row measured against that
+    one truth as it retires, normalized by rate(eps).
 
     A failure to build the truth fails the cell once per scheme (keyed
-    scheme=<s>,epsilon=<e>); a failing solve fails only its own tau.
+    scheme=<s>,epsilon=<e>); a row that fails fails only its own tau, and a
+    solve that fails as a whole fails each of its taus.
     """
     recs: list[ErrorRecord] = []
     fails: list[CellFailure] = []
@@ -253,13 +256,19 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         msg = f"{type(exc).__name__}: {exc}"
         return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg) for s in schemes]
-    for scheme, tau in product(schemes, taus):
+    for scheme in schemes:
         try:
-            config = replace(base, scheme=scheme, tau=tau)
-            recs.append(measure(config, exact, cfg.deriv_order, rate(eps))[0])
+            config = replace(base, scheme=scheme, tau=taus[0])
+            rows = solve(config, *taus[1:],
+                         reduce=measure(config, exact, cfg.deriv_order, rate(eps))).rows
         except Exception as exc:  # noqa: BLE001
-            fails.append(CellFailure(f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}",
-                                     f"{type(exc).__name__}: {exc}"))
+            rows = [exc] * len(taus)
+        for tau, row in zip(taus, rows):
+            if isinstance(row, Exception):
+                fails.append(CellFailure(f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}",
+                                         f"{type(row).__name__}: {row}"))
+            else:
+                recs.append(row)
     return recs, fails
 
 

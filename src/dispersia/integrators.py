@@ -10,8 +10,7 @@ Fourier multiplier -P(xi); F = flow(tau) has symbol exp(-i tau eps^a P(xi)):
 
 precompute() is the one place that tells the schemes apart: it turns a scheme
 into the inputs of one of two in-place kernels of exactly 2 transforms, which
-solve() runs on the raw transform v = T(mu), forming values only at the end (a
-solve of N steps costs 2N + 2):
+run on the raw transform v = T(mu), forming values only at the end:
 
     dressed (ei, lri)   v <- flow v + gain T(weight T^-1(v)); gain = tau phi1 and
                         weight = R_eps for ei, gain = tau and weight = the
@@ -19,11 +18,18 @@ solve of N steps costs 2N + 2):
     split (lt, strang)  v <- flow T(weight T^-1(v)), weight = exp(tau R_eps)
 
 Strang marches v = H T(mu), its entry factor: as |H| = 1, H E H = H^-1 (F E) H
-is a Lie step with flow F = H^2, entered with H and left with conj(H).  step()
-takes one kernel step from values.  Plain transforms suffice: the h and
-origin-phase factors of the field convention cancel for pure multipliers.
+is a Lie step with flow F = H^2, entered with H and left with conj(H).  Plain
+transforms suffice: the h and origin-phase factors of the field convention
+cancel for pure multipliers.
 
-T is one of two transform pairs, run by the same two kernels.  For odd kappa
+solve() marches rows, one scheme from one initial state at one or more taus,
+two at a time: a transform of a two-row stack costs much less than two lone
+ones.  A march of K steps costs 2K stack transforms, 1 for the shared T(mu)
+and 1 per row for its values: 2N + 2 for a lone solve of N steps, 2N + 3 for
+a Richardson pair of N and N/2 (3N + 4 as two solves).  step() takes one
+kernel step from values.
+
+T is one of two transform pairs, run by the same kernels.  For odd kappa
 P is odd and R real, so every symbol is Hermitian (flow_phase's Nyquist rule
 sees to the mode n/2) and real data stays real: such a solve marches the n/2 + 1
 entries of T = rfft, with irfft as its inverse, and returns values whose
@@ -36,6 +42,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -150,51 +157,111 @@ def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
                            odd=odd)
 
 
-def _kernel(pc: PrecomputedStep, mu: np.ndarray):
-    """pc's step from values mu: the state v = entry T(mu), an in-place
-    kernel that advances v by one step, and the map from v back to values.
+LANES = 2  # the rows one march advances together
 
-    T is rfft when pc.odd and mu has no imaginary part, with the symbols cut
-    to their n/2 + 1 entries and the weight to its real part; fft otherwise.
-    The parity test comes first, so a complex march scans nothing.  The
-    transform pair and the scratch are bound here, once.  The weight takes the
-    inverse's 1/n (exact, as n is a power of two), so that the step's inverse
-    runs unscaled and the product with the weight casts nothing."""
-    n = mu.size
-    if pc.odd and not mu.imag.any():
-        m = n // 2 + 1
-        forward, inverse = np.fft.rfft, np.fft.irfft
-        flow, gain, entry = (a[:m] if isinstance(a, np.ndarray) else a
-                             for a in (pc.flow, pc.gain, pc.entry))
-        weight = pc.weight.real * (1.0 / n)
-        mu = mu.real
-        s, t = np.empty(n), np.empty(m, dtype=np.complex128)
+
+def _march(mu: np.ndarray, real: bool, rows, retire) -> tuple[int, float]:
+    """March rows from the values mu on a stack of at most LANES lanes, and
+    return the steps the rows took and the seconds the steps took.
+
+    rows holds each row's (step count, load), and load() builds its
+    PrecomputedStep as it enters a lane.  The rows share one scheme, so one
+    kernel advances the live slice v[:live].  Rows march longest first, each
+    entering as v = entry T(mu); when one retires, the next queued row takes
+    its lane, or the last live lane moves into it.  retire(i, k, values,
+    seconds) is called once per row: after its last step k with its values,
+    or at the step k whose state is not finite with values None (a row of
+    no steps retires at once with mu).  seconds is its share of the stepping
+    time, each stretch split evenly among the rows live in it.
+
+    T is rfft when real (kappa odd and mu real), with the symbols cut to
+    their n/2 + 1 entries and the weight to its real part; fft otherwise.
+    The weight takes the inverse's 1/n (exact, as n is a power of two), so
+    that the step's inverse runs unscaled and the product with the weight
+    casts nothing.
+    """
+    queue = sorted(range(len(rows)), key=lambda i: -rows[i][0])
+    steps, seconds, shares = 0, 0.0, [0.0] * len(rows)
+    while queue and rows[queue[-1]][0] == 0:
+        retire(queue.pop(), 0, mu, 0.0)
+    if not queue:
+        return steps, seconds
+    n, height = mu.size, min(LANES, len(queue))
+    if real:
+        m, forward, inverse, rtype = n // 2 + 1, np.fft.rfft, np.fft.irfft, np.float64
     else:
-        forward, inverse = np.fft.fft, np.fft.ifft
-        flow, gain, entry = pc.flow, pc.gain, pc.entry
-        weight = (pc.weight * (1.0 / n)).astype(np.complex128, copy=False)
-        s = t = np.empty(n, dtype=np.complex128)
-    state, exit_ = entry * forward(mu), np.conj(entry)
+        m, forward, inverse, rtype = n, np.fft.fft, np.fft.ifft, np.complex128
+    s, weight = np.empty((height, n), rtype), np.empty((height, n), rtype)
+    v, flow, gain = (np.empty((height, m), np.complex128) for _ in range(3))
+    t = np.empty((height, m), np.complex128) if real else s
+    transformed = forward(mu.real if real else mu)
+    dressed = False
 
-    def values(v):
-        return inverse(exit_ * v, n).astype(np.complex128, copy=False)
+    def cut(a):
+        return a[:m] if isinstance(a, np.ndarray) else a
 
-    if gain is None:
-        def split(v):  # v <- flow T(weight T^-1(v))
-            inverse(v, n, out=s, norm="forward")
-            np.multiply(s, weight, out=s)
-            forward(s, out=v)
-            v *= flow
-        return state, split, values
+    def load(lane, k):  # the next queued row enters lane at step k
+        nonlocal dressed
+        i = queue.pop(0)
+        pc = rows[i][1]()
+        entry, dressed = cut(pc.entry), pc.gain is not None
+        flow[lane] = cut(pc.flow)
+        weight[lane] = (pc.weight.real if real else pc.weight) * (1.0 / n)
+        if dressed:
+            gain[lane] = cut(pc.gain)
+        v[lane] = entry * transformed
+        return i, entry, k
 
-    def dressed(v):  # v <- flow v + gain T(weight T^-1(v))
-        inverse(v, n, out=s, norm="forward")
-        np.multiply(s, weight, out=s)
-        forward(s, out=t)
-        np.multiply(t, gain, out=t)
-        v *= flow
-        v += t
-    return state, dressed, values
+    lanes = [load(lane, 0) for lane in range(height)]
+    k = 0
+    while lanes:
+        live = len(lanes)
+        vl, sl, tl, wl, fl, gl = (a[:live] for a in (v, s, t, weight, flow, gain))
+        stop = min(start + rows[i][0] for i, _, start in lanes)
+        t0 = time.perf_counter()
+        # _all_finite's sum may overflow on a finite state, which is no blowup
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                k += 1
+                inverse(vl, n, out=sl, norm="forward")
+                np.multiply(sl, wl, out=sl)
+                if dressed:
+                    forward(sl, out=tl)
+                    np.multiply(tl, gl, out=tl)
+                    vl *= fl
+                    vl += tl
+                else:
+                    forward(sl, out=vl)
+                    vl *= fl
+                if not _all_finite(vl):
+                    bad = [lane for lane in range(live) if not _all_finite(v[lane])]
+                    break
+                if k == stop:
+                    bad = []
+                    break
+        dt = time.perf_counter() - t0
+        seconds += dt
+        for i, _, _ in lanes:
+            shares[i] += dt / live
+        for lane in reversed(range(live)):
+            i, entry, start = lanes[lane]
+            failed = lane in bad
+            if not failed and k < start + rows[i][0]:
+                continue
+            steps += k - start
+            values = None
+            if not failed:
+                values = inverse(np.conj(entry) * v[lane], n).astype(np.complex128, copy=False)
+            retire(i, k - start, values, shares[i])
+            if queue:
+                lanes[lane] = load(lane, k)
+                continue
+            last = lanes.pop()
+            if lane < len(lanes):  # the last live lane moves into the free one
+                for a in (v, weight, flow, gain):
+                    a[lane] = a[len(lanes)]
+                lanes[lane] = last
+    return steps, seconds
 
 
 def _all_finite(v: np.ndarray) -> bool:
@@ -207,68 +274,74 @@ def _all_finite(v: np.ndarray) -> bool:
 
 
 def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
-    """One step from values mu through the kernel solve() marches."""
-    v, kernel, values = _kernel(pc, mu)
-    kernel(v)
-    return values(v)
+    """One step from values mu through the kernel solve() marches; a step to
+    non-finite values raises NumericalBlowupError."""
+    out = []
+    _march(mu, pc.odd and not mu.imag.any(), [(1, lambda: pc)],
+           lambda i, k, values, seconds: out.append(values))
+    if out[0] is None:
+        raise NumericalBlowupError(f"non-finite values at step 1/1 "
+                                   f"(scheme={pc.scheme.value}, tau={pc.tau:.6g})")
+    return out[0]
 
 
 @dataclass
 class SolveResult:
-    final: SpectralField
+    """One march's rows, in the order solve was given them: each its final
+    field, what reduce made of it, or its NumericalBlowupError.  steps sums
+    the steps the rows took, and walltime is the time those steps took."""
+
+    rows: list
     steps: int
     walltime: float
 
+    @property
+    def final(self):
+        """The first row: a lone solve's final field."""
+        return self.rows[0]
 
-def solve(config: SolveConfig) -> SolveResult:
-    """March the configured scheme to z_final, aborting on non-finite values."""
-    n_steps = config.step_count()
-    grid = config.grid
-    pc = precompute(config.model, grid, config.potential, config.scheme, config.tau)
+
+def solve(config: SolveConfig, *taus: float, reduce=None) -> SolveResult:
+    """March the configured scheme to z_final, one row at config.tau and one
+    at each of taus, two rows at a time (see _march).
+
+    A row whose values go non-finite retires with a NumericalBlowupError
+    naming its step, and the other rows march on.  Given reduce, each row
+    keeps reduce(tau, final, seconds), made from its final field as it
+    retires, or its error.  With no reduce each row keeps its final field,
+    and the first failed row's error is raised once the march is done.
+    """
+    grid, model = config.grid, config.model
+    row_taus = (config.tau, *(float(tau) for tau in taus))
+    counts = [step_count(tau, config.z_final) for tau in row_taus]
+    out: list = [None] * len(row_taus)
+
+    def retire(i, k, values, seconds):
+        tau = row_taus[i]
+        if values is None:
+            out[i] = NumericalBlowupError(
+                f"non-finite values at step {k}/{counts[i]} (z={k * tau:.6g}, "
+                f"scheme={config.scheme.value}, epsilon={model.epsilon:.6g}, tau={tau:.6g})")
+        else:
+            final = SpectralField(grid, values=values)
+            out[i] = final if reduce is None else reduce(tau, final, seconds)
+
     mu = sample_initial(config.initial, grid)
-    v, kernel, values = _kernel(pc, mu)
-    t0 = time.perf_counter()
-    # _all_finite's sum may overflow on a finite state, which is no blowup
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            kernel(v)
-            if not _all_finite(v):
-                raise NumericalBlowupError(
-                    f"non-finite values at step {k}/{n_steps} (z={k * config.tau:.6g}, "
-                    f"scheme={config.scheme.value}, epsilon={config.model.epsilon:.6g}, "
-                    f"tau={config.tau:.6g})"
-                )
-    if n_steps:
-        mu = values(v)
-    walltime = time.perf_counter() - t0
-    return SolveResult(SpectralField(grid, values=mu), n_steps, walltime)
+    rows = [(count, partial(precompute, model, grid, config.potential, config.scheme, tau))
+            for count, tau in zip(counts, row_taus)]
+    steps, walltime = _march(mu, bool(model.kappa % 2) and not mu.imag.any(), rows, retire)
+    if reduce is None:
+        for row in out:
+            if isinstance(row, NumericalBlowupError):
+                raise row
+    return SolveResult(out, steps, walltime)
 
 
 def free_solution(config: SolveConfig) -> SpectralField:
-    """Potential-free flow of the configured initial state to z_final."""
+    """Potential-free flow of the configured initial state to z_final; at
+    z_final 0 the sampled data, as solve returns them."""
     mu0 = sample_initial(config.initial, config.grid)
+    if config.z_final == 0:
+        return SpectralField(config.grid, values=mu0)
     sym = free_propagator_symbol(config.model, config.grid, config.z_final)
     return SpectralField(config.grid, values=np.fft.ifft(sym * np.fft.fft(mu0)))
-
-
-def lri_filter_rescaled(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
-                        tau: float) -> np.ndarray:
-    """The LRI filtered potential via the stretched-variable route.
-
-    Working at y = x/eps, the filter phi1(-i tau eps^a D) applied to R(x/eps)
-    equals phi1(-i tau eps^(a-kappa) D~) applied to R(y), where D~ carries
-    eps^(2j)-weighted coefficients.  This evaluator takes that second route on
-    the stretched grid (half width L/eps, same n) and is kept deliberately
-    separate from precompute() as an independent cross-check path.
-    """
-    eps = model.epsilon
-    sgrid = Grid(grid.half_width / eps, grid.n)
-    r = sample_potential(potential, sgrid, 1.0)
-    # P~(xi) = sum_j d_{k-2j} eps^(2j) xi^(k-2j), evaluated directly
-    p = np.zeros_like(sgrid.xi)
-    for j, d in enumerate(model.coeffs):
-        p += d * eps ** (2 * j) * sgrid.xi ** (model.kappa - 2 * j)
-    if model.kappa % 2:
-        p[grid.n // 2] = 0.0  # flow_phase's Nyquist rule
-    theta = tau * eps ** (model.alpha - model.kappa) * p
-    return np.fft.ifft(phi1(1j * theta) * np.fft.fft(r.astype(np.complex128)))

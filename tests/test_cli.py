@@ -306,10 +306,10 @@ def test_sweep_cell_failure_exit_code(tmp_path, capsys, monkeypatch):
     # every solve at eps 0.25 blows up: its cell fails once per scheme, exit 2
     real_solve = harness.solve
 
-    def solve_or_blow_up(config):
+    def solve_or_blow_up(config, *taus, **kw):
         if config.model.epsilon == 0.25:
             raise NumericalBlowupError("non-finite values at step 1/1")
-        return real_solve(config)
+        return real_solve(config, *taus, **kw)
 
     monkeypatch.setattr(harness, "solve", solve_or_blow_up)
     doc = dict(SMALL_SWEEP, epsilons=[0.5, 0.25], taus=[0.05, 0.025], schemes=["ei", "lt"])
@@ -352,6 +352,18 @@ def test_sweep_with_zero_errors_writes_its_rows(tmp_path, capsys):
     assert "0 fitted rates, 0 failures" in capsys.readouterr().out
     # gnuplot gets no log-scale curve over zeros, and no empty plot command
     assert not any(line.startswith("plot") for line in (out / "plot.gp").read_text().splitlines())
+
+
+def test_sweep_regularity_at_z_final_zero_writes_zero_distances(tmp_path, capsys):
+    # at z = 0 the free flow is the sampled data, as every solve is, so each
+    # distance is exactly 0 and no rate is fitted to round-off
+    out = tmp_path / "out"
+    rc = main(["sweep-regularity", "--preset", "schrodinger-a1",
+               "--config", write_config(tmp_path, {"z_final": 0.0}), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    _, rows = read_rows(out / "results.csv")
+    assert [(float(r[3]), float(r[7])) for r in rows] == [(e, 0.0) for e in sorted(DESK_EPSILONS)]
+    assert read_rows(out / "rates.csv")[1] == []
 
 
 @pytest.mark.parametrize("command", ["sweep-convergence", "compare", "sweep-regularity"])

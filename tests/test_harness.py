@@ -30,7 +30,8 @@ from dispersia.harness import (
     richardson_truth,
     splitting_threshold,
 )
-from dispersia.integrators import NumericalBlowupError, SolveConfig, StepperKind, solve
+from dispersia.integrators import (NumericalBlowupError, SolveConfig, StepperKind,
+                                  free_solution, solve)
 from dispersia.model import DispersiveModel, eval_q, expected_regularity_exponent, reduce_moment
 from dispersia.presets import REFERENCE_TAU, get_preset
 from dispersia.spectral import (Grid, InitialDataSpec, MeshResolutionError,
@@ -282,10 +283,10 @@ def test_convergence_sweep_rate_slope(small_sweep):
 
 def blow_up_at(epsilon):
     """harness.solve, raising NumericalBlowupError for every solve at epsilon."""
-    def solve_or_blow_up(config):
+    def solve_or_blow_up(config, *taus, **kw):
         if config.model.epsilon == epsilon:
             raise NumericalBlowupError("non-finite values at step 1/1")
-        return solve(config)
+        return solve(config, *taus, **kw)
     return solve_or_blow_up
 
 
@@ -300,6 +301,32 @@ def test_sweep_cell_failure_continues(monkeypatch):
                                                  "scheme=lt,epsilon=0.25"]
     for f in result.failures:
         assert f.message == "NumericalBlowupError: non-finite values at step 1/1"
+
+
+def test_a_row_that_blows_up_fails_only_its_own_cell_or_tau(monkeypatch):
+    # R = 700 overflows every march finer than tau 1 before z = 2; ei and lri
+    # steps of tau 1 grow the solution only about 701-fold each
+    cfg = small_sweep_config(potential=PotentialSpec.tabulated(np.full(128, 700.0)),
+                             taus=(1e-3, 1.0), schemes=("ei", "lri"), z_final=2.0,
+                             reference_tau=2.5e-4)
+    # a truth row that blows up fails the cell once per scheme
+    result = convergence_sweep(cfg)
+    assert not result.records
+    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.5",
+                                                 "scheme=lri,epsilon=0.5"]
+    for f in result.failures:
+        assert f.message.startswith("NumericalBlowupError: non-finite values at step ")
+        assert f.message.endswith("scheme=ei, epsilon=0.5, tau=0.00025)")
+    # against a finite truth, each scheme's finest row fails alone and its
+    # coarsest is measured
+    monkeypatch.setattr(harness, "richardson_truth", free_solution)
+    result = convergence_sweep(cfg)
+    assert [(r.scheme, r.tau) for r in result.records] == [("ei", 1.0), ("lri", 1.0)]
+    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.5,tau=0.001",
+                                                 "scheme=lri,epsilon=0.5,tau=0.001"]
+    for f, scheme in zip(result.failures, ("ei", "lri")):
+        assert f.message.startswith("NumericalBlowupError: non-finite values at step ")
+        assert f.message.endswith(f"scheme={scheme}, epsilon=0.5, tau=0.001)")
 
 
 def test_sweep_config_refuses_a_grid_too_coarse_for_one_epsilon():
@@ -412,32 +439,29 @@ def test_compare_methods_shares_the_reference_exactly():
 
 
 def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatch):
-    # per eps: the reference scheme at reference_tau and at twice it, then
-    # one solve per (scheme, tau), all through harness.solve
+    # per eps: one solve of the reference scheme with rows at reference_tau
+    # and at twice it, then one solve per scheme with a row per tau, all
+    # through harness.solve
     calls = Counter()
 
-    def counting_solve(config):
-        calls[(config.model.epsilon, config.scheme.value, config.tau)] += 1
-        return solve(config)
+    def counting_solve(config, *taus, **kw):
+        calls[(config.model.epsilon, config.scheme.value, (config.tau, *taus))] += 1
+        return solve(config, *taus, **kw)
 
     monkeypatch.setattr(harness, "solve", counting_solve)
     cfg = small_sweep_config(epsilons=(0.5, 0.25), taus=(0.05, 0.025), schemes=("ei", "lt"))
     assert not compare_methods(cfg).failures
     tau_r = cfg.reference_tau
-    cells = [("ei", tau_r), ("ei", 2.0 * tau_r)] + [(s, t) for s in ("ei", "lt")
-                                                   for t in (0.05, 0.025)]
-    assert calls == Counter({(eps, s, t): 1 for eps in (0.5, 0.25) for s, t in cells})
+    marches = [("ei", (tau_r, 2.0 * tau_r)), ("ei", (0.05, 0.025)), ("lt", (0.05, 0.025))]
+    assert calls == Counter({(eps, s, rows): 1 for eps in (0.5, 0.25) for s, rows in marches})
 
 
 # ---------------------------------------------------------------------------
 # the Richardson truth against a Taylor-series truth
 
-TAYLOR_EPS = 2.0**-4
-
-
 @functools.cache
-def taylor_truth(name: str) -> SpectralField:
-    """The preset's solution at eps 2^-4 and z_final on the grid that resolves
+def taylor_truth(name: str, eps: float) -> SpectralField:
+    """The preset's solution at eps and z_final on the grid that resolves
     eps, exp(z_final A) mu0 for A v = ifft(-i eps^a P(xi) fft(v)) + R_eps v,
     the semi-discrete problem every scheme approximates, with flow_phase's
     Nyquist rule for odd kappa.  The Taylor series of the exponential is
@@ -445,12 +469,12 @@ def taylor_truth(name: str) -> SpectralField:
     |P(xi)| + max |R_eps| bounding the norm of A, so that no term outgrows
     the sum."""
     p = get_preset(name)
-    grid = resolving_grid(p.half_width, TAYLOR_EPS)
+    grid = resolving_grid(p.half_width, eps)
     poly = sum(c * grid.xi ** (p.kappa - 2 * j) for j, c in enumerate(p.coeffs))
     if p.kappa % 2:
         poly[grid.n // 2] = 0.0  # the mean of P(+-pi/h), as spectral.flow_phase takes it
-    symbol = -1j * TAYLOR_EPS**p.alpha * poly
-    r = sample_potential(p.potential, grid, TAYLOR_EPS)
+    symbol = -1j * eps**p.alpha * poly
+    r = sample_potential(p.potential, grid, eps)
     substeps = math.ceil((np.max(np.abs(symbol)) + np.max(np.abs(r))) * p.z_final)
     dt = p.z_final / substeps
     v = sample_initial(p.initial, grid).astype(np.complex128)
@@ -464,32 +488,46 @@ def taylor_truth(name: str) -> SpectralField:
     return SpectralField(grid, values=v)
 
 
-@pytest.mark.parametrize("name", ["schrodinger-a1", "kdv-a3/2"])  # n = 512 and 1024
-@pytest.mark.parametrize("scheme,taus,order,band", [
-    # ei on the finest desk steps, against the pair at the desk's reference_tau
-    pytest.param("ei", (1e-3, 2e-3, 5e-3, 1e-2), 1.0, 0.05, id="ei"),
-    # Strang in its tau^2 regime, which on the rough well starts near 2^-10
-    pytest.param("strang", (2.0**-12, 2.0**-11, 2.0**-10), 2.0, 0.1, id="strang"),
+# ei on the finest desk steps, against the pair at the desk's reference_tau
+EI_TAUS = (1e-3, 2e-3, 5e-3, 1e-2)
+# Strang in its tau^2 regime, which on the rough well starts near 2^-10,
+# against the pair at min(taus)/4
+STRANG_TAUS = (2.0**-12, 2.0**-11, 2.0**-10)
+
+
+@pytest.mark.parametrize("name,eps,scheme,taus,order,band", [
+    # n = 512 and 1024 at eps 2^-4
+    pytest.param("schrodinger-a1", 2.0**-4, "ei", EI_TAUS, 1.0, 0.05, id="ei-schrodinger-a1"),
+    pytest.param("kdv-a3/2", 2.0**-4, "ei", EI_TAUS, 1.0, 0.05, id="ei-kdv-a3/2"),
+    pytest.param("schrodinger-a1", 2.0**-4, "strang", STRANG_TAUS, 2.0, 0.1,
+                 id="strang-schrodinger-a1"),
+    pytest.param("kdv-a3/2", 2.0**-4, "strang", STRANG_TAUS, 2.0, 0.1, id="strang-kdv-a3/2"),
+    # criterion 7's kind of cell: the Strang pair at min(taus)/4 on the Gaussian well, n = 2048
+    pytest.param("schrodinger-a1", 2.0**-6, "strang", STRANG_TAUS, 2.0, 0.1,
+                 id="strang-schrodinger-a1-eps2^-6"),
 ])
-def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, scheme, taus,
+def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, eps, scheme, taus,
                                                          order, band):
     # a sweep of scheme against its own pair; the truth and the finals it
     # hands to measure are held against the Taylor truth
     p = get_preset(name)
     cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
-                      initial=p.initial, half_width=p.half_width, epsilons=(TAYLOR_EPS,),
+                      initial=p.initial, half_width=p.half_width, epsilons=(eps,),
                       taus=taus, schemes=(scheme,), reference_scheme=scheme,
                       reference_tau=REFERENCE_TAU if scheme == "ei" else taus[0] / 4)
     seen = {}
 
     def recording_measure(config, truth, j, rate):
-        record, final = measure(config, truth, j, rate)
-        seen[config.tau] = truth, final
-        return record, final
+        record = measure(config, truth, j, rate)
+
+        def recording(tau, final, seconds):
+            seen[tau] = truth, final
+            return record(tau, final, seconds)
+        return recording
 
     monkeypatch.setattr(harness, "measure", recording_measure)
     assert not convergence_sweep(cfg).failures
-    exact = taylor_truth(name)
+    exact = taylor_truth(name, eps)
     errors = [error_x(seen[tau][1], exact) for tau in taus]
     # the truth's own error is under 1% of the smallest-tau error it measures
     assert error_x(seen[taus[0]][0], exact) <= 0.01 * errors[0]

@@ -6,10 +6,13 @@ slopes sit at the scheme order (1 for ei/lt/lri, 2 for strang).
 """
 
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import lri_filter_rescaled
 
 from dispersia.harness import fit_rate
 from dispersia.integrators import (
@@ -19,8 +22,8 @@ from dispersia.integrators import (
     SolveResult,
     StepperKind,
     _all_finite,
+    _march,
     free_solution,
-    lri_filter_rescaled,
     precompute,
     solve,
     step,
@@ -460,6 +463,67 @@ def test_fourier_state_loop_matches_physical_space_steps(scheme, model):
             assert res.steps == k
             assert diff_norm(GRID, res.final.values, mu) <= 1e-11, (scheme, k)
             np.testing.assert_array_equal(solve(cfg).final.values, res.final.values)
+
+
+# 20, 10, 50 and 25 steps to z_final 0.5: the 50-step row marches in lane 0
+# and the 25-, 20- and 10-step rows in turn in lane 1, which outlives lane 0
+# and so moves into it
+LADDER = (0.025, 0.05, 0.01, 0.02)
+
+
+@pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
+def test_stacked_ladder_is_bit_identical_to_lone_solves(scheme, model):
+    cfg = make_config(model=model, scheme=scheme, tau=LADDER[0])
+    res = solve(cfg, *LADDER[1:])
+    assert res.steps == 105
+    for tau, final in zip(LADDER, res.rows, strict=True):
+        np.testing.assert_array_equal(final.values, solve(replace(cfg, tau=tau)).final.values)
+    # at z_final 0 every row takes no step and keeps the sampled data
+    still = solve(replace(cfg, z_final=0.0), *LADDER[1:])
+    assert still.steps == 0 and len(still.rows) == len(LADDER)
+    for final in still.rows:
+        np.testing.assert_array_equal(final.values, sample_initial(GAUSS_INI, GRID))
+
+
+@pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
+def test_march_retires_a_row_of_no_steps_at_once(scheme, model):
+    # rows of 3, 0 and 5 steps of different taus: the 0-step row retires
+    # with mu itself, and each other row with the values of its lone march
+    mu = sample_initial(GAUSS_INI, GRID)
+    real = model.kappa % 2 == 1
+    rows = [(count, lambda tau=tau: precompute(model, GRID, GAUSS_POT, scheme, tau))
+            for count, tau in ((3, 0.05), (0, 0.02), (5, 0.01))]
+
+    def march(rows):  # the steps taken, and per row its step and values
+        out = {}
+        steps, _ = _march(mu, real, rows, lambda i, k, values, s: out.setdefault(i, (k, values)))
+        return steps, out
+
+    steps, out = march(rows)
+    assert steps == 8 and out[1][0] == 0 and out[1][1] is mu
+    for i in (0, 2):
+        lone_steps, lone = march([rows[i]])
+        assert out[i][0] == lone_steps == rows[i][0]
+        np.testing.assert_array_equal(out[i][1], lone[0][1])
+
+
+def test_a_ladder_row_that_blows_up_retires_alone():
+    # R = 700 grows the solution like exp(700 z), past the float range
+    # before z = 2: the finest row retires there with its own step, while
+    # the coarsest, whose ei steps grow it about 701-fold each, marches on
+    cfg = make_config(potential=PotentialSpec.tabulated(np.full(GRID.n, 700.0)), tau=1e-3,
+                      z_final=2.0)
+    res = solve(cfg, 1.0, reduce=lambda tau, final, seconds: final)
+    fine, coarse = res.rows
+    assert isinstance(fine, NumericalBlowupError)
+    k = int(re.match(r"non-finite values at step (\d+)/2000 \(z=", str(fine)).group(1))
+    assert 1000 < k < 2000 and res.steps == k + 2
+    assert str(fine).endswith(f"(z={k * 1e-3:.6g}, scheme=ei, epsilon=0.5, tau=0.001)")
+    np.testing.assert_array_equal(coarse.values, solve(replace(cfg, tau=1.0)).final.values)
+    # with no reduce the failed row's error is raised once the march is done
+    with pytest.raises(NumericalBlowupError) as raised:
+        solve(cfg, 1.0)
+    assert str(raised.value) == str(fine)
 
 
 @pytest.mark.parametrize("scheme,model", SCHEME_MODELS)

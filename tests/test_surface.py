@@ -14,7 +14,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # public on purpose although no library module reads them
 ALLOWED = {
     "eval_q",  # the paper's Q_r; its tests pin the _q the factored phase runs
-    "lri_filter_rescaled",  # criterion 8's independent route to the lri filter
     "step",  # the one entry point taking a negative tau, for the Strang symmetry check
 }
 
