@@ -456,8 +456,13 @@ def _max_rel_deviation(model: DispersiveModel, seed: int, n: int, xi_max: float)
     for xi1, xi2 in _sample_blocks(seed, n, xi_max):
         direct = eval_phase(model, xi1, xi2)
         factored = eval_phase_factored(model, xi1, xi2)
-        denom = np.maximum(np.abs(direct), np.abs(factored))
-        block_max.append(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
+        gap = factored - direct
+        np.abs(gap, out=gap)
+        denom = np.maximum(np.abs(direct, out=direct), np.abs(factored, out=factored),
+                           out=direct)
+        # a denominator that is not positive divides as 1.0: both forms are
+        # zero there (gap 0) or one is NaN (gap NaN)
+        block_max.append(np.max(np.divide(gap, denom, out=gap, where=denom > 0)))
     return float(np.max(block_max))
 
 

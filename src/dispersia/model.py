@@ -70,32 +70,42 @@ def _check_kappa_alpha(kappa, alpha) -> int:
     return kappa
 
 
-def _poly(coeffs, odd, y):
-    """sum_j coeffs[j] y^(r-2j), of odd degree r when odd and even otherwise:
-    the nested form in y^2 started from coeffs[0], times the parity factor
-    (y when odd, y^2 otherwise).  Serves floats, arrays and Fractions alike."""
-    y2 = y * y
-    acc = coeffs[0]
+def _poly(coeffs, odd, y, y2):
+    """sum_j coeffs[j] y^(r-2j), of odd degree r when odd and even otherwise,
+    for coeffs[0] = 1 and y2 = y * y: the nested form in y2, whose leading 1
+    multiplies nothing, times the parity factor (y when odd, y2 otherwise).
+    Serves arrays and Fractions alike."""
+    acc = None
     for c in coeffs[1:]:
-        acc = acc * y2 + c
-    return acc * (y if odd else y2)
+        acc = (y2 if acc is None else acc * y2) + c
+    parity = y if odd else y2
+    return parity if acc is None else acc * parity
 
 
 def eval_p(model: DispersiveModel, y) -> np.ndarray:
     """Dispersion polynomial P(y), vectorized over y (0-d for a scalar y)."""
-    return np.asarray(_poly(model.coeffs, model.kappa % 2, np.asarray(y, dtype=np.float64)))
+    y = np.asarray(y, dtype=np.float64)
+    return np.asarray(_poly(model.coeffs, model.kappa % 2, y, y * y))
+
+
+def _power(v, k: int):
+    """v**k, with v itself for k = 1: v**1 is a copy of v."""
+    return v if k == 1 else v**k
 
 
 def _q(r: int, x, y):
     """sum_j C(r, 2j+1) x^j y^(m-j), m = (r-1)//2, with no zeroth power formed
-    (exact, as a factor 1 rounds nothing): the number r when m = 0."""
+    and no factor 1 applied (exact, as a factor 1 rounds nothing): the
+    number r when m = 0."""
     m = (r - 1) // 2
     if m == 0:
         return r
-    acc = r * y**m
+    acc = r * _power(y, m)
     for j in range(1, m + 1):
-        term = math.comb(r, 2 * j + 1) * x**j
-        acc += term * y ** (m - j) if j < m else term
+        weight, term = math.comb(r, 2 * j + 1), _power(x, j)
+        if weight != 1:
+            term = weight * term
+        acc += term * _power(y, m - j) if j < m else term
     return acc
 
 
@@ -151,15 +161,29 @@ def _round_scaled(r: Fraction, scale: float) -> float:
         return math.inf if r > 0 else -math.inf
 
 
-def _certified(out, bound, size, inputs, exact, xi1, xi2) -> np.ndarray:
+def _phase_inputs(xi1, xi2):
+    """xi1 and xi2 as float64 arrays of their broadcast shape, and that shape.
+    A 0-d pair comes back as one point, so that every ufunc over them returns
+    an array the next pass can work in.  Broadcast views are read-only: no
+    pass writes to them."""
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
+                                   np.asarray(xi2, dtype=np.float64))
+    return xi1.reshape(xi1.shape or 1), xi2.reshape(xi2.shape or 1), xi1.shape
+
+
+def _certified(out, bound, size, tiny, exact, xi1, xi2) -> np.ndarray:
     """out, with the points whose bound exceeds _TRUST_RTOL * |out|, whose
-    term size is below _TINY_SIZE, or that square an input below _TINY_INPUT
-    replaced by exact(xi1, xi2); xi1 and xi2 have the shape of out."""
-    out = np.asarray(out, dtype=np.float64)
+    term size is below _TINY_SIZE, or where an array of tiny (the absolute
+    values of the inputs that get squared) is below _TINY_INPUT replaced by
+    exact(xi1, xi2); xi1 and xi2 have the shape of out."""
+    limit = np.abs(out)
+    limit *= _TRUST_RTOL
     with np.errstate(invalid="ignore"):
-        redo = ~(bound <= _TRUST_RTOL * np.abs(out)) | (size < _TINY_SIZE)
-        for v in inputs:
-            redo |= np.abs(v) < _TINY_INPUT
+        redo = bound <= limit
+        np.logical_not(redo, out=redo)
+        redo |= size < _TINY_SIZE
+        for v in tiny:
+            redo |= v < _TINY_INPUT
     redo &= np.isfinite(out)
     for i in np.flatnonzero(redo):
         out.flat[i] = exact(float(xi1.flat[i]), float(xi2.flat[i]))
@@ -168,15 +192,23 @@ def _certified(out, bound, size, inputs, exact, xi1, xi2) -> np.ndarray:
 
 def _shift_bound(size, theta, k: int, evaluation: float):
     """Error bound for terms of total size `size` and degree <= k, evaluated
-    with `evaluation` unit roundoffs from an argument off by relative theta."""
+    with `evaluation` unit roundoffs from an argument off by relative theta,
+    formed in theta's place: inf where theta exceeds _MAX_SHIFT."""
+    beyond = ~(theta <= _MAX_SHIFT)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(theta <= _MAX_SHIFT, size * (evaluation * _U + 2 * k * theta), np.inf)
+        theta *= 2 * k
+        theta += evaluation * _U
+        theta *= size
+    theta[beyond] = np.inf
+    return theta
 
 
-def _p_and_size(model: DispersiveModel, y):
-    """P(y) and T(y) = sum_j |d_j| |y|^(kappa-2j), which sizes its rounding error."""
-    odd = model.kappa % 2
-    return _poly(model.coeffs, odd, y), _poly([abs(c) for c in model.coeffs], odd, np.abs(y))
+def _p_and_size(model: DispersiveModel, y, y_abs):
+    """P(y) and T(y) = sum_j |d_j| |y|^(kappa-2j), which sizes its rounding
+    error, from one y^2 (|y| |y| is y y); y_abs is |y|."""
+    odd, y2 = model.kappa % 2, y * y
+    return (_poly(model.coeffs, odd, y, y2),
+            _poly([abs(c) for c in model.coeffs], odd, y_abs, y2))
 
 
 def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> float:
@@ -186,8 +218,8 @@ def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> floa
     m = kappa the factored form's, whose sum times F is that rational."""
     eps = Fraction(model.epsilon)
     coeffs, odd = [Fraction(c) for c in model.coeffs], model.kappa % 2
-    b = Fraction(xi2)
-    diff = _poly(coeffs, odd, Fraction(xi1) / eps + b) - _poly(coeffs, odd, b)
+    a, b = Fraction(xi1) / eps + Fraction(xi2), Fraction(xi2)
+    diff = _poly(coeffs, odd, a, a * a) - _poly(coeffs, odd, b, b * b)
     return _round_scaled(eps**m * diff, model.epsilon ** (model.alpha - m))
 
 
@@ -199,22 +231,28 @@ def eval_phase(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     cancellation (|xi1| << eps*|xi2|, or xi1/eps + xi2 near a root of the
     difference), the point is evaluated exactly instead.
     """
-    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
-                                   np.asarray(xi2, dtype=np.float64))
+    xi1, xi2, shape = _phase_inputs(xi1, xi2)
     eps, kappa = model.epsilon, model.kappa
     scale = eps**model.alpha
     h = xi1 / eps
     a = h + xi2
-    pa, ta = _p_and_size(model, a)
-    pb, tb = _p_and_size(model, xi2)
-    out = scale * (pa - pb)
+    a_abs, b_abs = np.abs(a), np.abs(xi2)
+    pa, ta = _p_and_size(model, a, a_abs)
+    pb, tb = _p_and_size(model, xi2, b_abs)
+    out = pa - pb
+    out *= scale
     # a is off by up to 2u (|xi1/eps| + |xi2|), which moves every term of P(a)
+    theta = np.abs(h, out=h)
+    theta += b_abs
+    theta *= 2 * _U
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = 2 * _U * (np.abs(h) + np.abs(xi2)) / np.abs(a)
-    ta, tb = scale * ta, scale * tb
-    bound = _shift_bound(ta, theta, kappa, 4 * kappa + 8) + (4 * kappa + 8) * _U * tb
-    return _certified(out, bound, np.maximum(ta, tb), (a, xi2),
-                      lambda u, v: _phase_exact(model, u, v, 0), xi1, xi2)
+        theta /= a_abs
+    ta *= scale  # for kappa = 2, P(a) itself, which out no longer needs
+    tb *= scale
+    bound = _shift_bound(ta, theta, kappa, 4 * kappa + 8)
+    bound += tb * ((4 * kappa + 8) * _U)
+    return _certified(out, bound, np.maximum(ta, tb, out=ta), (a_abs, b_abs),
+                      lambda u, v: _phase_exact(model, u, v, 0), xi1, xi2).reshape(shape)
 
 
 def _factored_coeffs(model: DispersiveModel):
@@ -226,15 +264,22 @@ def _factored_coeffs(model: DispersiveModel):
 
 def _factored_sum(model: DispersiveModel, x, y, sizes: bool = False):
     """sum_j c_j Q_r(x, y) at x = xi1^2, y = eta^2, and with sizes the same
-    sum taken with |c_j| (None otherwise)."""
-    acc = np.zeros(np.broadcast(x, y).shape)
-    size = np.zeros_like(acc) if sizes else None
+    sum taken with |c_j| (None otherwise).  Q_r >= +0 and c_0 > 0, so the
+    sum starts at its leading term as it would at +0; |c_j| Q_r is -(c_j Q_r)
+    where c_j < 0."""
+    acc = size = None
     for c, r in _factored_coeffs(model):
         q = _q(r, x, y)
-        acc += c * q
-        if sizes:
-            size += abs(c) * q
-        del q  # a scan's Q is large: drop it before forming the next
+        # a constant Q_r (r <= 2) adds as a number
+        term = c * q if np.ndim(q) == 0 else np.multiply(q, c, out=q)
+        if acc is None:
+            acc = np.full(np.broadcast(x, y).shape, term) if np.ndim(term) == 0 else term
+            size = acc.copy() if sizes else None
+        else:
+            acc += term
+            if sizes:
+                (np.subtract if c < 0 else np.add)(size, term, out=size)
+        del q, term  # a scan's Q is large: drop it before forming the next
     return acc, size
 
 
@@ -252,19 +297,32 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     xi1 ~ -2 eps xi2; such points are evaluated exactly instead.  Shaped
     as eval_phase.
     """
-    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
-                                   np.asarray(xi2, dtype=np.float64))
-    scale = model.epsilon ** (model.alpha - model.kappa)
-    eta = xi1 + 2.0 * model.epsilon * xi2
-    acc, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=True)
-    factor = xi1 * eta if model.kappa % 2 == 0 else xi1
-    out = scale * acc * factor
-    size = scale * size * np.abs(factor)
+    xi1, xi2, shape = _phase_inputs(xi1, xi2)
+    kappa, two_eps = model.kappa, 2.0 * model.epsilon
+    scale = model.epsilon ** (model.alpha - kappa)
+    eta = np.multiply(xi2, two_eps)
+    np.add(xi1, eta, out=eta)
+    out, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=True)
+    out *= scale
+    size *= scale
+    xi1_abs, eta_abs = np.abs(xi1), np.abs(eta)
+    if kappa % 2:
+        out *= xi1
+        size *= xi1_abs
+    else:
+        factor = xi1 * eta
+        out *= factor
+        size *= np.abs(factor, out=factor)
+        del factor
+    theta = np.abs(xi2)
+    theta *= two_eps
+    np.add(xi1_abs, theta, out=theta)
+    theta *= 2 * _U
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = 2 * _U * (np.abs(xi1) + 2.0 * model.epsilon * np.abs(xi2)) / np.abs(eta)
-    bound = _shift_bound(size, theta, model.kappa, 4 * model.kappa + 16)
-    return _certified(out, bound, size, (xi1, eta),
-                      lambda u, v: _phase_exact(model, u, v, model.kappa), xi1, xi2)
+        theta /= eta_abs
+    bound = _shift_bound(size, theta, kappa, 4 * kappa + 16)
+    return _certified(out, bound, size, (xi1_abs, eta_abs),
+                      lambda u, v: _phase_exact(model, u, v, kappa), xi1, xi2).reshape(shape)
 
 
 def _admissible(g1, eta, c0_eps):
@@ -316,7 +374,9 @@ def verify_phase_lower_bound(
     (one row when xi2 alone is longer), so no array of grid size is formed.
     The result is that of one argmin over the whole grid in C order: the
     first NaN ratio wins, ties go to the earliest point, and when every
-    valid ratio is inf the worst point is the grid's first point.
+    valid ratio is inf the worst point is the grid's first point.  A block
+    whose xi1 rows all clear c0*eps is counted whole without a mask, and one
+    whose envelope is also positive throughout divides without one.
     """
     if not (math.isfinite(c0) and c0 > 0):
         raise ValueError(f"c0 must be finite and positive, got {c0!r}")
@@ -338,12 +398,14 @@ def verify_phase_lower_bound(
         # computed once per row, and the rest broadcasts to the block
         g1 = xi1[rows, None]
         eta = g1 + shift
-        valid = _admissible(g1, eta, c0_eps)
-        n_adm += int(np.count_nonzero(valid))
+        # rows whose |xi1| all clear c0 eps admit the whole block
+        valid = None if np.abs(g1).min() >= c0_eps else _admissible(g1, eta, c0_eps)
+        n_adm += eta.size if valid is None else int(np.count_nonzero(valid))
         x, y = g1 * g1, eta * eta
         ratio, _ = _factored_sum(model, x, y)
-        # xi1^pw + eta^pw as x^h + y^h: no negative base meets a power
-        denom = x**h + y**h
+        # xi1^pw + eta^pw as x^h + y^h: no negative base meets a power, and
+        # x^0 + y^0 is 2 whatever x and y are
+        denom = 2.0 if h == 0 else _power(x, h) + _power(y, h)
         del y  # the dels keep the block's peak at the phase evaluation
         if kappa % 2:
             ratio *= g1
@@ -351,17 +413,21 @@ def verify_phase_lower_bound(
         else:
             f = g1 * eta  # |xi1 eta| = |xi1| |eta| exactly
             ratio *= f
-            denom *= np.abs(f, out=f)
+            denom = np.multiply(np.abs(f, out=f), denom, out=f)
             del f
         del eta
         np.abs(ratio, out=ratio)
-        # points where the envelope vanishes identically carry no information
-        valid &= denom > 0.0
-        if not valid.any():
-            continue
+        # points where the envelope vanishes identically carry no information;
+        # where it is positive throughout an admitted block, every point counts
+        if valid is None and denom.min() > 0.0:
+            np.divide(ratio, denom, out=ratio)
+        else:
+            valid = denom > 0.0 if valid is None else valid & (denom > 0.0)
+            if not valid.any():
+                continue
+            np.divide(ratio, denom, out=ratio, where=valid)
+            ratio[~valid] = math.inf
         any_valid = True
-        np.divide(ratio, denom, out=ratio, where=valid)
-        ratio[~valid] = math.inf
         i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
         r = float(ratio[i, j])
         # strictly smaller, or the first NaN: what one argmin over the grid picks

@@ -67,18 +67,9 @@ PRESETS: dict[str, Preset] = {
     )
 }
 
-_ALIASES = {
-    "schrodinger-a0.75": "schrodinger-a3/4",
-    "schrodinger-a1.0": "schrodinger-a1",
-    "kdv-a1.0": "kdv-a1",
-    "kdv-a1.5": "kdv-a3/2",
-    "kdv-a2.0": "kdv-a2",
-}
-
 
 def get_preset(name: str) -> Preset:
     key = name.strip().lower()
-    key = _ALIASES.get(key, key)
     if key not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise KeyError(f"unknown preset {name!r}; known presets: {known}")

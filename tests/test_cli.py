@@ -652,6 +652,45 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
     assert report["maxRelDeviation"] == whole
 
 
+def oracle_max_rel_deviation(model, seed, n, xi_max):
+    """_max_rel_deviation as it was before it worked in place on the two
+    forms' outputs: the oracle for it, bit for bit."""
+    block_max = []
+    for xi1, xi2 in cli._sample_blocks(seed, n, xi_max):
+        direct = cli.eval_phase(model, xi1, xi2)
+        factored = cli.eval_phase_factored(model, xi1, xi2)
+        denom = np.maximum(np.abs(direct), np.abs(factored))
+        block_max.append(np.max(np.abs(factored - direct) / np.where(denom > 0, denom, 1.0)))
+    return float(np.max(block_max))
+
+
+@pytest.mark.parametrize("kappa,coeffs", [(2, (1.0,)), (3, (1.0, -2.0)), (4, (1.0, 0.0)),
+                                          (5, (1.0, -1.0, 0.25))])
+def test_identity_check_is_its_oracle_on_the_draws(kappa, coeffs):
+    m = DispersiveModel(kappa, coeffs, 1.0, 2.0**-6)
+    n = _CHUNK + 123
+    assert cli._max_rel_deviation(m, 3, n, 8.0).hex() == oracle_max_rel_deviation(m, 3, n, 8.0).hex()
+
+
+@pytest.mark.parametrize("direct,factored", [
+    ([0.0, -0.0, 1.0, 2.0], [0.0, 0.0, 1.0 + 2.0**-50, 2.0]),  # both zero: gap 0 over 0
+    ([-0.0, 3.0], [1e-320, 3.0]),  # a subnormal denominator
+    ([0.0, math.nan, 1.0], [0.0, 1.0, 1.0]),  # a NaN denominator: the NaN gap wins
+    ([math.inf, 1.0], [math.inf, 1.0]),  # inf - inf
+    ([-2.0, 5.0], [-2.0 * (1.0 + 2.0**-40), -math.inf]),
+])
+def test_identity_check_is_its_oracle_where_a_form_vanishes_or_is_not_finite(monkeypatch,
+                                                                            direct, factored):
+    # each patched form returns a fresh array of its values, as the real ones do
+    for name, values in (("eval_phase", direct), ("eval_phase_factored", factored)):
+        monkeypatch.setattr(cli, name, lambda model, xi1, xi2, v=values:
+                            np.resize(np.array(v, dtype=np.float64), xi1.shape))
+    m = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
+    with np.errstate(invalid="ignore"):
+        want = oracle_max_rel_deviation(m, 1, 40, 8.0)
+        assert cli._max_rel_deviation(m, 1, 40, 8.0).hex() == want.hex()
+
+
 @pytest.mark.parametrize("command,field,value", [
     ("sweep-convergence", "grid_n", "big"),
     # a library check on one field is reported under the field's config key
@@ -793,6 +832,16 @@ def test_unknown_preset_is_config_error(tmp_path, capsys):
     assert "preset" in capsys.readouterr().err
 
 
+def test_decimal_preset_name_exits_1_with_the_known_presets(tmp_path, capsys):
+    # a preset has one name: kdv-a3/2, not kdv-a1.5
+    rc = main(["sweep-convergence", "--preset", "kdv-a1.5", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: preset: unknown preset 'kdv-a1.5'; known presets: kdv-a1, kdv-a2, "
+        "kdv-a3/2, schrodinger-a1, schrodinger-a3/4, schrodinger-a4/3\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_model_fields_named(tmp_path, capsys):
     doc = {k: v for k, v in FREE_SOLVE.items() if k != "kappa"}
     rc = main(["solve", "--config", write_config(tmp_path, doc),
@@ -907,6 +956,19 @@ def test_committed_run_json_replays_to_the_committed_outputs(tmp_path, command, 
     assert main([command, "--config", str(golden / "run.json"), "--out", str(out)]) == 0
     for name in ("run.json", "results.csv", "rates.csv"):
         assert without_timing(out / name) == without_timing(golden / name), name
+
+
+def test_verify_phase_replays_the_committed_phase_reports(tmp_path):
+    # the reports verify-phase wrote for the phase-scan benchmark workload's
+    # four kappa at eps 2^-6, alpha 1, seed 1: to the byte, maxRelDeviation
+    # and the scan's worst point included
+    config = write_config(tmp_path, {"samples": 500_000, "grid_points": 1500, "xi_max": 8.0})
+    for kappa in (2, 3, 4, 5):
+        out = tmp_path / f"k{kappa}"
+        assert main(["verify-phase", "--config", config, "--kappa", str(kappa), "--alpha", "1.0",
+                     "--epsilon", repr(2.0**-6), "--seed", "1", "--out", str(out)]) == 0
+        golden = GOLDEN / "phase-scan" / f"k{kappa}.json"
+        assert (out / "phase_report.json").read_bytes() == golden.read_bytes(), kappa
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dispersia.model import (
     PhaseBoundReport,
     _CHUNK,
     _factored_sum,
+    _phase_exact,
     admits_a_point,
     eval_p,
     eval_phase,
@@ -267,6 +268,164 @@ def test_even_kappa_phase_vanishes_on_eta_zero():
         assert eval_phase_factored(m, xi1, xi2) == 0.0
         gap, tol = _identity_gap(m, xi1, xi2)
         assert gap <= tol  # the direct form vanishes too
+
+
+# ---------------------------------------------------------------------------
+# the phase forms against the forms they replaced
+
+
+def _oracle_poly(coeffs, odd, y):
+    y2 = y * y
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * y2 + c
+    return acc * (y if odd else y2)
+
+
+def _oracle_q(r, x, y):
+    m = (r - 1) // 2
+    if m == 0:
+        return r
+    acc = r * y**m
+    for j in range(1, m + 1):
+        term = math.comb(r, 2 * j + 1) * x**j
+        acc += term * y ** (m - j) if j < m else term
+    return acc
+
+
+def _oracle_shift_bound(size, theta, k, evaluation):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(theta <= 2.0**-20, size * (evaluation * 2.0**-53 + 2 * k * theta), np.inf)
+
+
+def _oracle_certified(out, bound, size, inputs, exact, xi1, xi2):
+    out = np.asarray(out, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        redo = ~(bound <= 2.0**-36 * np.abs(out)) | (size < 2.0**-900)
+        for v in inputs:
+            redo |= np.abs(v) < 2.0**-500
+    redo &= np.isfinite(out)
+    for i in np.flatnonzero(redo):
+        out.flat[i] = exact(float(xi1.flat[i]), float(xi2.flat[i]))
+    return out
+
+
+def oracle_eval_phase(model, xi1, xi2):
+    """eval_phase as it was before it worked in place: the oracle for it, bit for bit."""
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
+                                   np.asarray(xi2, dtype=np.float64))
+    eps, kappa, odd = model.epsilon, model.kappa, model.kappa % 2
+    sizes = [abs(c) for c in model.coeffs]
+    scale = eps**model.alpha
+    h = xi1 / eps
+    a = h + xi2
+    pa, ta = _oracle_poly(model.coeffs, odd, a), _oracle_poly(sizes, odd, np.abs(a))
+    pb, tb = _oracle_poly(model.coeffs, odd, xi2), _oracle_poly(sizes, odd, np.abs(xi2))
+    out = scale * (pa - pb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = 2 * 2.0**-53 * (np.abs(h) + np.abs(xi2)) / np.abs(a)
+    ta, tb = scale * ta, scale * tb
+    bound = (_oracle_shift_bound(ta, theta, kappa, 4 * kappa + 8)
+             + (4 * kappa + 8) * 2.0**-53 * tb)
+    return _oracle_certified(out, bound, np.maximum(ta, tb), (a, xi2),
+                             lambda u, v: _phase_exact(model, u, v, 0), xi1, xi2)
+
+
+def oracle_eval_phase_factored(model, xi1, xi2):
+    """eval_phase_factored as it was before it worked in place."""
+    xi1, xi2 = np.broadcast_arrays(np.asarray(xi1, dtype=np.float64),
+                                   np.asarray(xi2, dtype=np.float64))
+    scale = model.epsilon ** (model.alpha - model.kappa)
+    eta = xi1 + 2.0 * model.epsilon * xi2
+    x, y = xi1 * xi1, eta * eta
+    acc = np.zeros(np.broadcast(x, y).shape)
+    size = np.zeros_like(acc)
+    for j, d in enumerate(model.coeffs):
+        r = model.kappa - 2 * j
+        c = model.epsilon ** (2 * j) * (d / 2 ** (r - 1))
+        q = _oracle_q(r, x, y)
+        acc += c * q
+        size += abs(c) * q
+    factor = xi1 * eta if model.kappa % 2 == 0 else xi1
+    out = scale * acc * factor
+    size = scale * size * np.abs(factor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = 2 * 2.0**-53 * (np.abs(xi1) + 2.0 * model.epsilon * np.abs(xi2)) / np.abs(eta)
+    bound = _oracle_shift_bound(size, theta, model.kappa, 4 * model.kappa + 16)
+    return _oracle_certified(out, bound, size, (xi1, eta),
+                             lambda u, v: _phase_exact(model, u, v, model.kappa), xi1, xi2)
+
+
+PHASE_FORMS = [(eval_phase, oracle_eval_phase),
+               (eval_phase_factored, oracle_eval_phase_factored)]
+
+
+def assert_forms_are_their_oracles(model, xi1, xi2):
+    """Both phase forms give their oracles' bits, NaN payloads included, and
+    write to no input: xi1 and xi2 are handed over read-only."""
+    xi1, xi2 = np.array(xi1, dtype=np.float64), np.array(xi2, dtype=np.float64)
+    xi1.flags.writeable = xi2.flags.writeable = False
+    with np.errstate(all="ignore"):
+        for form, oracle in PHASE_FORMS:
+            got, want = form(model, xi1, xi2), oracle(model, xi1, xi2)
+            assert got.shape == want.shape, form.__name__
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), form.__name__
+
+
+# edge values: signed zeros, subnormals, inputs that square below the normal
+# range (2^-500) and near it, overflow, infinities and NaNs with and without a
+# sign or payload
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 2.0**-501, -2.0**-520,
+               2.0**-499, 1e-160, 1e154, -1e200, 1e300, math.inf, -math.inf, math.nan,
+               -math.nan, np.uint64(0x7FF8000000000123).view(np.float64).item(),
+               np.uint64(0xFFF4000000000001).view(np.float64).item()]
+phase_inputs = st.one_of(st.floats(-50, 50), st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from(EDGE_VALUES))
+
+
+@given(
+    kappa=st.integers(2, 6),
+    tail=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-3, -1e300]),
+                  min_size=2, max_size=2),
+    alpha_frac=st.floats(0, 1),
+    eps=st.sampled_from([1.0, 0.25, 2.0**-6, 0.3]),
+    pairs=st.lists(st.tuples(phase_inputs, phase_inputs,
+                             st.sampled_from(["as drawn", "tiny xi1", "eta near 0"])),
+                   min_size=1, max_size=6),
+)
+@settings(deadline=None, max_examples=200)
+def test_phase_forms_are_bit_identical_to_their_oracles(kappa, tail, alpha_frac, eps, pairs):
+    coeffs = tuple([1.0] + tail)[:(kappa + 1) // 2]
+    model = DispersiveModel(kappa, coeffs, alpha_frac * kappa, eps)
+    xi1, xi2 = [], []
+    for u, v, kind in pairs:
+        if kind == "tiny xi1":  # |xi1| << eps |xi2|: the subtractive form cancels
+            u = v * eps * 1e-9
+        elif kind == "eta near 0":  # xi1 ~ -2 eps xi2: the factored form's eta cancels
+            u = -2.0 * eps * v * (1.0 + 1e-12 * (u if math.isfinite(u) else 1.0) / 50)
+        xi1.append(u)
+        xi2.append(v)
+    assert_forms_are_their_oracles(model, xi1, xi2)
+
+
+@pytest.mark.parametrize("kappa,coeffs", [(2, (1.0,)), (3, (1.0, -2.0)), (4, (1.0, 0.0)),
+                                          (5, (1.0, -1.0, 0.25)), (6, (1.0, 2.0, -3.0))])
+def test_phase_forms_on_a_block_of_draws_and_edges_are_their_oracles(kappa, coeffs):
+    # a block of random draws, every pair of edge values, and points that fall
+    # back to exact evaluation, through a broadcast and a 0-d call as well
+    model = DispersiveModel(kappa, coeffs, 1.0, 2.0**-6)
+    rng = np.random.default_rng(kappa)
+    edges = np.array(EDGE_VALUES)
+    xi2 = np.concatenate([rng.uniform(-8, 8, 3000), np.repeat(edges, edges.size),
+                          rng.uniform(-8, 8, 200)])
+    xi1 = np.concatenate([rng.uniform(-8, 8, 3000), np.tile(edges, edges.size),
+                          xi2[-200:] * 2.0**-6 * 1e-9])
+    xi1[-100:] = -2.0 * model.epsilon * xi2[-100:] * (1.0 + rng.uniform(-1e-12, 1e-12, 100))
+    assert_forms_are_their_oracles(model, xi1, xi2)
+    assert_forms_are_their_oracles(model, xi1[:7, None], xi2[None, 3000:3030])
+    for form, oracle in PHASE_FORMS:
+        got = form(model, 1e-300, 2.0)
+        assert got.shape == () and got.view(np.int64) == oracle(model, 1e-300, 2.0).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +721,42 @@ def test_blocked_scan_memory_stays_block_sized():
         tracemalloc.stop()
     # one 2000 x 2000 float array alone is 32 MB
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("model", SCAN_MODELS, ids=lambda m: f"kappa{m.kappa}")
+def test_blocked_scan_of_wholly_admitted_blocks_is_the_full_grid_scan(model):
+    # every |xi1| clears c0 eps, so each block is admitted whole and, away
+    # from eta = 0 at even kappa, divides by a positive envelope throughout
+    xi1 = np.concatenate([-np.geomspace(8, 0.5, 100), np.geomspace(0.5, 8, 100)])
+    xi2 = np.random.default_rng(model.kappa).uniform(-8, 8, 1000)
+    rep = assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+    assert rep.admissible_count == xi1.size * xi2.size
+
+
+@pytest.mark.parametrize("model", SCAN_MODELS, ids=lambda m: f"kappa{m.kappa}")
+def test_blocked_scan_with_inadmissible_and_zero_envelope_points_is_the_full_grid_scan(model):
+    # rows with |xi1| below c0 eps (xi1 = 0 among them, whose envelope is 0)
+    # share blocks with admitted rows; at even kappa, xi2 = -xi1 / (2 eps)
+    # puts eta = 0 exactly, another zero of the envelope
+    eps = model.epsilon
+    xi1 = np.linspace(-2.0, 2.0, 257)
+    assert 0.0 in xi1 and np.count_nonzero(np.abs(xi1) < 4.0 * eps) > 1
+    xi2 = np.concatenate([np.linspace(-8, 8, 900), -xi1[::3] / (2.0 * eps)])
+    rep = assert_scan_matches_full_grid(model, 4.0, xi1, xi2)
+    assert 0 < rep.admissible_count < xi1.size * xi2.size
+
+
+def test_blocked_scan_with_nan_grid_entries_is_the_full_grid_scan():
+    # a NaN row is never admitted and a NaN column leaves an admitted point
+    # whose envelope is NaN: neither may count, in a whole block or not
+    xi2 = np.linspace(-8, 8, 1000)
+    xi2[[3, 517]] = math.nan
+    xi1 = np.linspace(0.5, 8, 200)
+    xi1[[5, 150]] = math.nan
+    for model in SCAN_MODELS:
+        with np.errstate(invalid="ignore"):
+            assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+            assert_scan_matches_full_grid(model, 1.0, -xi1[::-1], xi2[::-1])
 
 
 def test_g_ratio_sampled_lower_bound():

@@ -1,4 +1,4 @@
-"""Preset catalogue sanity: names, aliases and the grids their domains need."""
+"""Preset catalogue sanity: names and the grids their domains need."""
 
 import pytest
 
@@ -20,13 +20,14 @@ def test_catalogue_names():
     ]
 
 
-@pytest.mark.parametrize("alias, target", [
-    ("schrodinger-a0.75", "schrodinger-a3/4"),
-    ("KdV-a1.5", "kdv-a3/2"),
-    ("  schrodinger-a1  ", "schrodinger-a1"),
-])
-def test_aliases_resolve(alias, target):
-    assert get_preset(alias) is PRESETS[target]
+def test_a_preset_has_one_name_up_to_case_and_spaces():
+    assert get_preset("  KdV-a3/2 ") is PRESETS["kdv-a3/2"]
+
+
+@pytest.mark.parametrize("decimal", ["kdv-a1.5", "schrodinger-a0.75", "kdv-a1.0"])
+def test_decimal_preset_names_are_refused(decimal):
+    with pytest.raises(KeyError, match="known presets: kdv-a1, kdv-a2"):
+        get_preset(decimal)
 
 
 def test_unknown_preset_lists_known_names():
