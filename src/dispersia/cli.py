@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -439,12 +440,20 @@ def _sample_blocks(seed: int, n: int, xi_max: float):
     """verify-phase's samples, a block at a time: xi1 is the first n uniform
     draws of default_rng(seed) on [-xi_max, xi_max) and xi2 the next n, as if
     both were drawn whole.  uniform takes one 64-bit word per double, so xi2
-    comes from the seed's generator advanced by n words."""
+    comes from the seed's generator advanced by n words.  A draw is uniform's
+    -xi_max + (2 xi_max) u, formed in place on random()'s u: the same bits."""
     first, second = np.random.default_rng(seed), np.random.default_rng(seed)
     second.bit_generator.advance(n)
+
+    def draw(gen, size):
+        u = gen.random(size)
+        u *= 2.0 * xi_max
+        u -= xi_max
+        return u
+
     for b in blocks(n):
         size = b.stop - b.start
-        yield first.uniform(-xi_max, xi_max, size), second.uniform(-xi_max, xi_max, size)
+        yield draw(first, size), draw(second, size)
 
 
 def _max_rel_deviation(model: DispersiveModel, seed: int, n: int, xi_max: float) -> float:
@@ -524,7 +533,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="dispersia", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dispersia {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

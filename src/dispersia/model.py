@@ -75,9 +75,13 @@ def _poly(coeffs, odd, y, y2):
     for coeffs[0] = 1 and y2 = y * y: the nested form in y2, whose leading 1
     multiplies nothing, times the parity factor (y when odd, y2 otherwise).
     Serves arrays and Fractions alike."""
-    acc = None
+    acc, signed = None, False
     for c in coeffs[1:]:
-        acc = (y2 if acc is None else acc * y2) + c
+        acc = y2 if acc is None else acc * y2
+        # acc + 0 is acc unless acc is -0, which needs an earlier negative c
+        if c or signed:
+            acc = acc + c
+        signed = signed or c < 0
     parity = y if odd else y2
     return parity if acc is None else acc * parity
 
@@ -175,40 +179,49 @@ def _certified(out, bound, size, tiny, exact, xi1, xi2) -> np.ndarray:
     """out, with the points whose bound exceeds _TRUST_RTOL * |out|, whose
     term size is below _TINY_SIZE, or where an array of tiny (the absolute
     values of the inputs that get squared) is below _TINY_INPUT replaced by
-    exact(xi1, xi2); xi1 and xi2 have the shape of out."""
+    exact(xi1, xi2); xi1 and xi2 have the shape of out.  A rare flag is
+    masked only when its array's min is below its limit or NaN (np.fmin would
+    not pass over a signaling NaN), and a point that is not finite keeps its
+    value."""
     limit = np.abs(out)
     limit *= _TRUST_RTOL
     with np.errstate(invalid="ignore"):
         redo = bound <= limit
         np.logical_not(redo, out=redo)
-        redo |= size < _TINY_SIZE
-        for v in tiny:
-            redo |= v < _TINY_INPUT
-    redo &= np.isfinite(out)
+        for v, least in [(size, _TINY_SIZE)] + [(t, _TINY_INPUT) for t in tiny]:
+            if not v.min(initial=np.inf) >= least:
+                redo |= v < least
     for i in np.flatnonzero(redo):
-        out.flat[i] = exact(float(xi1.flat[i]), float(xi2.flat[i]))
+        if math.isfinite(out.flat[i]):
+            out.flat[i] = exact(float(xi1.flat[i]), float(xi2.flat[i]))
     return out
 
 
 def _shift_bound(size, theta, k: int, evaluation: float):
     """Error bound for terms of total size `size` and degree <= k, evaluated
     with `evaluation` unit roundoffs from an argument off by relative theta,
-    formed in theta's place: inf where theta exceeds _MAX_SHIFT."""
-    beyond = ~(theta <= _MAX_SHIFT)
+    formed in theta's place: inf where theta exceeds _MAX_SHIFT (or is NaN),
+    masked only when some theta does."""
+    beyond = None if theta.max(initial=-np.inf) <= _MAX_SHIFT else ~(theta <= _MAX_SHIFT)
     with np.errstate(over="ignore", invalid="ignore"):
         theta *= 2 * k
         theta += evaluation * _U
         theta *= size
-    theta[beyond] = np.inf
+    if beyond is not None:
+        theta[beyond] = np.inf
     return theta
 
 
 def _p_and_size(model: DispersiveModel, y, y_abs):
     """P(y) and T(y) = sum_j |d_j| |y|^(kappa-2j), which sizes its rounding
-    error, from one y^2 (|y| |y| is y y); y_abs is |y|."""
+    error, from one y^2 (|y| |y| is y y); y_abs is |y|.  With no negative
+    d_j, T is |P| bit for bit (the nested form is the same, and its factor
+    |y| or y^2 takes the sign off symmetrically): P itself at even kappa."""
     odd, y2 = model.kappa % 2, y * y
-    return (_poly(model.coeffs, odd, y, y2),
-            _poly([abs(c) for c in model.coeffs], odd, y_abs, y2))
+    p = _poly(model.coeffs, odd, y, y2)
+    if min(model.coeffs) >= 0:
+        return p, (np.abs(p) if odd else p)
+    return p, _poly([abs(c) for c in model.coeffs], odd, y_abs, y2)
 
 
 def _phase_exact(model: DispersiveModel, xi1: float, xi2: float, m: int) -> float:
@@ -266,9 +279,13 @@ def _factored_sum(model: DispersiveModel, x, y, sizes: bool = False):
     """sum_j c_j Q_r(x, y) at x = xi1^2, y = eta^2, and with sizes the same
     sum taken with |c_j| (None otherwise).  Q_r >= +0 and c_0 > 0, so the
     sum starts at its leading term as it would at +0; |c_j| Q_r is -(c_j Q_r)
-    where c_j < 0."""
+    where c_j < 0.  The sum is never -0, so a term 0 * Q_r adds nothing and
+    is passed over: always for a constant Q_r, and for another while every
+    acc is finite (Q_r then is, where 0 * inf would be NaN)."""
     acc = size = None
     for c, r in _factored_coeffs(model):
+        if c == 0 and (r <= 2 or acc.max(initial=-np.inf) < math.inf):
+            continue
         q = _q(r, x, y)
         # a constant Q_r (r <= 2) adds as a number
         term = c * q if np.ndim(q) == 0 else np.multiply(q, c, out=q)
@@ -302,18 +319,23 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray:
     scale = model.epsilon ** (model.alpha - kappa)
     eta = np.multiply(xi2, two_eps)
     np.add(xi1, eta, out=eta)
-    out, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=True)
+    # with no negative c_j the size sum is the sum, and the size is |out|
+    signed = min(model.coeffs) < 0
+    out, size = _factored_sum(model, xi1 * xi1, eta * eta, sizes=signed)
     out *= scale
-    size *= scale
     xi1_abs, eta_abs = np.abs(xi1), np.abs(eta)
+    factor_abs = xi1_abs
     if kappa % 2:
         out *= xi1
-        size *= xi1_abs
     else:
         factor = xi1 * eta
         out *= factor
-        size *= np.abs(factor, out=factor)
-        del factor
+        factor_abs = np.abs(factor, out=factor)
+    if signed:
+        size *= scale
+        size *= factor_abs
+    else:
+        size = np.abs(out)
     theta = np.abs(xi2)
     theta *= two_eps
     np.add(xi1_abs, theta, out=theta)
@@ -357,6 +379,105 @@ class PhaseBoundReport:
     c0: float
 
 
+# The bound scan passes over a block of rows whose floor, a lower bound on
+# every ratio in it, exceeds the least ratio found so far.  Rounding is
+# monotone, so every float x = xi1^2 of the block lies in [x_lo, x_hi], the
+# squares of its least and largest |xi1|, and every eta = xi1 + 2 eps xi2 lies
+# between the rounded sums of the least and of the largest xi1 and shift; y =
+# eta^2 then lies in [y_lo, y_hi], with y_lo = 0 where that bracket holds 0.
+# With every c_j >= 0 the sum cannot cancel and each Q_r is nondecreasing in
+# x and y, so the exact ratio at the float x and y, sum_j c_j Q_r(x, y) over
+# x^h + y^h (the factor |F| is in both), is at least
+#
+#     floor = sum_j c_j Q_r(x_lo, y_lo) / (x_hi^h + y_hi^h).
+#
+# While no power leaves the normal range, the scan's float ratio and the
+# float floor are each off from it by fewer than kappa + 20 unit roundoffs:
+# sums of nonnegative terms add one per term to the few of a term (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 3), and the range below
+# admits kappa < 450 only, so under 2^-43, which _FLOOR_SLACK covers with
+# room.  That range:
+# with |xi1| in [2^(-e/kappa), 2^(e/kappa)], e = 900 - 2 kappa, and |eta| as
+# well at even kappa (F = xi1 eta), every monomial of degree <= kappa lies in
+# [2^-e, 2^e], so the envelope |F| (x^h + y^h) is normal, each Q_r <= 2^(r-1)
+# 2^e stays finite (a c_j = 0 adds 0, not NaN) and |sum F| >= c_0 |F| x^m >=
+# 2^(1-kappa-e) is normal.  At odd kappa eta may lie anywhere in [-2^(e/kappa),
+# 2^(e/kappa)]: a power of y that underflows is off by under 2^-1074, which
+# its weight and x^j <= 2^(kappa-1+e) scale to under 2^(-175-kappa) of the
+# term c_j Q_r >= c_j x^m_r that bounds it.  A block outside the range, with
+# a row below c0 eps or with a NaN is always computed.
+_FLOOR_SLACK = 1.0 - 2.0**-30
+
+
+def _block_floors(model: DispersiveModel, c0_eps: float, xi1, shift, starts) -> np.ndarray:
+    """Per block of xi1 rows starting at starts, its floor times _FLOOR_SLACK
+    where the block may be passed over (see above), -inf elsewhere."""
+    floors = np.full(starts.size, -np.inf)
+    if min(model.coeffs) < 0:
+        return floors
+    kappa = model.kappa
+    e = 900 - 2 * kappa
+    lo, hi = 2.0 ** (-e / kappa), 2.0 ** (e / kappa)
+    g_abs = np.abs(xi1)
+    a_lo, a_hi = np.minimum.reduceat(g_abs, starts), np.maximum.reduceat(g_abs, starts)
+    eta_lo = np.minimum.reduceat(xi1, starts) + shift.min()
+    eta_hi = np.maximum.reduceat(xi1, starts) + shift.max()
+    # the bracket's end nearest 0, or 0 where it holds 0, and its farther end
+    near = np.where(eta_lo > 0.0, eta_lo, np.where(eta_hi < 0.0, -eta_hi, 0.0))
+    far = np.maximum(np.abs(eta_lo), np.abs(eta_hi))
+    ok = (a_lo >= max(c0_eps, lo)) & (a_hi <= hi) & (far <= hi)
+    if kappa % 2 == 0:
+        ok &= near >= lo
+    h = (kappa - 1) // 2
+    with np.errstate(all="ignore"):
+        floor, _ = _factored_sum(model, a_lo * a_lo, near * near)
+        floor /= 2.0 if h == 0 else _power(a_hi * a_hi, h) + _power(far * far, h)
+        floor *= _FLOOR_SLACK
+        ok &= np.isfinite(floor)
+    floors[ok] = floor[ok]
+    return floors
+
+
+def _block_ratio(model: DispersiveModel, g1, shift, c0_eps: float):
+    """The scan's ratios for the rows of the xi1 column g1 against the xi2
+    row's shift 2 eps xi2, inf where a point is not valid (None when none
+    is), and the block's admissible count.
+
+    What depends on xi1 alone is computed once per row and broadcasts to
+    the block.  A block whose xi1 rows all clear c0*eps is counted whole
+    without a mask, and one whose envelope is also positive throughout
+    divides without one."""
+    eta = g1 + shift
+    valid = None if np.abs(g1).min() >= c0_eps else _admissible(g1, eta, c0_eps)
+    n_adm = eta.size if valid is None else int(np.count_nonzero(valid))
+    x, y = g1 * g1, eta * eta
+    ratio, _ = _factored_sum(model, x, y)
+    # xi1^pw + eta^pw as x^h + y^h: no negative base meets a power, and
+    # x^0 + y^0 is 2 whatever x and y are
+    h = (model.kappa - 1) // 2
+    denom = 2.0 if h == 0 else _power(x, h) + _power(y, h)
+    del y  # the dels keep the block's peak at the phase evaluation
+    if model.kappa % 2:
+        ratio *= g1
+        denom *= np.abs(g1)
+    else:
+        f = g1 * eta  # |xi1 eta| = |xi1| |eta| exactly
+        ratio *= f
+        denom = np.multiply(np.abs(f, out=f), denom, out=f)
+        del f
+    del eta
+    np.abs(ratio, out=ratio)
+    # points where the envelope vanishes identically carry no information
+    if valid is None and denom.min() > 0.0:
+        return np.divide(ratio, denom, out=ratio), n_adm
+    valid = denom > 0.0 if valid is None else valid & (denom > 0.0)
+    if not valid.any():
+        return None, n_adm
+    np.divide(ratio, denom, out=ratio, where=valid)
+    ratio[~valid] = math.inf
+    return ratio, n_adm
+
+
 def verify_phase_lower_bound(
     model: DispersiveModel,
     c0: float,
@@ -371,12 +492,13 @@ def verify_phase_lower_bound(
     positive min ratio certifies the non-resonance bound on that grid.
 
     The grid is walked in blocks of whole xi1 rows of at most _CHUNK points
-    (one row when xi2 alone is longer), so no array of grid size is formed.
-    The result is that of one argmin over the whole grid in C order: the
-    first NaN ratio wins, ties go to the earliest point, and when every
-    valid ratio is inf the worst point is the grid's first point.  A block
-    whose xi1 rows all clear c0*eps is counted whole without a mask, and one
-    whose envelope is also positive throughout divides without one.
+    (one row when xi2 alone is longer), so no array of grid size is formed,
+    and the blocks are visited in ascending order of their floors (see
+    _block_floors); a block whose floor exceeds the least ratio found, while
+    no NaN is, is counted whole and not computed.  The result is that of one
+    argmin over the whole grid in C order: the first NaN ratio wins, ties go
+    to the earliest point, and when every valid ratio is inf the worst point
+    is the grid's first point.
     """
     if not (math.isfinite(c0) and c0 > 0):
         raise ValueError(f"c0 must be finite and positive, got {c0!r}")
@@ -384,61 +506,44 @@ def verify_phase_lower_bound(
     xi2 = np.asarray(xi2, dtype=np.float64).ravel()
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
-    kappa, eps = model.kappa, model.epsilon
+    eps = model.epsilon
     if not admits_a_point(model, c0, xi1, xi2):
         raise ValueError(
             f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
         )
-    h = (kappa - 1) // 2  # the envelope's pw is 2h
-    c0_eps, shift = c0 * eps, 2.0 * eps * xi2
+    c0_eps, shift, n2 = c0 * eps, 2.0 * eps * xi2, xi2.size
+    spans = list(blocks(xi1.size, max(1, _CHUNK // n2)))
+    floors = _block_floors(model, c0_eps, xi1, shift, np.array([s.start for s in spans]))
+    # the incumbent and the first NaN by flat index in C order
+    best, best_at, nan_at = math.inf, 0, None
     n_adm, any_valid = 0, False
-    best, w1, w2 = math.inf, float(xi1[0]), float(xi2[0])
-    for rows in blocks(xi1.size, max(1, _CHUNK // xi2.size)):
-        # a column of xi1 against the xi2 row: what depends on xi1 alone is
-        # computed once per row, and the rest broadcasts to the block
-        g1 = xi1[rows, None]
-        eta = g1 + shift
-        # rows whose |xi1| all clear c0 eps admit the whole block
-        valid = None if np.abs(g1).min() >= c0_eps else _admissible(g1, eta, c0_eps)
-        n_adm += eta.size if valid is None else int(np.count_nonzero(valid))
-        x, y = g1 * g1, eta * eta
-        ratio, _ = _factored_sum(model, x, y)
-        # xi1^pw + eta^pw as x^h + y^h: no negative base meets a power, and
-        # x^0 + y^0 is 2 whatever x and y are
-        denom = 2.0 if h == 0 else _power(x, h) + _power(y, h)
-        del y  # the dels keep the block's peak at the phase evaluation
-        if kappa % 2:
-            ratio *= g1
-            denom *= np.abs(g1)
-        else:
-            f = g1 * eta  # |xi1 eta| = |xi1| |eta| exactly
-            ratio *= f
-            denom = np.multiply(np.abs(f, out=f), denom, out=f)
-            del f
-        del eta
-        np.abs(ratio, out=ratio)
-        # points where the envelope vanishes identically carry no information;
-        # where it is positive throughout an admitted block, every point counts
-        if valid is None and denom.min() > 0.0:
-            np.divide(ratio, denom, out=ratio)
-        else:
-            valid = denom > 0.0 if valid is None else valid & (denom > 0.0)
-            if not valid.any():
-                continue
-            np.divide(ratio, denom, out=ratio, where=valid)
-            ratio[~valid] = math.inf
+    for b in np.argsort(floors, kind="stable").tolist():
+        rows = spans[b]
+        # -inf never exceeds, and nothing exceeds an inf incumbent
+        if nan_at is None and floors[b] > best:
+            n_adm += (rows.stop - rows.start) * n2
+            continue
+        ratio, count = _block_ratio(model, xi1[rows, None], shift, c0_eps)
+        n_adm += count
+        if ratio is None:
+            continue
         any_valid = True
-        i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-        r = float(ratio[i, j])
-        # strictly smaller, or the first NaN: what one argmin over the grid picks
-        if r < best or (math.isnan(r) and not math.isnan(best)):
-            best, w1, w2 = r, float(g1[i, 0]), float(xi2[j])
+        k = int(np.argmin(ratio))  # the block's first NaN, else its first least
+        r, at = float(ratio.flat[k]), rows.start * n2 + k
+        if math.isnan(r):
+            if nan_at is None or at < nan_at:
+                nan_r, nan_at = r, at
+        elif r < best or (r == best and at < best_at):
+            best, best_at = r, at
     if not any_valid:
-        best, w1, w2 = math.inf, math.nan, math.nan
+        return PhaseBoundReport(math.inf, math.nan, math.nan, n_adm, float(c0))
+    if nan_at is not None:
+        best, best_at = nan_r, nan_at
+    i, j = divmod(best_at, n2)
     return PhaseBoundReport(
         min_ratio=best,
-        worst_xi1=w1,
-        worst_xi2=w2,
+        worst_xi1=float(xi1[i]),
+        worst_xi2=float(xi2[j]),
         admissible_count=n_adm,
         c0=float(c0),
     )

@@ -652,6 +652,30 @@ def test_verify_phase_streamed_samples_are_the_whole_draws(tmp_path):
     assert report["maxRelDeviation"] == whole
 
 
+@pytest.mark.parametrize("xi_max", [8.0, 3.7, 0.1, 123.456, 1e-3])
+def test_sample_blocks_are_uniform_draws_bit_for_bit(xi_max):
+    # the in-place draws against uniform's own, a partial last block included
+    n, seed = 2 * _CHUNK + 17, 9
+    drawn = list(cli._sample_blocks(seed, n, xi_max))
+    assert [b[0].size for b in drawn] == [_CHUNK, _CHUNK, 17]
+    rng = np.random.default_rng(seed)
+    whole = rng.uniform(-xi_max, xi_max, 2 * n)
+    for k, side in enumerate(zip(*drawn)):
+        assert np.concatenate(side).tobytes() == whole[k * n:(k + 1) * n].tobytes()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    # two calls share one parser and each reads its own flags
+    cli.build_parser.cache_clear()
+    for lam, out in ((1.0, "a"), (2.0, "b")):
+        assert main(["reduce-moment", "--kappa", "2", "--beta", "1", "--sign", "+",
+                     "--lambda", repr(lam), "--out", str(tmp_path / out)]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for lam, out in ((1.0, "a"), (2.0, "b")):
+        assert json.loads((tmp_path / out / "reduction.json").read_text())["lambda"] == lam
+
+
 def oracle_max_rel_deviation(model, seed, n, xi_max):
     """_max_rel_deviation as it was before it worked in place on the two
     forms' outputs: the oracle for it, bit for bit."""
@@ -969,6 +993,22 @@ def test_verify_phase_replays_the_committed_phase_reports(tmp_path):
                      "--epsilon", repr(2.0**-6), "--seed", "1", "--out", str(out)]) == 0
         golden = GOLDEN / "phase-scan" / f"k{kappa}.json"
         assert (out / "phase_report.json").read_bytes() == golden.read_bytes(), kappa
+
+
+@pytest.mark.parametrize("kappa,coeffs,name", [
+    (5, [1.0, 0.0, 1.0], "k5-coeffs-1-0-1"), (4, [1.0, -1.0], "k4-coeffs-1-m1"),
+])
+def test_verify_phase_replays_the_committed_reports_of_non_pure_models(
+        tmp_path, kappa, coeffs, name):
+    # as above for a nonnegative non-pure model, whose scan may pass over
+    # blocks, and a mixed-sign one, whose scan visits every block
+    config = write_config(tmp_path, {"samples": 500_000, "grid_points": 1500, "xi_max": 8.0,
+                                     "coeffs": coeffs})
+    out = tmp_path / "out"
+    assert main(["verify-phase", "--config", config, "--kappa", str(kappa), "--alpha", "1.0",
+                 "--epsilon", repr(2.0**-6), "--seed", "1", "--out", str(out)]) == 0
+    golden = GOLDEN / "phase-scan" / f"{name}.json"
+    assert (out / "phase_report.json").read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

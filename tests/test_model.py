@@ -15,11 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dispersia import model as model_module
 from dispersia.model import (
     DegenerateReductionError,
     DispersiveModel,
     PhaseBoundReport,
     _CHUNK,
+    _block_floors,
+    _block_ratio,
     _factored_sum,
     _phase_exact,
     admits_a_point,
@@ -394,6 +397,9 @@ phase_inputs = st.one_of(st.floats(-50, 50), st.floats(allow_nan=True, allow_inf
                    min_size=1, max_size=6),
 )
 @settings(deadline=None, max_examples=200)
+# Q_5 and then Q_3 overflow: the zero d_3's term is 0 * inf, NaN, not nothing
+@example(kappa=5, tail=[0.0, 0.0], alpha_frac=0.0, eps=1.0,
+         pairs=[(6.71e153, 0.0, "as drawn"), (6.7e153, 0.0, "as drawn")])
 def test_phase_forms_are_bit_identical_to_their_oracles(kappa, tail, alpha_frac, eps, pairs):
     coeffs = tuple([1.0] + tail)[:(kappa + 1) // 2]
     model = DispersiveModel(kappa, coeffs, alpha_frac * kappa, eps)
@@ -757,6 +763,179 @@ def test_blocked_scan_with_nan_grid_entries_is_the_full_grid_scan():
         with np.errstate(invalid="ignore"):
             assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
             assert_scan_matches_full_grid(model, 1.0, -xi1[::-1], xi2[::-1])
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound scan: blocks passed over on their floors
+
+
+NONNEGATIVE_MODELS = [
+    DispersiveModel(3, (1.0, 0.5), 1.0, 2.0**-5),
+    DispersiveModel(5, (1.0, 0.0, 1.0), 1.0, 2.0**-6),
+    DispersiveModel(6, (1.0, 2.0, 0.5), 1.0, 2.0**-4),
+    DispersiveModel(7, (1.0, 0.0, 0.5, 0.25), 1.0, 2.0**-4),
+]
+
+
+def counted_blocks(monkeypatch):
+    """A list that gets the row count of every block the scan computes."""
+    seen, compute = [], model_module._block_ratio
+
+    def counting(*args):
+        seen.append(args[1].shape[0])
+        return compute(*args)
+
+    monkeypatch.setattr(model_module, "_block_ratio", counting)
+    return seen
+
+
+@pytest.mark.parametrize("model", NONNEGATIVE_MODELS, ids=lambda m: f"kappa{m.kappa}")
+def test_scan_that_passes_over_blocks_is_the_full_grid_scan(model, monkeypatch):
+    # ordered xi1 axes against 1600 xi2 points: blocks of 10 narrow rows
+    seen = counted_blocks(monkeypatch)
+    xi2 = np.linspace(-8, 8, 1600)
+    axes = (np.linspace(-8, 8, 300), np.sort(np.random.default_rng(model.kappa).uniform(-8, 8, 331)))
+    for c0 in (1.0, 8.0):
+        for xi1 in axes:
+            assert_scan_matches_full_grid(model, c0, xi1, xi2)
+    blocks_in_all = 2 * sum(-(-xi1.size // rows_per_block(xi2)) for xi1 in axes)
+    assert len(seen) < blocks_in_all  # some were passed over
+
+
+def test_scan_of_mixed_sign_models_computes_every_block(monkeypatch):
+    seen = counted_blocks(monkeypatch)
+    axis = np.linspace(-8, 8, 300)
+    for model in (SCAN_MODELS[2], SCAN_MODELS[3]):
+        assert_scan_matches_full_grid(model, 1.0, axis, axis)
+    assert sum(seen) == 2 * axis.size
+
+
+@pytest.mark.parametrize("model", [SCAN_MODELS[0]] + NONNEGATIVE_MODELS,
+                         ids=lambda m: f"kappa{m.kappa}")
+def test_scan_in_reverse_block_order_keeps_the_earliest_tie_and_first_nan(model, monkeypatch):
+    # floors that order the blocks last to first, and that nothing exceeds:
+    # the scan visits every block against C order
+    monkeypatch.setattr(model_module, "_block_floors",
+                        lambda m, c0_eps, xi1, shift, starts: -1.0 - np.arange(starts.size))
+    # the ratio is even under (xi1, xi2) -> (-xi1, -xi2), bit for bit, so on
+    # mirrored axes every ratio of the negative rows recurs in a later block
+    mirror = lambda half: np.concatenate([-half[::-1], half])  # noqa: E731
+    xi2 = mirror(np.linspace(0.05, 8, 500))
+    rows = rows_per_block(xi2)
+    rep = assert_scan_matches_full_grid(model, 1.0, mirror(np.linspace(0.5, 8, 2 * rows + 5)),
+                                        xi2)
+    assert rep.worst_xi1 < 0
+    xi1 = np.linspace(0.5, 8, 5 * rows)
+    # rows of inf / inf ratios in the second and the fourth block: the
+    # second's first NaN comes first, from an infinite row and from one
+    # whose square overflows
+    for big in (math.inf, 1e300):
+        xi1[[rows + 2, 3 * rows + 1]] = big, -big
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+        assert math.isnan(rep.min_ratio)
+        assert (rep.worst_xi1, rep.worst_xi2) == (big, xi2[0])
+
+
+def test_scan_with_nan_and_inf_entries_in_a_nonnegative_model_is_the_full_grid_scan():
+    xi2 = np.linspace(-8, 8, 1000)
+    xi2[[3, 517]] = math.nan
+    xi1 = np.linspace(-8, 8, 200)
+    xi1[[5, 150]] = math.nan, math.inf
+    for model in NONNEGATIVE_MODELS:
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+            assert_scan_matches_full_grid(model, 1.0, xi1, np.linspace(-8, 8, 1000))
+
+
+@given(
+    kappa=st.integers(2, 7),
+    tail=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1e-3, 1e5, -1.0]),
+                  min_size=3, max_size=3),
+    eps=st.sampled_from([1.0, 0.25, 2.0**-6]),
+    c0=st.sampled_from([0.5, 1.0, 2.0, 8.0]),
+    n1=st.integers(2, 250),
+    n2=st.integers(800, 2000),
+    width=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**16),
+    ordered=st.booleans(),
+)
+@settings(deadline=None, max_examples=60)
+def test_scan_on_random_axes_is_the_full_grid_scan(kappa, tail, eps, c0, n1, n2, width, seed,
+                                                   ordered):
+    # an ordered xi1 axis makes narrow blocks, whose floors pass some over
+    model = DispersiveModel(kappa, tuple([1.0] + tail)[:(kappa + 1) // 2], 1.0, eps)
+    rng = np.random.default_rng(seed)
+    xi1, xi2 = rng.uniform(-width, width, n1), rng.uniform(-width, width, n2)
+    if ordered:
+        xi1.sort()
+    if not admits_a_point(model, c0, xi1, xi2):
+        return
+    with np.errstate(all="ignore"):
+        assert bits(verify_phase_lower_bound(model, c0, xi1, xi2)) == bits(
+            full_grid_scan(model, c0, xi1, xi2))
+
+
+def test_block_floor_is_below_every_ratio_of_its_block():
+    # blocks anywhere in the guarded range, narrow ones (down to a single
+    # point, where floor and ratio are the same quotient rounded apart) and
+    # wide ones, with eta straddling 0 at odd kappa
+    rng = np.random.default_rng(30)
+    guarded = 0
+    for _ in range(3000):
+        kappa = int(rng.integers(2, 9))
+        tail = rng.choice([0.0, 0.25, 1.0, 7.0, 1e-200, 1e200], (kappa + 1) // 2 - 1)
+        model = DispersiveModel(kappa, (1.0, *tail), 1.0, float(rng.choice([1.0, 2.0**-6])))
+        e = (900 - 2 * kappa) / kappa
+        center = 2.0 ** rng.uniform(-e, e) * rng.choice([-1.0, 1.0])
+        spread = float(rng.choice([0.0, 1e-12, 1e-3, 0.5]))
+        xi1 = center * (1.0 + spread * rng.uniform(-1, 1, int(rng.integers(1, 4))))
+        shift = center * rng.choice([-3.0, -1.0, 0.0, 1.0]) + center * spread * rng.uniform(
+            -1, 1, int(rng.integers(1, 6)))
+        c0_eps = float(np.min(np.abs(xi1)))
+        floor = _block_floors(model, c0_eps, xi1, shift, np.array([0]))[0]
+        if floor == -math.inf:
+            continue
+        guarded += 1
+        with np.errstate(all="ignore"):
+            ratio, count = _block_ratio(model, xi1[:, None], shift, c0_eps)
+        assert count == xi1.size * shift.size
+        assert ratio.min() >= floor, (model, xi1, shift)
+    assert guarded > 1500
+
+
+def test_block_floors_pass_over_no_block_outside_their_guard():
+    def floor(model, xi1, shift, c0_eps=2.0**-5):
+        return _block_floors(model, c0_eps, np.array(xi1), np.array(shift), np.array([0]))[0]
+
+    odd, even = NONNEGATIVE_MODELS[0], NONNEGATIVE_MODELS[2]  # kappa 3 and 6
+    hi = 2.0 ** ((900 - 2 * 3) / 3)  # the kappa 3 range is [1 / hi, hi]
+    assert floor(odd, [1.0, hi / 2.0], [0.5]) > 0
+    assert floor(odd, [1.0, 2.0], [-1.5, 0.5]) > 0  # eta holds 0: allowed at odd kappa
+    assert floor(even, [1.0, 2.0], [-1.5, 0.5]) == -math.inf
+    assert floor(even, [1.0, 2.0], [0.5]) > 0
+    refused = [
+        ([1.0, 2.0], [0.5], 1.5),  # a row below c0 eps
+        ([1.0, math.nan], [0.5], 0.0),
+        ([1.0, 2.0], [0.5, math.nan], 0.0),
+        ([1.0, 2.0 * hi], [0.5], 0.0),
+        ([1.0, 2.0], [2.0 * hi], 0.0),
+        ([0.5 / hi, 1.0], [0.5], 0.0),
+    ]
+    for xi1, shift, c0_eps in refused:
+        assert floor(odd, xi1, shift, c0_eps) == -math.inf, (xi1, shift)
+    assert floor(SCAN_MODELS[2], [1.0], [0.5]) == -math.inf  # a negative coefficient
+
+
+def test_phase_scan_workload_at_kappa_3_computes_under_a_third_of_its_blocks(monkeypatch):
+    # verify-phase's scan for the benchmark's kappa 3 model (1500-point axes
+    # on [-8, 8], eps 2^-6, the c0 search's first candidate)
+    seen = counted_blocks(monkeypatch)
+    model = DispersiveModel(3, (1.0, 0.0), 1.0, 2.0**-6)
+    axis = np.linspace(-8, 8, 1500)
+    rep = verify_phase_lower_bound(model, 1.0, axis, axis)
+    assert rep.min_ratio >= 0.05 and rep.admissible_count == 2249812
+    assert len(seen) < -(-axis.size // rows_per_block(axis)) / 3
 
 
 def test_g_ratio_sampled_lower_bound():
