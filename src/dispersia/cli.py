@@ -3,7 +3,7 @@
 Subcommands
 -----------
 solve               single run; writes final_state.csv plus a one-row results.csv
-sweep-convergence   tau-refinement errors against a Richardson pair of reference solves
+sweep-convergence   tau-refinement errors against a certified Richardson truth
 sweep-regularity    distance to the free flow across epsilon
 compare             scheme comparison on both sides of the tau ~ eps^(kappa-alpha) threshold
 reduce-moment       moment reduction to polynomial coefficients (JSON report)
@@ -11,7 +11,9 @@ verify-phase        sampled phase-identity check and lower-bound scan (JSON repo
 
 Every run writes run.json echoing every configuration field as read; feeding
 that file back through --config reproduces the same outputs.  A null grid_n
-stays null there: each solve sizes its grid from half_width and its eps.
+stays null there: each solve sizes its grid from half_width and its eps.  A
+sweep's null reference_scheme and reference_tau are echoed as the truth the
+sweep resolved them to.
 Floats are written with 17 significant digits and rows in a fixed order, so
 reruns are byte-identical in every column except walltime_s.
 
@@ -36,6 +38,7 @@ import numpy as np
 from . import __version__
 from .harness import (
     ErrorRecord,
+    ReferenceRecord,
     SweepConfig,
     comparable,
     compare_methods,
@@ -59,7 +62,7 @@ from .model import (
     search_lower_bound_constant,
     verify_phase_lower_bound,
 )
-from .presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
+from .presets import DESK_EPSILONS, DESK_TAUS, get_preset
 from .spectral import InitialDataSpec, PotentialSpec, resolving_grid
 
 RATE_COLUMNS = ("group", "slope", "intercept", "r_squared", "points")
@@ -208,8 +211,9 @@ def _sweep_table(schemes: tuple[str, ...] = ()) -> tuple:
         _field("epsilons", _numbers, DESK_EPSILONS, "--epsilon"),
         *ladder,
         _Z_FINAL,
-        _field("reference_tau", float, REFERENCE_TAU),
-        _field("reference_scheme", str, "ei"),
+        # null: SweepConfig resolves the truth, and run.json echoes what it ran
+        _field("reference_tau", float, None),
+        _field("reference_scheme", str, None),
         _DERIV_ORDER, _GRID_N, _POTENTIAL, _INITIAL,
     )
 
@@ -310,8 +314,15 @@ def _solve_config(f: dict) -> SolveConfig:
                        f["z_final"])
 
 
-def _regularity_config(f: dict) -> SweepConfig:
+def _sweep_config(f: dict) -> SweepConfig:
+    """The sweep of f, with the reference it resolves to written back into f."""
     sweep = SweepConfig(**f)
+    f["reference_scheme"], f["reference_tau"] = sweep.reference_scheme.value, sweep.reference_tau
+    return sweep
+
+
+def _regularity_config(f: dict) -> SweepConfig:
+    sweep = _sweep_config(f)
     expected_regularity_exponent(sweep.kappa, sweep.alpha, sweep.deriv_order)  # j < kappa
     return sweep
 
@@ -339,10 +350,10 @@ def _write_csv(path: Path, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_results_csv(path: Path, records) -> None:
-    # one column per ErrorRecord field, in field order; the harness fixes the row order
-    _write_csv(path, [f.name for f in dataclasses.fields(ErrorRecord)],
-               map(dataclasses.astuple, records))
+def _write_records(path: Path, kind, records) -> None:
+    # one column per field of the record dataclass kind, in field order; the
+    # harness fixes the row order
+    _write_csv(path, [f.name for f in dataclasses.fields(kind)], map(dataclasses.astuple, records))
 
 
 def _write_plot_script(path: Path, result, x_field: str, keys) -> None:
@@ -381,7 +392,7 @@ def _run_solve(args, f: dict, solve_cfg: SolveConfig, out: Path) -> int:
     res = solve(solve_cfg)
     final, record = res.final, record_of(solve_cfg.tau, res.final, res.walltime)
 
-    _write_results_csv(out / "results.csv", [record])
+    _write_records(out / "results.csv", ErrorRecord, [record])
     _write_csv(out / "final_state.csv", ("x", "re", "im"), (
         (float(x), float(v.real), float(v.imag)) for x, v in zip(final.grid.nodes, final.values)))
     print(f"solve: {final.grid.n} nodes, error_x vs free flow = {record.error_x:.6g}")
@@ -399,7 +410,9 @@ def _run_sweep(args, f: dict, sweep: SweepConfig, out: Path) -> int:
     result = run(sweep)
     rates = result.rates_by_group(x_field, keys)
 
-    _write_results_csv(out / "results.csv", result.records)
+    _write_records(out / "results.csv", ErrorRecord, result.records)
+    if sweep.taus:  # a ladder sweep's truth carries its certificate
+        _write_records(out / "reference.csv", ReferenceRecord, result.references)
     # group labels use ';' so the CSV stays quote-free
     _write_csv(out / "rates.csv", RATE_COLUMNS, (
         (label.replace(",", ";"), fit.slope, fit.intercept, fit.r_squared, fit.n_points)
@@ -521,11 +534,11 @@ def _run_verify_phase(args, f: dict, scan: tuple[DispersiveModel, PhaseBoundRepo
 # per subcommand: its table, the library input built from the fields, the run
 _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
-    "sweep-convergence": (_sweep_table(("ei",)), lambda f: SweepConfig(**f), _run_sweep),
+    "sweep-convergence": (_sweep_table(("ei",)), _sweep_config, _run_sweep),
     # the reference solve is all it runs: it reads no ladder
     "sweep-regularity": (_sweep_table(), _regularity_config, _run_sweep),
     "compare": (_sweep_table(("ei", "lt", "strang", "lri")),
-                lambda f: comparable(SweepConfig(**f)), _run_sweep),
+                lambda f: comparable(_sweep_config(f)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT,
                       lambda f: reduce_moment(f["kappa"], f["beta"], f["sign"], f["lambda"]),
                       _run_reduce),

@@ -3,11 +3,13 @@
 Error measurement convention: the Richardson combination of two reference
 rows on the same grid, at reference_tau and at twice it, stands in for the
 exact solution, so spatial error cancels and the recorded number isolates
-the time-stepping error.  Records normalize against the predicted eps-rate
-so that curves for different eps collapse.
+the time-stepping error.  A third row at four times reference_tau certifies
+it: the rows' observed order, and the truth's distance to the three-level
+extrapolation, which estimates the truth's own error.  Records normalize
+against the predicted eps-rate so that curves for different eps collapse.
 
-Each eps cell makes one solve of two rows for its truth, then one solve per
-scheme with a row per tau of the ladder, each row measured as it retires
+Each eps cell makes one solve of three rows for its truth, then one solve
+per scheme with a row per tau of the ladder, each row measured as it retires
 (integrators.solve marches a solve's rows two at a time).
 """
 
@@ -90,6 +92,47 @@ def measure(config: SolveConfig, truth: SpectralField, j: int, rate: float):
     return record
 
 
+class UncertifiedReferenceError(RuntimeError):
+    """A truth that the sweep gates failed its certificate."""
+
+
+# the gate on a truth the rule picks: its observed order within _ORDER_BAND
+# of its scheme's, and its estimated error at most _SELF_ERROR_SHARE of the
+# fine row's own
+_ORDER_BAND = 0.02
+_SELF_ERROR_SHARE = 1e-2
+
+
+@dataclass(frozen=True)
+class ReferenceRecord:
+    """One reference.csv row: an eps cell's truth and its certificate, each
+    distance in the sweep's j-th derivative norm.  fine_error is the fine
+    row's distance to the truth R2, observed_order is log2 of
+    |R(4 tau) - R(2 tau)| over |R(2 tau) - R(tau)|, and self_error is
+    |R3 - R2|, which estimates R2's own error; self_error_ratio divides it
+    by the cell's smallest test error (NaN when that is not > 0)."""
+
+    scheme: str
+    epsilon: float
+    tau: float
+    grid_n: int
+    order: int
+    observed_order: float
+    fine_error: float
+    self_error: float
+    self_error_ratio: float = math.nan
+
+    def check(self) -> None:
+        """Raise UncertifiedReferenceError unless the certificate holds."""
+        if not (abs(self.observed_order - self.order) <= _ORDER_BAND
+                and self.self_error <= _SELF_ERROR_SHARE * self.fine_error):
+            raise UncertifiedReferenceError(
+                f"{self.scheme} truth at tau={self.tau:.6g}: observed order "
+                f"{self.observed_order:.4f}, needs {self.order} +/- {_ORDER_BAND}; estimated "
+                f"error {self.self_error:.3g}, needs at most {_SELF_ERROR_SHARE} of the fine "
+                f"row's {self.fine_error:.3g}")
+
+
 @dataclass(frozen=True)
 class CellFailure:
     cell: str
@@ -121,21 +164,44 @@ def fit_rate(x, y) -> RateFit:
     return RateFit(float(slope), float(intercept), r2, int(x.size))
 
 
+# the Strang truths a ladder sweep given no reference key may run, largest
+# first: dyadic, so that four times one divides a dyadic z_final, and none
+# is a desk tau
+_STRANG_REFERENCE_TAUS = (2.0**-10, 2.0**-11)
+
+
+def _divides(tau: float, z_final: float) -> bool:
+    """Whether steps of tau reach z_final > 0 in a whole number of steps."""
+    try:
+        return step_count(tau, z_final) > 0
+    except ValueError:
+        return False
+
+
 @dataclass
 class SweepConfig:
     """Cross-product sweep description over (scheme, epsilon, tau).
 
     Every tau and reference_tau must divide z_final.  Each eps cell measures
-    against richardson_truth(cell(eps)), the pair of reference solves at
-    reference_tau and at twice it, so with a tau ladder reference_tau must
-    also be at most min(taus)/4, and twice it must divide z_final.  At the
-    desk's reference_tau of 2.5e-4 the truth's own error measured at most
-    7e-3 of ei's error at tau 1e-3 on every cell held against a
-    Taylor-series truth.  A regularity sweep, which runs no test tau, leaves
-    taus empty and runs its reference scheme at reference_tau alone.  A bad
-    field is refused under its own name before any cell runs: cell(eps) is
-    built for every eps, so a grid_n too coarse for one of them is refused
-    too.
+    against richardson_truth(cell(eps)), the reference scheme's rows at
+    reference_tau, twice it and four times it, so with a tau ladder
+    z_final/reference_tau must be a multiple of 4.
+
+    A ladder sweep given neither reference key runs the truth the rule picks
+    (auto_reference), and stores it in both keys: on a gaussian well, the
+    Strang pair deep in its tau^2 regime, or else ei at REFERENCE_TAU.  Such
+    a Strang truth is gated by its certificate (gates_reference): a cell
+    whose truth fails it fails.  Every other ladder truth must have
+    reference_tau at most min(taus)/4; at the desk's 2.5e-4 the ei truth's
+    own error measured at most 7e-3 of ei's error at tau 1e-3 on every cell
+    held against a Taylor-series truth.  A given pair of keys that is the
+    rule's Strang pick counts as that pick, so that run.json replays.
+
+    A regularity sweep, which runs no test tau, leaves taus empty and runs
+    its reference scheme at reference_tau alone, ei at REFERENCE_TAU where a
+    key is not given.  A bad field is refused under its own name before any
+    cell runs: cell(eps) is built for every eps, so a grid_n too coarse for
+    one of them is refused too.
     """
 
     kappa: int
@@ -148,14 +214,15 @@ class SweepConfig:
     taus: tuple[float, ...] = ()
     schemes: tuple[StepperKind, ...] = (StepperKind.EI,)
     z_final: float = 1.0
-    reference_tau: float = REFERENCE_TAU
-    reference_scheme: StepperKind = StepperKind.EI
+    reference_tau: float | None = None
+    reference_scheme: StepperKind | None = None
     deriv_order: int = 0
     grid_n: int | None = None
 
     def __post_init__(self):
         self.schemes = tuple(stepper_kind(s, "schemes") for s in self.schemes)
-        self.reference_scheme = stepper_kind(self.reference_scheme, "reference_scheme")
+        if self.reference_scheme is not None:
+            self.reference_scheme = stepper_kind(self.reference_scheme, "reference_scheme")
         self.epsilons = tuple(float(e) for e in self.epsilons)
         self.taus = tuple(float(t) for t in self.taus)
         if not self.epsilons:
@@ -169,17 +236,46 @@ class SweepConfig:
                 raise ValueError(f"{key}: each value may appear once, got {values}")
         for tau in self.taus:
             step_count(tau, self.z_final, "taus")
+        if self.taus and self.reference_scheme is None and self.reference_tau is None:
+            self.reference_scheme, self.reference_tau = self.auto_reference()
+        if self.reference_scheme is None:
+            self.reference_scheme = StepperKind.EI
+        if self.reference_tau is None:
+            self.reference_tau = REFERENCE_TAU
         reference_steps = step_count(self.reference_tau, self.z_final, "reference_tau")
         if self.taus:  # measured against richardson_truth
-            if reference_steps % 2:
-                raise ValueError(f"reference_tau: the truth also solves at twice it, so "
-                                 f"z_final/reference_tau must be even, got {reference_steps}")
-            if self.reference_tau > min(self.taus) / 4.0:
+            if reference_steps % 4:
+                raise ValueError(f"reference_tau: the truth also solves at twice and four "
+                                 f"times it, so z_final/reference_tau must be a multiple of 4, "
+                                 f"got {reference_steps}")
+            if not self.gates_reference and self.reference_tau > min(self.taus) / 4.0:
                 raise ValueError(f"reference_tau: must be at most min(taus)/4 = "
                                  f"{min(self.taus) / 4.0}, got {self.reference_tau}")
         self.deriv_order = check_integer(self.deriv_order, 0, "deriv_order")
         for e in self.epsilons:
             self.cell(e)  # the model, the grid and the samples each cell solves on
+
+    def auto_reference(self) -> tuple[StepperKind, float]:
+        """The rule's truth: on a gaussian well, strang at the largest tau of
+        _STRANG_REFERENCE_TAUS that is at most splitting_threshold/8 at every
+        eps, four times which divides z_final > 0; ei at REFERENCE_TAU
+        otherwise.  That Strang triple takes at most half the ei triple's
+        steps."""
+        if self.potential.kind == "gaussian":
+            # refuses a kappa or alpha out of range, so that kappa - alpha >= 0
+            m = DispersiveModel(self.kappa, self.coeffs, self.alpha, self.epsilons[0])
+            bound = min(splitting_threshold(m.kappa, m.alpha, e) for e in self.epsilons) / 8.0
+            for tau in _STRANG_REFERENCE_TAUS:
+                if tau <= bound and _divides(4.0 * tau, self.z_final):
+                    return StepperKind.STRANG, tau
+        return StepperKind.EI, REFERENCE_TAU
+
+    @property
+    def gates_reference(self) -> bool:
+        """Whether each cell's truth must pass its certificate: a ladder
+        sweep's truth that is the rule's Strang pick."""
+        return (bool(self.taus) and self.reference_scheme is StepperKind.STRANG
+                and (self.reference_scheme, self.reference_tau) == self.auto_reference())
 
     def cell(self, eps: float) -> SolveConfig:
         """The reference solve of the eps cell at reference_tau, on the grid
@@ -194,6 +290,7 @@ class SweepConfig:
 class SweepResult:
     records: list[ErrorRecord] = field(default_factory=list)
     failures: list[CellFailure] = field(default_factory=list)
+    references: list[ReferenceRecord] = field(default_factory=list)
 
     def positive_groups(self, keys: tuple[str, ...]) -> dict[tuple, list[ErrorRecord]]:
         """The records by their values of keys, sorted; no log scale shows a
@@ -222,40 +319,61 @@ class SweepResult:
         return out
 
 
-# (fine, coarse) weights of the Richardson truth of a scheme of order p:
-# 2^p/(2^p - 1) and -1/(2^p - 1)
-_RICHARDSON_WEIGHTS = {
-    StepperKind.EI: (2.0, -1.0), StepperKind.LT: (2.0, -1.0), StepperKind.LRI: (2.0, -1.0),
-    StepperKind.STRANG: (4.0 / 3.0, -1.0 / 3.0),
-}
+_ORDER = {StepperKind.EI: 1, StepperKind.LT: 1, StepperKind.LRI: 1, StepperKind.STRANG: 2}
+# per order p, the (fine, coarse) weights of the Richardson truth, 2^p/(2^p - 1)
+# and -1/(2^p - 1), and the (tau, 2 tau, 4 tau) weights of the three-level
+# extrapolation, which also cancels the next term: tau^2 at first order,
+# tau^4 in Strang's tau^2 series
+_PAIR_WEIGHTS = {1: (2.0, -1.0), 2: (4.0 / 3.0, -1.0 / 3.0)}
+_TRIPLE_WEIGHTS = {1: (8.0 / 3.0, -6.0 / 3.0, 1.0 / 3.0),
+                   2: (64.0 / 45.0, -20.0 / 45.0, 1.0 / 45.0)}
 
 
-def richardson_truth(config: SolveConfig) -> SpectralField:
-    """The solve of config at its tau and at twice it, one march of two rows,
-    combined with the Richardson weights of its scheme's order, so that their
-    leading error terms cancel."""
-    fine, coarse = solve(config, 2.0 * config.tau).rows
-    w_fine, w_coarse = _RICHARDSON_WEIGHTS[config.scheme]
-    return SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
+def richardson_truth(config: SolveConfig, j: int = 0) -> tuple[SpectralField, ReferenceRecord]:
+    """The solve of config at its tau and at twice it, combined with the
+    Richardson weights of its scheme's order so that their leading error
+    terms cancel, and its certificate (see ReferenceRecord) in the j-th
+    derivative norm.  The certificate's third row, at four times tau, marches
+    in the same solve in the lane the second row leaves idle, and changes no
+    bit of the other two."""
+    fine, coarse, coarsest = solve(config, 2.0 * config.tau, 4.0 * config.tau).rows
+    order = _ORDER[config.scheme]
+    w_fine, w_coarse = _PAIR_WEIGHTS[order]
+    truth = SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
+    a, b, c = _TRIPLE_WEIGHTS[order]
+    r3 = SpectralField(config.grid,
+                       values=a * fine.values + b * coarse.values + c * coarsest.values)
+    near, far = error_x(coarse, fine, j), error_x(coarsest, coarse, j)
+    observed = math.log2(far / near) if near > 0 and far > 0 else math.nan
+    return truth, ReferenceRecord(config.scheme.value, config.model.epsilon, config.tau,
+                                  config.grid.n, order, observed, error_x(fine, truth, j),
+                                  error_x(r3, truth, j))
 
 
 def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
     """One eps cell: truth(base) once, where base is cfg.cell(eps), then per
     scheme one solve whose rows are the taus, each row measured against that
-    one truth as it retires, normalized by rate(eps).
+    one truth as it retires, normalized by rate(eps).  truth returns the
+    field and its ReferenceRecord, or None for a truth with no certificate;
+    the cell returns its records, its failures and that ReferenceRecord,
+    with its ratio to the cell's smallest error.
 
-    A failure to build the truth fails the cell once per scheme (keyed
-    scheme=<s>,epsilon=<e>); a row that fails fails only its own tau, and a
-    solve that fails as a whole fails each of its taus.
+    A failure to build the truth, or a certificate that cfg gates and that
+    fails, fails the cell once per scheme (keyed scheme=<s>,epsilon=<e>); a
+    row that fails fails only its own tau, and a solve that fails as a whole
+    fails each of its taus.
     """
     recs: list[ErrorRecord] = []
     fails: list[CellFailure] = []
-    base = cfg.cell(eps)
+    base, reference = cfg.cell(eps), None
     try:
-        exact = truth(base)
+        exact, reference = truth(base)
+        if cfg.gates_reference:
+            reference.check()
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         msg = f"{type(exc).__name__}: {exc}"
-        return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg) for s in schemes]
+        return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg)
+                      for s in schemes], reference
     for scheme in schemes:
         try:
             config = replace(base, scheme=scheme, tau=taus[0])
@@ -269,23 +387,31 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
                                          f"{type(row).__name__}: {row}"))
             else:
                 recs.append(row)
-    return recs, fails
+    if reference is not None:
+        least = min((r.error_x for r in recs), default=0.0)
+        reference = replace(reference, self_error_ratio=reference.self_error / least
+                            if least > 0 else math.nan)
+    return recs, fails, reference
 
 
 def _sweep(cfg: SweepConfig, schemes, taus, truth, rate) -> SweepResult:
-    """Run one eps cell per epsilon, in order; rows and failures are sorted."""
+    """Run one eps cell per epsilon, in order; rows, failures and
+    references are sorted."""
     results = [_sweep_cell(cfg, eps, schemes, taus, truth, rate) for eps in cfg.epsilons]
-    records = [r for recs, _ in results for r in recs]
-    failures = [f for _, fails in results for f in fails]
+    records = [r for recs, _, _ in results for r in recs]
+    failures = [f for _, fails, _ in results for f in fails]
+    references = [ref for _, _, ref in results if ref is not None]
     return SweepResult(records=sorted(records, key=lambda r: (r.scheme, r.epsilon, r.tau, r.j)),
-                       failures=sorted(failures, key=lambda f: f.cell))
+                       failures=sorted(failures, key=lambda f: f.cell),
+                       references=sorted(references, key=lambda r: r.epsilon))
 
 
 def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     """Error against the Richardson truth for every (scheme, eps, tau); each
-    eps solves its reference pair once for all schemes and taus; errors are
-    normalized by the predicted eps-rate error_normalizer."""
-    return _sweep(cfg, cfg.schemes, cfg.taus, richardson_truth,
+    eps solves its reference rows once for all schemes and taus, and reports
+    the truth's certificate; errors are normalized by the predicted eps-rate
+    error_normalizer."""
+    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: richardson_truth(base, cfg.deriv_order),
                   partial(error_normalizer, cfg.kappa, cfg.alpha))
 
 
@@ -296,7 +422,8 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
     derivative of mu(z) - free(z), normalized by regularity_normalizer;
     cfg.taus and cfg.schemes are not read.
     """
-    return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,), free_solution,
+    return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,),
+                  lambda base: (free_solution(base), None),
                   partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.deriv_order))
 
 

@@ -25,9 +25,9 @@ cancel for pure multipliers.
 solve() marches rows, one scheme from one initial state at one or more taus,
 two at a time: a transform of a two-row stack costs much less than two lone
 ones.  A march of K steps costs 2K stack transforms, 1 for the shared T(mu)
-and 1 per row for its values: 2N + 2 for a lone solve of N steps, 2N + 3 for
-a Richardson pair of N and N/2 (3N + 4 as two solves).  step() takes one
-kernel step from values.
+and 1 per row for its values: 2N + 2 for a lone solve of N steps, 2N + 4 for
+a Richardson triple of N, N/2 and N/4 (3.5N + 6 as three solves), whose third
+row takes the lane the second leaves.  step() takes one kernel step from values.
 
 T is one of two transform pairs, run by the same kernels.  For odd kappa
 P is odd and R real, so every symbol is Hermitian (flow_phase's Nyquist rule

@@ -358,10 +358,12 @@ def admits_a_point(model: DispersiveModel, c0: float, xi1, xi2) -> bool:
     """Whether the scan at c0 admits a point of the xi1 x xi2 grid.  |xi1| and
     |eta| peak at the grid's corners (eta, as rounded, is monotone in xi1 and
     in xi2), so the scan's rule run on the corners decides; NaN entries, which
-    it never admits, are passed over."""
+    it never admits, are passed over (masked out, as np.fmin would not pass
+    over a signaling NaN); an axis of NaN alone has NaN ends."""
     def ends(v):
         v = np.ravel(np.asarray(v, dtype=np.float64))
-        return np.array([np.fmin.reduce(v), np.fmax.reduce(v)])
+        v = v[~np.isnan(v)]
+        return np.array([v.min(), v.max()]) if v.size else np.full(2, np.nan)
 
     g1 = ends(xi1)[:, None]
     eps = model.epsilon

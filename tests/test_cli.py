@@ -4,6 +4,7 @@ Exit codes are 0 success, 1 configuration error naming the field, 2 numerical
 failure naming the cell.  Reruns must be byte-identical except walltime_s.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -328,7 +329,7 @@ def test_sweep_cell_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_sweep_grid_too_coarse_for_one_epsilon_is_config_error(tmp_path, capsys):
     # h = 0.5 resolves eps 0.6 but exceeds 4 * 0.1: refused before any solve
     doc = dict(SMALL_SWEEP, half_width=16.0, grid_n=64, epsilons=[0.6, 0.1],
-               taus=[0.05, 0.025], reference_tau=2e-3, z_final=0.5)
+               taus=[0.05, 0.025], z_final=0.5)
     rc = main(["sweep-convergence", "--config", write_config(tmp_path, doc),
                "--out", str(tmp_path / "out")])
     assert rc == 1
@@ -474,6 +475,66 @@ def test_compare_defaults_to_all_schemes(tmp_path):
     assert sorted({r[0] for r in rows}) == ["ei", "lri", "lt", "strang"]
     run = json.loads((out / "run.json").read_text())
     assert run["schemes"] == ["ei", "lt", "strang", "lri"]
+
+
+# schrodinger-a1 at eps 1/4 and 1/8, 16 steps of the rule's Strang truth at 2^-10
+AUTO_COMPARE = ["compare", "--preset", "schrodinger-a1", "--epsilon", "0.25,0.125",
+                "--tau", "0.0078125,0.015625"]
+AUTO_CONFIG = {"z_final": 0.015625}
+
+
+def test_a_sweep_given_no_reference_key_echoes_and_certifies_the_truth_it_ran(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main([*AUTO_COMPARE, "--config", write_config(tmp_path, AUTO_CONFIG),
+                 "--out", str(out1)]) == 0
+    run = json.loads((out1 / "run.json").read_text())
+    assert (run["reference_scheme"], run["reference_tau"]) == ("strang", 2.0**-10)
+    header, rows = read_rows(out1 / "reference.csv")
+    assert header == ["scheme", "epsilon", "tau", "grid_n", "order", "observed_order",
+                      "fine_error", "self_error", "self_error_ratio"]
+    assert [row[:5] for row in rows] == [["strang", "0.125", "0.0009765625", "256", "2"],
+                                         ["strang", "0.25", "0.0009765625", "128", "2"]]
+    _, results = read_rows(out1 / "results.csv")
+    for row in rows:
+        least = min(float(r[7]) for r in results if r[3] == row[1])
+        assert abs(float(row[5]) - 2) <= 0.02
+        assert float(row[7]) <= 0.01 * float(row[6])
+        assert float(row[8]) == float(row[7]) / least
+    # the echoed truth replays as the rule's own, certified, not bounded by min(taus)/4
+    assert main(["compare", "--config", str(out1 / "run.json"), "--out", str(out2)]) == 0
+    for name in ("run.json", "results.csv", "reference.csv"):
+        assert without_timing(out1 / name) == without_timing(out2 / name), name
+    # a regularity sweep echoes the ei truth it ran, and reports no certificate
+    out3 = tmp_path / "c"
+    assert main(["sweep-regularity", "--preset", "schrodinger-a1", "--epsilon", "0.25",
+                 "--config", write_config(tmp_path, {"z_final": 0.5}), "--out", str(out3)]) == 0
+    run = json.loads((out3 / "run.json").read_text())
+    assert (run["reference_scheme"], run["reference_tau"]) == ("ei", 2.5e-4)
+    assert not (out3 / "reference.csv").exists()
+
+
+def test_the_rules_truth_that_fails_its_certificate_exits_2_naming_the_cell(
+        tmp_path, capsys, monkeypatch):
+    real = harness.richardson_truth
+
+    def off_by_a_tenth(config, j=0):
+        field, reference = real(config, j)
+        return field, dataclasses.replace(reference, observed_order=reference.observed_order + 0.1)
+
+    monkeypatch.setattr(harness, "richardson_truth", off_by_a_tenth)
+    out = tmp_path / "out"
+    assert main([*AUTO_COMPARE, "--epsilon", "0.25", "--scheme", "ei,lt",
+                 "--config", write_config(tmp_path, AUTO_CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": UncertifiedReferenceError: ")[0] for line in err] == [
+        f"numerical failure: cell scheme={s},epsilon=0.25" for s in ("ei", "lt")]
+    assert all("strang truth at tau=0.000976562: observed order 2.1" in line for line in err)
+    assert read_rows(out / "results.csv")[1] == []
+    assert len(read_rows(out / "reference.csv")[1]) == 1
+    # an ei truth is reported, not gated
+    doc = dict(AUTO_CONFIG, reference_scheme="ei", reference_tau=2.0**-10)
+    assert main([*AUTO_COMPARE, "--epsilon", "0.25", "--scheme", "ei,lt",
+                 "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
 
 
 def test_a_config_holding_workers_runs_as_one_without_it(tmp_path):
@@ -919,16 +980,20 @@ def test_fractional_step_count_is_config_error(tmp_path, capsys):
     assert "step count" in capsys.readouterr().err
 
 
-def test_reference_tau_whose_double_does_not_divide_z_final_is_config_error(tmp_path, capsys):
-    # a sweep's truth also solves at twice reference_tau: 1/0.2 = 5 steps are
-    # whole, 1/0.4 = 2.5 are not, so the run is refused before --out is made
-    cfg = write_config(tmp_path, dict(SMALL_SWEEP, taus=[1.0], z_final=1.0, reference_tau=0.2))
-    for command in ("sweep-convergence", "compare"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-        assert "config error: reference_tau: " in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-    # sweep-regularity runs reference_tau alone, so an odd step count is fine there
-    assert main(["sweep-regularity", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+def test_reference_tau_whose_quadruple_does_not_divide_z_final_is_config_error(tmp_path, capsys):
+    # a sweep's truth also solves at twice and four times reference_tau: 1/0.2
+    # = 5 and 1/0.1 = 10 steps are whole, 1/0.8 and 1/0.4 = 2.5 are not, so
+    # the run is refused before --out is made
+    for tau_r in (0.2, 0.1):
+        cfg = write_config(tmp_path, dict(SMALL_SWEEP, taus=[1.0], z_final=1.0,
+                                          reference_tau=tau_r))
+        for command in ("sweep-convergence", "compare"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+            assert "must be a multiple of 4" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        # sweep-regularity runs reference_tau alone, so any step count is fine there
+        assert main(["sweep-regularity", "--config", cfg,
+                     "--out", str(tmp_path / "regularity")]) == 0
 
 
 def test_version_flag(capsys):

@@ -33,7 +33,7 @@ from dispersia.harness import (
 from dispersia.integrators import (NumericalBlowupError, SolveConfig, StepperKind,
                                   free_solution, solve)
 from dispersia.model import DispersiveModel, eval_q, expected_regularity_exponent, reduce_moment
-from dispersia.presets import REFERENCE_TAU, get_preset
+from dispersia.presets import DESK_EPSILONS, DESK_TAUS, REFERENCE_TAU, get_preset
 from dispersia.spectral import (Grid, InitialDataSpec, MeshResolutionError,
                                 MeshResolutionWarning, PotentialSpec, SpectralField,
                                 resolving_grid, sample_initial, sample_potential, x_norm)
@@ -182,10 +182,15 @@ def test_sweep_config_validation():
         small_sweep_config(workers=2)
 
 
-def test_sweep_config_refuses_a_reference_tau_whose_double_does_not_divide_z_final():
-    # 1/0.2 = 5 steps, but the truth's coarse solve at 0.4 would take 2.5
-    with pytest.raises(ValueError, match="^reference_tau: .*must be even, got 5$"):
-        small_sweep_config(taus=(1.0,), z_final=1.0, reference_tau=0.2)
+def test_sweep_config_refuses_a_reference_tau_whose_quadruple_does_not_divide_z_final():
+    # 1/0.2 = 5 steps, but the truth's coarse row at 0.4 would take 2.5; 1/0.1
+    # = 10 is even, but its third row at 0.4 would take 2.5 too
+    for tau_r, steps in ((0.2, 5), (0.1, 10)):
+        with pytest.raises(ValueError, match="^reference_tau: .*must be a multiple of 4, "
+                                             f"got {steps}$"):
+            small_sweep_config(taus=(1.0,), z_final=1.0, reference_tau=tau_r)
+    assert small_sweep_config(taus=(1.0,), z_final=1.0, reference_tau=0.125).reference_tau \
+        == 0.125
     # a regularity sweep runs reference_tau alone, so its step count may be odd
     assert small_sweep_config(taus=(), z_final=1.0, reference_tau=0.2).reference_tau == 0.2
 
@@ -265,7 +270,7 @@ def test_convergence_sweep_reference_dominates(small_sweep):
     finest = min(result.records, key=lambda r: r.tau)
     # recompute the same cell against the truth of a pair twice as fine
     base = replace(cfg.cell(0.5), tau=cfg.reference_tau / 2.0)
-    ref2 = richardson_truth(base)
+    ref2, _ = richardson_truth(base)
     test_run = solve(replace(base, tau=finest.tau)).final
     err2 = error_x(test_run, ref2)
     assert abs(finest.error_x - err2) <= 0.01 * err2
@@ -319,7 +324,8 @@ def test_a_row_that_blows_up_fails_only_its_own_cell_or_tau(monkeypatch):
         assert f.message.endswith("scheme=ei, epsilon=0.5, tau=0.00025)")
     # against a finite truth, each scheme's finest row fails alone and its
     # coarsest is measured
-    monkeypatch.setattr(harness, "richardson_truth", free_solution)
+    monkeypatch.setattr(harness, "richardson_truth",
+                        lambda config, j: (free_solution(config), None))
     result = convergence_sweep(cfg)
     assert [(r.scheme, r.tau) for r in result.records] == [("ei", 1.0), ("lri", 1.0)]
     assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.5,tau=0.001",
@@ -439,9 +445,9 @@ def test_compare_methods_shares_the_reference_exactly():
 
 
 def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatch):
-    # per eps: one solve of the reference scheme with rows at reference_tau
-    # and at twice it, then one solve per scheme with a row per tau, all
-    # through harness.solve
+    # per eps: one solve of the reference scheme with rows at reference_tau,
+    # twice it and four times it, then one solve per scheme with a row per
+    # tau, all through harness.solve
     calls = Counter()
 
     def counting_solve(config, *taus, **kw):
@@ -452,7 +458,8 @@ def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatc
     cfg = small_sweep_config(epsilons=(0.5, 0.25), taus=(0.05, 0.025), schemes=("ei", "lt"))
     assert not compare_methods(cfg).failures
     tau_r = cfg.reference_tau
-    marches = [("ei", (tau_r, 2.0 * tau_r)), ("ei", (0.05, 0.025)), ("lt", (0.05, 0.025))]
+    marches = [("ei", (tau_r, 2.0 * tau_r, 4.0 * tau_r)), ("ei", (0.05, 0.025)),
+               ("lt", (0.05, 0.025))]
     assert calls == Counter({(eps, s, rows): 1 for eps in (0.5, 0.25) for s, rows in marches})
 
 
@@ -495,21 +502,24 @@ EI_TAUS = (1e-3, 2e-3, 5e-3, 1e-2)
 STRANG_TAUS = (2.0**-12, 2.0**-11, 2.0**-10)
 
 
-@pytest.mark.parametrize("name,eps,scheme,taus,order,band", [
+@pytest.mark.parametrize("name,eps,scheme,taus,order,band,rounding", [
     # n = 512 and 1024 at eps 2^-4
-    pytest.param("schrodinger-a1", 2.0**-4, "ei", EI_TAUS, 1.0, 0.05, id="ei-schrodinger-a1"),
-    pytest.param("kdv-a3/2", 2.0**-4, "ei", EI_TAUS, 1.0, 0.05, id="ei-kdv-a3/2"),
-    pytest.param("schrodinger-a1", 2.0**-4, "strang", STRANG_TAUS, 2.0, 0.1,
+    pytest.param("schrodinger-a1", 2.0**-4, "ei", EI_TAUS, 1, 0.05, False,
+                 id="ei-schrodinger-a1"),
+    pytest.param("kdv-a3/2", 2.0**-4, "ei", EI_TAUS, 1, 0.05, False, id="ei-kdv-a3/2"),
+    pytest.param("schrodinger-a1", 2.0**-4, "strang", STRANG_TAUS, 2, 0.1, True,
                  id="strang-schrodinger-a1"),
-    pytest.param("kdv-a3/2", 2.0**-4, "strang", STRANG_TAUS, 2.0, 0.1, id="strang-kdv-a3/2"),
+    pytest.param("kdv-a3/2", 2.0**-4, "strang", STRANG_TAUS, 2, 0.1, False,
+                 id="strang-kdv-a3/2"),
     # criterion 7's kind of cell: the Strang pair at min(taus)/4 on the Gaussian well, n = 2048
-    pytest.param("schrodinger-a1", 2.0**-6, "strang", STRANG_TAUS, 2.0, 0.1,
+    pytest.param("schrodinger-a1", 2.0**-6, "strang", STRANG_TAUS, 2, 0.1, True,
                  id="strang-schrodinger-a1-eps2^-6"),
 ])
 def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, eps, scheme, taus,
-                                                         order, band):
+                                                         order, band, rounding):
     # a sweep of scheme against its own pair; the truth and the finals it
-    # hands to measure are held against the Taylor truth
+    # hands to measure are held against the Taylor truth, and so is the
+    # truth's certificate
     p = get_preset(name)
     cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
                       initial=p.initial, half_width=p.half_width, epsilons=(eps,),
@@ -526,12 +536,143 @@ def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, eps,
         return recording
 
     monkeypatch.setattr(harness, "measure", recording_measure)
-    assert not convergence_sweep(cfg).failures
+    result = convergence_sweep(cfg)
+    assert not result.failures
     exact = taylor_truth(name, eps)
     errors = [error_x(seen[tau][1], exact) for tau in taus]
+    truth_error = error_x(seen[taus[0]][0], exact)
     # the truth's own error is under 1% of the smallest-tau error it measures
-    assert error_x(seen[taus[0]][0], exact) <= 0.01 * errors[0]
+    assert truth_error <= 0.01 * errors[0]
     assert fit_rate(taus, errors).slope == pytest.approx(order, abs=band)
+    (reference,) = result.references
+    assert abs(reference.observed_order - order) <= 0.02
+    assert reference.self_error_ratio == \
+        reference.self_error / min(r.error_x for r in result.records)
+    if not rounding:
+        # the three-level estimate reads the pair's own error
+        assert 0.8 * truth_error <= reference.self_error <= 1.25 * truth_error
+    else:
+        # 16,384 Strang steps on the smooth well leave the pair at the
+        # rounding floor, which grows with the step count and which no tau
+        # expansion holds: the estimate reads about 1/20 of it
+        assert truth_error <= 1e-10
+        assert reference.self_error <= 0.1 * truth_error
+
+
+def test_certificate_reads_an_lri_truth_off_its_order():
+    # lri's error has no clean tau expansion on the rough well at eps 2^-6
+    p = get_preset("kdv-a3/2")
+    cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+                      initial=p.initial, half_width=p.half_width, epsilons=(2.0**-6,),
+                      taus=(1e-2,), schemes=("lri",), reference_scheme="lri",
+                      reference_tau=5e-4)
+    _, reference = richardson_truth(cfg.cell(2.0**-6))
+    assert (reference.scheme, reference.order, reference.grid_n) == ("lri", 1, 4096)
+    assert abs(reference.observed_order - 1) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the rule that picks a ladder sweep's truth
+
+
+def preset_sweep(name, **kw):
+    """The preset's ladder sweep with no reference key, as the CLI builds it."""
+    p = get_preset(name)
+    fields = dict(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+                  initial=p.initial, half_width=p.half_width, epsilons=DESK_EPSILONS,
+                  taus=DESK_TAUS, z_final=p.z_final)
+    return SweepConfig(**{**fields, **kw})
+
+
+def test_a_ladder_sweep_given_no_reference_key_runs_the_rules_truth():
+    strang, ei = StepperKind.STRANG, StepperKind.EI
+    for name, kw, want in [
+        # eps/8 is 2^-10 at eps 2^-7, and 2^-11 at the desk window's 2^-8
+        ("schrodinger-a1", dict(epsilons=(2.0**-7,)), (strang, 2.0**-10)),
+        ("schrodinger-a1", {}, (strang, 2.0**-11)),
+        # eps^(2/3)/8 at 2^-8 lies between 2^-9 and 2^-8
+        ("schrodinger-a4/3", {}, (strang, 2.0**-10)),
+        # eps^(5/4)/8 at 2^-8 is 2^-13
+        ("schrodinger-a3/4", {}, (ei, REFERENCE_TAU)),
+        # the rough well
+        ("kdv-a1", {}, (ei, REFERENCE_TAU)),
+        ("kdv-a3/2", {}, (ei, REFERENCE_TAU)),
+        ("kdv-a2", {}, (ei, REFERENCE_TAU)),
+        # 4 tau_r = 2^-8 does not divide 0.2, and z_final 0 takes no step
+        ("schrodinger-a1", dict(z_final=0.2), (ei, REFERENCE_TAU)),
+        ("schrodinger-a1", dict(z_final=0.0), (ei, REFERENCE_TAU)),
+    ]:
+        cfg = preset_sweep(name, **kw)
+        assert (cfg.reference_scheme, cfg.reference_tau) == want, (name, kw)
+        assert cfg.gates_reference == (want[0] is strang), (name, kw)
+    # the rule's Strang truth is certified, so min(taus)/4 does not bound it
+    assert 2.0**-10 > min(DESK_TAUS) / 4
+
+
+def test_a_given_reference_key_keeps_the_truth_it_names():
+    strang, ei = StepperKind.STRANG, StepperKind.EI
+    one_eps = dict(epsilons=(2.0**-7,))
+    for kw, want in [
+        (dict(reference_scheme="ei"), (ei, REFERENCE_TAU)),
+        (dict(reference_tau=1e-4), (ei, 1e-4)),
+        (dict(reference_scheme="strang", reference_tau=2.0**-12), (strang, 2.0**-12)),
+    ]:
+        cfg = preset_sweep("schrodinger-a1", **one_eps, **kw)
+        assert (cfg.reference_scheme, cfg.reference_tau) == want
+        assert not cfg.gates_reference
+    # a given truth other than the rule's is bounded by min(taus)/4 ...
+    with pytest.raises(ValueError, match=r"^reference_tau: must be at most min\(taus\)/4"):
+        preset_sweep("schrodinger-a1", **one_eps, reference_scheme="strang",
+                     reference_tau=2.0**-11)
+    # ... and the rule's own pick, as run.json echoes it, is that truth
+    cfg = preset_sweep("schrodinger-a1", **one_eps, reference_scheme="strang",
+                       reference_tau=2.0**-10)
+    assert cfg.gates_reference
+    # a regularity sweep runs ei at REFERENCE_TAU unless told otherwise
+    cfg = preset_sweep("schrodinger-a1", taus=())
+    assert (cfg.reference_scheme, cfg.reference_tau) == (ei, REFERENCE_TAU)
+    assert not cfg.gates_reference
+
+
+def certificate_off_by(delta):
+    """harness.richardson_truth, with each observed order moved by delta."""
+    def truth(config, j=0):
+        field, reference = richardson_truth(config, j)
+        return field, replace(reference, observed_order=reference.observed_order + delta)
+    return truth
+
+
+# schrodinger-a1 at eps 1/4 on its 128-point grid: the rule picks strang at
+# 2^-10, and 2^-6 is 16 of its steps
+GATED = dict(epsilons=(0.25,), taus=(2.0**-7, 2.0**-6), schemes=("ei", "lt"), z_final=2.0**-6)
+
+
+def test_the_rules_truth_that_fails_its_certificate_fails_its_cell(monkeypatch):
+    cfg = preset_sweep("schrodinger-a1", **GATED)
+    assert cfg.gates_reference
+    result = convergence_sweep(cfg)
+    assert not result.failures
+    (passed,) = result.references
+    assert (passed.scheme, passed.tau, passed.grid_n) == ("strang", 2.0**-10, 128)
+    assert abs(passed.observed_order - 2) <= 0.02
+    assert passed.self_error <= 0.01 * passed.fine_error
+    monkeypatch.setattr(harness, "richardson_truth", certificate_off_by(0.05))
+    result = convergence_sweep(cfg)
+    assert not result.records
+    assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.25",
+                                                 "scheme=lt,epsilon=0.25"]
+    for f in result.failures:
+        assert f.message.startswith("UncertifiedReferenceError: strang truth at "
+                                    "tau=0.000976562: observed order 2.0")
+    # the failed certificate is still reported
+    (failed,) = result.references
+    assert failed.observed_order == passed.observed_order + 0.05
+    assert math.isnan(failed.self_error_ratio)
+    # a truth the rule did not pick is reported, not gated
+    given = preset_sweep("schrodinger-a1", **GATED, reference_scheme="ei", reference_tau=2.0**-10)
+    result = convergence_sweep(given)
+    assert not result.failures and len(result.records) == 4
+    assert result.references[0].scheme == "ei"
 
 
 # ---------------------------------------------------------------------------

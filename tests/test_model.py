@@ -706,6 +706,20 @@ def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
     assert seen == {True, False}
 
 
+def test_a_signaling_nan_on_an_axis_hides_no_admissible_point():
+    # np.fmin.reduce does not pass over a signaling NaN, so axis ends taken
+    # with it read NaN and the scan was refused; arithmetic on the signaling
+    # NaN raises the invalid flag, which is no failure here
+    snan = np.array([0x7FF4000000000001], dtype=np.uint64).view(np.float64)[0]
+    model = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
+    with np.errstate(invalid="ignore"):
+        for xi1, xi2 in (([0.5, snan], [1.0]), ([1.0], [0.5, snan]), ([snan, 0.5], [snan, 1.0])):
+            assert admits_a_point(model, 1.0, xi1, xi2)
+            assert verify_phase_lower_bound(model, 1.0, xi1, xi2) == \
+                full_grid_scan(model, 1.0, xi1, xi2)
+        assert not admits_a_point(model, 1.0, [snan, math.nan], [1.0])
+
+
 def test_blocked_scan_with_no_admissible_point_raises_the_same_error():
     model = SCAN_MODELS[2]
     axis = np.linspace(-1e-3, 1e-3, 1000)
