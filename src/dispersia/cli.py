@@ -51,6 +51,7 @@ from .integrators import NumericalBlowupError, SolveConfig, free_solution, solve
 from .model import (
     C0_FLOOR,
     DispersiveModel,
+    NoAdmissibleSampleError,
     PhaseBoundReport,
     ReducedModel,
     blocks,
@@ -321,12 +322,6 @@ def _sweep_config(f: dict) -> SweepConfig:
     return sweep
 
 
-def _regularity_config(f: dict) -> SweepConfig:
-    sweep = _sweep_config(f)
-    expected_regularity_exponent(sweep.kappa, sweep.alpha, sweep.deriv_order)  # j < kappa
-    return sweep
-
-
 def _phase_scan(f: dict) -> tuple[DispersiveModel, PhaseBoundReport]:
     """verify-phase's model and its bound scan over the grid axis x axis: the
     c0 search when c0 is null, the scan at the given c0 otherwise.  A grid
@@ -337,7 +332,7 @@ def _phase_scan(f: dict) -> tuple[DispersiveModel, PhaseBoundReport]:
         if f["c0"] is None:
             return model, search_lower_bound_constant(model, axis, axis)
         return model, verify_phase_lower_bound(model, f["c0"], axis, axis)
-    except ValueError as exc:
+    except NoAdmissibleSampleError as exc:
         raise ValueError(f"xi_max: {exc}") from None
 
 
@@ -536,7 +531,7 @@ _COMMANDS = {
     "solve": (_SOLVE, _solve_config, _run_solve),
     "sweep-convergence": (_sweep_table(("ei",)), _sweep_config, _run_sweep),
     # the reference solve is all it runs: it reads no ladder
-    "sweep-regularity": (_sweep_table(), _regularity_config, _run_sweep),
+    "sweep-regularity": (_sweep_table(), _sweep_config, _run_sweep),
     "compare": (_sweep_table(("ei", "lt", "strang", "lri")),
                 lambda f: comparable(_sweep_config(f)), _run_sweep),
     "reduce-moment": (_REDUCE_MOMENT,

@@ -96,9 +96,10 @@ class UncertifiedReferenceError(RuntimeError):
     """A truth that the sweep gates failed its certificate."""
 
 
-# the gate on a truth the rule picks: its observed order within _ORDER_BAND
-# of its scheme's, and its estimated error at most _SELF_ERROR_SHARE of the
-# fine row's own
+# the gate on a Strang truth: its observed order within _ORDER_BAND of its
+# scheme's, and its estimated error at most _SELF_ERROR_SHARE of the fine
+# row's own.  That share fits tau^2: convergence-kdv's first-order ei truth
+# at eps 2^-6 reads 1.52e-2, so first-order truths keep min(taus)/4
 _ORDER_BAND = 0.02
 _SELF_ERROR_SHARE = 1e-2
 
@@ -189,19 +190,20 @@ class SweepConfig:
 
     A ladder sweep given neither reference key runs the truth the rule picks
     (auto_reference), and stores it in both keys: on a gaussian well, the
-    Strang pair deep in its tau^2 regime, or else ei at REFERENCE_TAU.  Such
-    a Strang truth is gated by its certificate (gates_reference): a cell
-    whose truth fails it fails.  Every other ladder truth must have
-    reference_tau at most min(taus)/4; at the desk's 2.5e-4 the ei truth's
-    own error measured at most 7e-3 of ei's error at tau 1e-3 on every cell
-    held against a Taylor-series truth.  A given pair of keys that is the
-    rule's Strang pick counts as that pick, so that run.json replays.
+    Strang pair deep in its tau^2 regime, or else ei at REFERENCE_TAU.  A
+    Strang truth, picked or given, is gated by its certificate
+    (gates_reference): a cell whose truth fails it fails.  A first-order
+    truth must have reference_tau at most min(taus)/4, since the
+    certificate's self-error share is calibrated for Strang's tau^2: at the
+    desk's 2.5e-4 the ei truth's own error measured at most 7e-3 of ei's
+    error at tau 1e-3 on every cell held against a Taylor-series truth.
 
     A regularity sweep, which runs no test tau, leaves taus empty and runs
     its reference scheme at reference_tau alone, ei at REFERENCE_TAU where a
-    key is not given.  A bad field is refused under its own name before any
-    cell runs: cell(eps) is built for every eps, so a grid_n too coarse for
-    one of them is refused too.
+    key is not given; its rate exists only for deriv_order < kappa.  A bad
+    field is refused under its own name before any cell runs: cell(eps) is
+    built for every eps, so a grid_n too coarse for one of them is refused
+    too.
     """
 
     kappa: int
@@ -254,6 +256,8 @@ class SweepConfig:
         self.deriv_order = check_integer(self.deriv_order, 0, "deriv_order")
         for e in self.epsilons:
             self.cell(e)  # the model, the grid and the samples each cell solves on
+        if not self.taus:
+            expected_regularity_exponent(self.kappa, self.alpha, self.deriv_order)  # j < kappa
 
     def auto_reference(self) -> tuple[StepperKind, float]:
         """The rule's truth: on a gaussian well, strang at the largest tau of
@@ -273,9 +277,8 @@ class SweepConfig:
     @property
     def gates_reference(self) -> bool:
         """Whether each cell's truth must pass its certificate: a ladder
-        sweep's truth that is the rule's Strang pick."""
-        return (bool(self.taus) and self.reference_scheme is StepperKind.STRANG
-                and (self.reference_scheme, self.reference_tau) == self.auto_reference())
+        sweep's Strang truth, whoever named it."""
+        return bool(self.taus) and self.reference_scheme is StepperKind.STRANG
 
     def cell(self, eps: float) -> SolveConfig:
         """The reference solve of the eps cell at reference_tau, on the grid

@@ -25,6 +25,10 @@ class DegenerateReductionError(ValueError):
     """Raised when a moment reduction leaves no derivative term."""
 
 
+class NoAdmissibleSampleError(ValueError):
+    """Raised when a bound scan's grid holds no admissible point."""
+
+
 @dataclass(frozen=True)
 class DispersiveModel:
     """Immutable problem parameters.
@@ -347,29 +351,6 @@ def eval_phase_factored(model: DispersiveModel, xi1, xi2) -> np.ndarray:
                       lambda u, v: _phase_exact(model, u, v, kappa), xi1, xi2).reshape(shape)
 
 
-def _admissible(g1, eta, c0_eps):
-    """The scan's admissible points: |xi1| >= c0 eps or |eta| >= c0 eps."""
-    valid = np.abs(eta) >= c0_eps
-    valid |= np.abs(g1) >= c0_eps
-    return valid
-
-
-def admits_a_point(model: DispersiveModel, c0: float, xi1, xi2) -> bool:
-    """Whether the scan at c0 admits a point of the xi1 x xi2 grid.  |xi1| and
-    |eta| peak at the grid's corners (eta, as rounded, is monotone in xi1 and
-    in xi2), so the scan's rule run on the corners decides; NaN entries, which
-    it never admits, are passed over (masked out, as np.fmin would not pass
-    over a signaling NaN); an axis of NaN alone has NaN ends."""
-    def ends(v):
-        v = np.ravel(np.asarray(v, dtype=np.float64))
-        v = v[~np.isnan(v)]
-        return np.array([v.min(), v.max()]) if v.size else np.full(2, np.nan)
-
-    g1 = ends(xi1)[:, None]
-    eps = model.epsilon
-    return bool(_admissible(g1, g1 + 2.0 * eps * ends(xi2), c0 * eps).any())
-
-
 @dataclass(frozen=True)
 class PhaseBoundReport:
     """Result of a lower-bound scan over a (xi1, xi2) product grid."""
@@ -450,7 +431,11 @@ def _block_ratio(model: DispersiveModel, g1, shift, c0_eps: float):
     without a mask, and one whose envelope is also positive throughout
     divides without one."""
     eta = g1 + shift
-    valid = None if np.abs(g1).min() >= c0_eps else _admissible(g1, eta, c0_eps)
+    # admissible: |xi1| >= c0 eps or |eta| >= c0 eps, which no NaN is
+    valid = None
+    if not np.abs(g1).min() >= c0_eps:
+        valid = np.abs(eta) >= c0_eps
+        valid |= np.abs(g1) >= c0_eps
     n_adm = eta.size if valid is None else int(np.count_nonzero(valid))
     x, y = g1 * g1, eta * eta
     ratio, _ = _factored_sum(model, x, y)
@@ -480,6 +465,7 @@ def _block_ratio(model: DispersiveModel, g1, shift, c0_eps: float):
     return ratio, n_adm
 
 
+@np.errstate(invalid="ignore")
 def verify_phase_lower_bound(
     model: DispersiveModel,
     c0: float,
@@ -500,7 +486,9 @@ def verify_phase_lower_bound(
     no NaN is, is counted whole and not computed.  The result is that of one
     argmin over the whole grid in C order: the first NaN ratio wins, ties go
     to the earliest point, and when every valid ratio is inf the worst point
-    is the grid's first point.
+    is the grid's first point.  The invalid flag that NaN or inf entries
+    raise is ignored, as those rules report them.  A grid whose count of
+    admissible points is 0 raises NoAdmissibleSampleError after the scan.
     """
     if not (math.isfinite(c0) and c0 > 0):
         raise ValueError(f"c0 must be finite and positive, got {c0!r}")
@@ -509,10 +497,6 @@ def verify_phase_lower_bound(
     if xi1.size == 0 or xi2.size == 0:
         raise ValueError("sample axes must be non-empty")
     eps = model.epsilon
-    if not admits_a_point(model, c0, xi1, xi2):
-        raise ValueError(
-            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0 * eps}"
-        )
     c0_eps, shift, n2 = c0 * eps, 2.0 * eps * xi2, xi2.size
     spans = list(blocks(xi1.size, max(1, _CHUNK // n2)))
     floors = _block_floors(model, c0_eps, xi1, shift, np.array([s.start for s in spans]))
@@ -537,6 +521,10 @@ def verify_phase_lower_bound(
                 nan_r, nan_at = r, at
         elif r < best or (r == best and at < best_at):
             best, best_at = r, at
+    if n_adm == 0:
+        raise NoAdmissibleSampleError(
+            f"no admissible samples: all |xi1| and |eta| below c0*eps = {c0_eps}"
+        )
     if not any_valid:
         return PhaseBoundReport(math.inf, math.nan, math.nan, n_adm, float(c0))
     if nan_at is not None:
@@ -560,8 +548,8 @@ def search_lower_bound_constant(
     model: DispersiveModel, xi1: np.ndarray, xi2: np.ndarray
 ) -> PhaseBoundReport:
     """The scan at the smallest candidate c0 whose ratio clears C0_FLOOR, or,
-    when none does, at the largest candidate that admits a point of the grid:
-    the caller judges its ratio.
+    when none does, at the last candidate before the first whose scan admits
+    no point of the grid: the caller judges its ratio.
 
     Brute-force calibration for the admissibility constant: growing c0
     excludes a wider near-resonant strip and can only raise the min ratio,
@@ -569,9 +557,12 @@ def search_lower_bound_constant(
     """
     report = verify_phase_lower_bound(model, C0_CANDIDATES[0], xi1, xi2)
     for c0 in C0_CANDIDATES[1:]:
-        if report.min_ratio >= C0_FLOOR or not admits_a_point(model, c0, xi1, xi2):
+        if report.min_ratio >= C0_FLOOR:
             break
-        report = verify_phase_lower_bound(model, c0, xi1, xi2)
+        try:
+            report = verify_phase_lower_bound(model, c0, xi1, xi2)
+        except NoAdmissibleSampleError:
+            break
     return report
 
 

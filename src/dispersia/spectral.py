@@ -75,10 +75,10 @@ def resolving_grid(half_width: float, epsilon: float, n: int | None = None) -> G
 
 
 class SpectralField:
-    """Complex field on a grid: its values, and their coefficients, formed on
-    first use and cached."""
+    """Complex field on a grid: its values, and their coefficients, formed
+    from them on each use."""
 
-    __slots__ = ("grid", "values", "_coeffs")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
         values = np.ascontiguousarray(values, dtype=np.complex128)
@@ -86,14 +86,11 @@ class SpectralField:
             raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
         self.grid = grid
         self.values = values
-        self._coeffs = None
 
     @property
     def coefficients(self) -> np.ndarray:
-        if self._coeffs is None:
-            g = self.grid
-            self._coeffs = g.h * g._alt * np.fft.fft(self.values)
-        return self._coeffs
+        g = self.grid
+        return g.h * g._alt * np.fft.fft(self.values)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         if self.grid != other.grid:

@@ -537,6 +537,22 @@ def test_the_rules_truth_that_fails_its_certificate_exits_2_naming_the_cell(
                  "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
 
 
+def test_a_named_strang_truth_that_fails_its_certificate_exits_2_naming_each_cell(
+        tmp_path, capsys):
+    # Strang at the desk's 2.5e-4 on the rough well is off its tau^2 regime;
+    # min(taus)/4 admitted it, and ei then read slope 0.50 at eps 2^-6
+    out = tmp_path / "out"
+    doc = {"grid_n": 4096, "reference_scheme": "strang"}
+    assert main(["sweep-convergence", "--preset", "kdv-a3/2", "--epsilon", "0.015625,0.0625",
+                 "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": UncertifiedReferenceError: ")[0] for line in err] == [
+        f"numerical failure: cell scheme=ei,epsilon={e}" for e in ("0.015625", "0.0625")]
+    assert "strang truth at tau=0.00025: observed order 1.9392" in err[0]
+    assert "strang truth at tau=0.00025: observed order 1.2635" in err[1]
+    assert read_rows(out / "results.csv")[1] == []
+
+
 def test_a_config_holding_workers_runs_as_one_without_it(tmp_path):
     # older configs hold workers: the sweep ignores the key like any other it
     # does not read, and run.json does not echo it

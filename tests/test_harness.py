@@ -195,6 +195,18 @@ def test_sweep_config_refuses_a_reference_tau_whose_quadruple_does_not_divide_z_
     assert small_sweep_config(taus=(), z_final=1.0, reference_tau=0.2).reference_tau == 0.2
 
 
+def test_a_regularity_sweep_refuses_a_deriv_order_at_kappa():
+    # its rate exists only for j < kappa; a ladder sweep's rate reads no j
+    with pytest.raises(ValueError, match="^deriv_order: derivative order must be < kappa, "
+                                         "got j=2, kappa=2$"):
+        small_sweep_config(taus=(), deriv_order=2)
+    assert small_sweep_config(taus=(), deriv_order=1).deriv_order == 1
+    assert small_sweep_config(deriv_order=2).deriv_order == 2
+    # it is checked after the cells, so a bad grid is named first
+    with pytest.raises(ValueError, match="^grid_n: "):
+        small_sweep_config(taus=(), deriv_order=2, grid_n=12)
+
+
 def test_sweep_runs_with_numpy_integer_fields():
     # SweepConfig stores deriv_order as int, which the error norm needs; the
     # model and the grid take a numpy kappa and grid_n and store int
@@ -548,6 +560,12 @@ def test_richardson_truth_is_certified_by_a_taylor_truth(monkeypatch, name, eps,
     assert abs(reference.observed_order - order) <= 0.02
     assert reference.self_error_ratio == \
         reference.self_error / min(r.error_x for r in result.records)
+    if order == 2:
+        # a Strang truth is gated, and the gate's verdict holds: the true
+        # error is a small share of the fine row's, as the certificate says
+        assert cfg.gates_reference
+        reference.check()
+        assert truth_error <= 1e-2 * reference.fine_error
     if not rounding:
         # the three-level estimate reads the pair's own error
         assert 0.8 * truth_error <= reference.self_error <= 1.25 * truth_error
@@ -615,19 +633,25 @@ def test_a_given_reference_key_keeps_the_truth_it_names():
     for kw, want in [
         (dict(reference_scheme="ei"), (ei, REFERENCE_TAU)),
         (dict(reference_tau=1e-4), (ei, 1e-4)),
-        (dict(reference_scheme="strang", reference_tau=2.0**-12), (strang, 2.0**-12)),
     ]:
         cfg = preset_sweep("schrodinger-a1", **one_eps, **kw)
         assert (cfg.reference_scheme, cfg.reference_tau) == want
         assert not cfg.gates_reference
-    # a given truth other than the rule's is bounded by min(taus)/4 ...
+    # a given first-order truth is bounded by min(taus)/4 ...
     with pytest.raises(ValueError, match=r"^reference_tau: must be at most min\(taus\)/4"):
-        preset_sweep("schrodinger-a1", **one_eps, reference_scheme="strang",
-                     reference_tau=2.0**-11)
-    # ... and the rule's own pick, as run.json echoes it, is that truth
-    cfg = preset_sweep("schrodinger-a1", **one_eps, reference_scheme="strang",
-                       reference_tau=2.0**-10)
-    assert cfg.gates_reference
+        preset_sweep("schrodinger-a1", **one_eps, reference_scheme="ei", reference_tau=2.0**-11)
+    # ... and a given Strang truth, like the rule's, is gated by its
+    # certificate instead, which both of these pass
+    assert 2.0**-11 > min(DESK_TAUS) / 4
+    for tau, observed, share in ((2.0**-12, 2.0005, 1.0e-4), (2.0**-11, 2.0022, 4.0e-4)):
+        cfg = preset_sweep("schrodinger-a1", **one_eps, reference_scheme="strang",
+                           reference_tau=tau)
+        assert (cfg.reference_scheme, cfg.reference_tau) == (strang, tau)
+        assert cfg.gates_reference
+        _, reference = richardson_truth(cfg.cell(2.0**-7))
+        reference.check()
+        assert reference.observed_order == pytest.approx(observed, abs=1e-4)
+        assert reference.self_error / reference.fine_error == pytest.approx(share, rel=0.05)
     # a regularity sweep runs ei at REFERENCE_TAU unless told otherwise
     cfg = preset_sweep("schrodinger-a1", taus=())
     assert (cfg.reference_scheme, cfg.reference_tau) == (ei, REFERENCE_TAU)
@@ -668,7 +692,7 @@ def test_the_rules_truth_that_fails_its_certificate_fails_its_cell(monkeypatch):
     (failed,) = result.references
     assert failed.observed_order == passed.observed_order + 0.05
     assert math.isnan(failed.self_error_ratio)
-    # a truth the rule did not pick is reported, not gated
+    # a first-order truth is reported, not gated
     given = preset_sweep("schrodinger-a1", **GATED, reference_scheme="ei", reference_tau=2.0**-10)
     result = convergence_sweep(given)
     assert not result.failures and len(result.records) == 4

@@ -19,13 +19,13 @@ from dispersia import model as model_module
 from dispersia.model import (
     DegenerateReductionError,
     DispersiveModel,
+    NoAdmissibleSampleError,
     PhaseBoundReport,
     _CHUNK,
     _block_floors,
     _block_ratio,
     _factored_sum,
     _phase_exact,
-    admits_a_point,
     eval_p,
     eval_phase,
     eval_phase_factored,
@@ -500,7 +500,7 @@ def test_bound_scan_filters_inadmissible_points():
 
 def test_bound_scan_empty_admissible_raises():
     m = DispersiveModel(2, (1.0,), 1.0, 0.25)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoAdmissibleSampleError):
         verify_phase_lower_bound(m, 1.0, np.array([0.01]), np.array([0.0]))
     with pytest.raises(ValueError):
         verify_phase_lower_bound(m, -1.0, np.array([1.0]), np.array([1.0]))
@@ -533,6 +533,24 @@ def test_search_lower_bound_constant():
     # the first candidate that clears the floor: the one before it does not
     assert rep.c0 == 2.0
     assert verify_phase_lower_bound(m, 1.0, axis, axis).min_ratio < 0.05
+
+
+def test_search_stops_at_the_first_candidate_whose_scan_admits_no_point(monkeypatch):
+    # c0 = 1 admits points but keeps the ratio below the floor; at c0 = 2,
+    # c0*eps exceeds every |xi1| and |eta|: that scan runs once and raises,
+    # and the search returns the scan at c0 = 1
+    scanned, scan = [], verify_phase_lower_bound
+
+    def counting(model, c0, xi1, xi2):
+        scanned.append(c0)
+        return scan(model, c0, xi1, xi2)
+
+    monkeypatch.setattr(model_module, "verify_phase_lower_bound", counting)
+    m = DispersiveModel(4, (1.0, -1.0), 1.0, 2.0**-6)
+    axis = np.linspace(-0.0234, 0.0234, 101)
+    rep = search_lower_bound_constant(m, axis, axis)
+    assert scanned == [1.0, 2.0]
+    assert rep == scan(m, 1.0, axis, axis) and rep.min_ratio < 0.05
 
 
 def test_search_reports_failure_when_floor_unreachable(monkeypatch):
@@ -597,7 +615,9 @@ def rows_per_block(xi2):
 def assert_scan_matches_full_grid(model, c0, xi1, xi2):
     rep = verify_phase_lower_bound(model, c0, xi1, xi2)
     assert np.size(xi1) > rows_per_block(xi2), "the grid must span several blocks"
-    assert bits(rep) == bits(full_grid_scan(model, c0, xi1, xi2))
+    with np.errstate(invalid="ignore", over="ignore"):  # the oracle's own NaN and inf
+        want = full_grid_scan(model, c0, xi1, xi2)
+    assert bits(rep) == bits(want)
     return rep
 
 
@@ -677,9 +697,9 @@ def test_blocked_scan_with_no_valid_point_reports_none():
 
 def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
     # |xi1| and |eta| = |xi1 + 2 eps xi2|, rounded as the scan rounds them,
-    # peak at the corners of the grid: admits_a_point, which the scan and the
-    # c0 search ask, and verify-phase's scan of its axis ends decide that way.
-    # A NaN entry is never admitted and must not hide the others.
+    # peak at the corners of the grid, so the scan of the axis ends is refused
+    # exactly where the scan of the whole grid is.  A NaN entry is never
+    # admitted and must not hide the others.
     model = SCAN_MODELS[0]
 
     def refused(scan, c0, xi1, xi2):
@@ -698,7 +718,6 @@ def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
         if rng.random() < 0.3:
             xi2 = np.insert(xi2, rng.integers(0, xi2.size + 1), math.nan)
         whole = refused(full_grid_scan, c0, xi1, xi2)
-        assert admits_a_point(model, c0, xi1, xi2) == (not whole)
         assert refused(verify_phase_lower_bound, c0, xi1, xi2) == whole
         ends = [np.nanmin(xi2), np.nanmax(xi2)]
         assert refused(verify_phase_lower_bound, c0, [xi1.min(), xi1.max()], ends) == whole
@@ -708,22 +727,22 @@ def test_a_scan_of_the_axis_extremes_admits_a_point_when_the_full_scan_does():
 
 def test_a_signaling_nan_on_an_axis_hides_no_admissible_point():
     # np.fmin.reduce does not pass over a signaling NaN, so axis ends taken
-    # with it read NaN and the scan was refused; arithmetic on the signaling
-    # NaN raises the invalid flag, which is no failure here
+    # with it read NaN; arithmetic on it raises the invalid flag, which the
+    # scan, unlike its oracle, must not turn into a warning
     snan = np.array([0x7FF4000000000001], dtype=np.uint64).view(np.float64)[0]
     model = DispersiveModel(2, (1.0,), 1.0, 2.0**-6)
-    with np.errstate(invalid="ignore"):
-        for xi1, xi2 in (([0.5, snan], [1.0]), ([1.0], [0.5, snan]), ([snan, 0.5], [snan, 1.0])):
-            assert admits_a_point(model, 1.0, xi1, xi2)
-            assert verify_phase_lower_bound(model, 1.0, xi1, xi2) == \
-                full_grid_scan(model, 1.0, xi1, xi2)
-        assert not admits_a_point(model, 1.0, [snan, math.nan], [1.0])
+    for xi1, xi2 in (([0.5, snan], [1.0]), ([1.0], [0.5, snan]), ([snan, 0.5], [snan, 1.0])):
+        rep = verify_phase_lower_bound(model, 1.0, xi1, xi2)
+        with np.errstate(invalid="ignore"):
+            assert rep == full_grid_scan(model, 1.0, xi1, xi2)
+    with pytest.raises(NoAdmissibleSampleError, match="^no admissible samples: "):
+        verify_phase_lower_bound(model, 1.0, [snan, math.nan], [1.0])
 
 
 def test_blocked_scan_with_no_admissible_point_raises_the_same_error():
     model = SCAN_MODELS[2]
     axis = np.linspace(-1e-3, 1e-3, 1000)
-    with pytest.raises(ValueError) as blocked:
+    with pytest.raises(NoAdmissibleSampleError) as blocked:
         verify_phase_lower_bound(model, 1.0, axis[:200], axis)
     with pytest.raises(ValueError) as full:
         full_grid_scan(model, 1.0, axis[:200], axis)
@@ -857,9 +876,8 @@ def test_scan_with_nan_and_inf_entries_in_a_nonnegative_model_is_the_full_grid_s
     xi1 = np.linspace(-8, 8, 200)
     xi1[[5, 150]] = math.nan, math.inf
     for model in NONNEGATIVE_MODELS:
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
-            assert_scan_matches_full_grid(model, 1.0, xi1, np.linspace(-8, 8, 1000))
+        assert_scan_matches_full_grid(model, 1.0, xi1, xi2)
+        assert_scan_matches_full_grid(model, 1.0, xi1, np.linspace(-8, 8, 1000))
 
 
 @given(
@@ -883,11 +901,12 @@ def test_scan_on_random_axes_is_the_full_grid_scan(kappa, tail, eps, c0, n1, n2,
     xi1, xi2 = rng.uniform(-width, width, n1), rng.uniform(-width, width, n2)
     if ordered:
         xi1.sort()
-    if not admits_a_point(model, c0, xi1, xi2):
-        return
     with np.errstate(all="ignore"):
-        assert bits(verify_phase_lower_bound(model, c0, xi1, xi2)) == bits(
-            full_grid_scan(model, c0, xi1, xi2))
+        try:
+            want = full_grid_scan(model, c0, xi1, xi2)
+        except ValueError:
+            return  # no admissible point, which the axis-extremes test covers
+        assert bits(verify_phase_lower_bound(model, c0, xi1, xi2)) == bits(want)
 
 
 def test_block_floor_is_below_every_ratio_of_its_block():
