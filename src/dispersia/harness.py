@@ -8,9 +8,11 @@ it: the rows' observed order, and the truth's distance to the three-level
 extrapolation, which estimates the truth's own error.  Records normalize
 against the predicted eps-rate so that curves for different eps collapse.
 
-Each eps cell makes one solve of three rows for its truth, then one solve
-per scheme with a row per tau of the ladder, each row measured as it retires
-(integrators.solve marches a solve's rows two at a time).
+Each eps cell makes one solve per scheme with a row per tau of the ladder,
+each row measured against the truth.  The truth's three rows march in the
+solve of its own scheme's ladder when the cell measures that scheme, in a
+solve of their own otherwise (integrators.solve marches a solve's rows two at
+a time, and a tau asked for twice once).
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ class ErrorRecord:
 
 
 def measure(config: SolveConfig, truth: SpectralField, j: int, rate: float):
-    """The reduce that makes a row (tau, final, seconds) of solve(config, ...)
-    its record against truth: the j-th derivative error, divided by rate,
-    with walltime_s the row's share of the stepping time."""
+    """The map that makes a row (tau, final, seconds) of a solve of config its
+    record against truth: the j-th derivative error, divided by rate, with
+    walltime_s the row's share of the stepping time."""
     m = config.model
 
     def record(tau: float, final: SpectralField, seconds: float) -> ErrorRecord:
@@ -111,7 +113,9 @@ class ReferenceRecord:
     row's distance to the truth R2, observed_order is log2 of
     |R(4 tau) - R(2 tau)| over |R(2 tau) - R(tau)|, and self_error is
     |R3 - R2|, which estimates R2's own error; self_error_ratio divides it
-    by the cell's smallest test error (NaN when that is not > 0)."""
+    by the cell's smallest test error (NaN when that is not > 0).
+    walltime_s sums the three rows' shares of their solve's stepping time, a
+    row that a ladder shares counted in full."""
 
     scheme: str
     epsilon: float
@@ -121,7 +125,8 @@ class ReferenceRecord:
     observed_order: float
     fine_error: float
     self_error: float
-    self_error_ratio: float = math.nan
+    self_error_ratio: float
+    walltime_s: float
 
     def check(self) -> None:
         """Raise UncertifiedReferenceError unless the certificate holds."""
@@ -332,14 +337,25 @@ _TRIPLE_WEIGHTS = {1: (8.0 / 3.0, -6.0 / 3.0, 1.0 / 3.0),
                    2: (64.0 / 45.0, -20.0 / 45.0, 1.0 / 45.0)}
 
 
-def richardson_truth(config: SolveConfig, j: int = 0) -> tuple[SpectralField, ReferenceRecord]:
+def richardson_truth(config: SolveConfig, j: int = 0, *taus: float) -> tuple:
     """The solve of config at its tau and at twice it, combined with the
     Richardson weights of its scheme's order so that their leading error
     terms cancel, and its certificate (see ReferenceRecord) in the j-th
     derivative norm.  The certificate's third row, at four times tau, marches
     in the same solve in the lane the second row leaves idle, and changes no
-    bit of the other two."""
-    fine, coarse, coarsest = solve(config, 2.0 * config.tau, 4.0 * config.tau).rows
+    bit of the other two.
+
+    The solve also marches a row at each of taus, a ladder of the same
+    scheme, which follows the truth and its certificate in the returned
+    tuple as its (final, seconds) or its NumericalBlowupError.  A ladder tau
+    equal to a truth row's is that row.  A truth row that fails raises its
+    error, the first one's."""
+    rows = solve(config, 2.0 * config.tau, 4.0 * config.tau, *taus,
+                 reduce=lambda tau, final, seconds: (final, seconds)).rows
+    for row in rows[:3]:
+        if isinstance(row, Exception):
+            raise row
+    (fine, t_fine), (coarse, t_coarse), (coarsest, t_coarsest) = rows[:3]
     order = _ORDER[config.scheme]
     w_fine, w_coarse = _PAIR_WEIGHTS[order]
     truth = SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
@@ -350,16 +366,20 @@ def richardson_truth(config: SolveConfig, j: int = 0) -> tuple[SpectralField, Re
     observed = math.log2(far / near) if near > 0 and far > 0 else math.nan
     return truth, ReferenceRecord(config.scheme.value, config.model.epsilon, config.tau,
                                   config.grid.n, order, observed, error_x(fine, truth, j),
-                                  error_x(r3, truth, j))
+                                  error_x(r3, truth, j), math.nan,
+                                  t_fine + t_coarse + t_coarsest), *rows[3:]
 
 
 def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
-    """One eps cell: truth(base) once, where base is cfg.cell(eps), then per
-    scheme one solve whose rows are the taus, each row measured against that
-    one truth as it retires, normalized by rate(eps).  truth returns the
-    field and its ReferenceRecord, or None for a truth with no certificate;
-    the cell returns its records, its failures and that ReferenceRecord,
-    with its ratio to the cell's smallest error.
+    """One eps cell: truth(base, *ladder) once, where base is cfg.cell(eps),
+    then per scheme one solve whose rows are the taus, each row measured
+    against that one truth as it retires, normalized by rate(eps).  truth
+    returns the field, its ReferenceRecord or None for a truth with no
+    certificate, and, if it solves, a row per tau of ladder marched in its
+    own solve: the ladder is taus when base's scheme is one of schemes, and
+    that scheme makes no other solve, its rows measured once the truth is
+    built.  The cell returns its records, its failures and that
+    ReferenceRecord, with its ratio to the cell's smallest error.
 
     A failure to build the truth, or a certificate that cfg gates and that
     fails, fails the cell once per scheme (keyed scheme=<s>,epsilon=<e>); a
@@ -370,7 +390,7 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
     fails: list[CellFailure] = []
     base, reference = cfg.cell(eps), None
     try:
-        exact, reference = truth(base)
+        exact, reference, *marched = truth(base, *(taus if base.scheme in schemes else ()))
         if cfg.gates_reference:
             reference.check()
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
@@ -380,8 +400,12 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
     for scheme in schemes:
         try:
             config = replace(base, scheme=scheme, tau=taus[0])
-            rows = solve(config, *taus[1:],
-                         reduce=measure(config, exact, cfg.deriv_order, rate(eps))).rows
+            record = measure(config, exact, cfg.deriv_order, rate(eps))
+            if marched and scheme is base.scheme:
+                rows = [row if isinstance(row, Exception) else record(tau, *row)
+                        for tau, row in zip(taus, marched)]
+            else:
+                rows = solve(config, *taus[1:], reduce=record).rows
         except Exception as exc:  # noqa: BLE001
             rows = [exc] * len(taus)
         for tau, row in zip(taus, rows):
@@ -414,7 +438,8 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     eps solves its reference rows once for all schemes and taus, and reports
     the truth's certificate; errors are normalized by the predicted eps-rate
     error_normalizer."""
-    return _sweep(cfg, cfg.schemes, cfg.taus, lambda base: richardson_truth(base, cfg.deriv_order),
+    return _sweep(cfg, cfg.schemes, cfg.taus,
+                  lambda base, *ladder: richardson_truth(base, cfg.deriv_order, *ladder),
                   partial(error_normalizer, cfg.kappa, cfg.alpha))
 
 
@@ -426,7 +451,7 @@ def regularity_sweep(cfg: SweepConfig) -> SweepResult:
     cfg.taus and cfg.schemes are not read.
     """
     return _sweep(cfg, (cfg.reference_scheme,), (cfg.reference_tau,),
-                  lambda base: (free_solution(base), None),
+                  lambda base, *ladder: (free_solution(base), None),
                   partial(regularity_normalizer, cfg.kappa, cfg.alpha, cfg.deriv_order))
 
 

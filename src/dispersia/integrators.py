@@ -27,7 +27,11 @@ two at a time: a transform of a two-row stack costs much less than two lone
 ones.  A march of K steps costs 2K stack transforms, 1 for the shared T(mu)
 and 1 per row for its values: 2N + 2 for a lone solve of N steps, 2N + 4 for
 a Richardson triple of N, N/2 and N/4 (3.5N + 6 as three solves), whose third
-row takes the lane the second leaves.  step() takes one kernel step from values.
+row takes the lane the second leaves.  At N = 4000, joined by the desk's
+seven-tau ladder, whose first tau is the third row's, the triple costs
+2N + 10 (2.5N + 12 as two solves): the ladder fills the lane the third row
+leaves, and the shared tau marches once.  step() takes one kernel step from
+values.
 
 T is one of two transform pairs, run by the same kernels.  For odd kappa
 P is odd and R real, so every symbol is Hermitian (flow_phase's Nyquist rule
@@ -303,7 +307,9 @@ class SolveResult:
 
 def solve(config: SolveConfig, *taus: float, reduce=None) -> SolveResult:
     """March the configured scheme to z_final, one row at config.tau and one
-    at each of taus, two rows at a time (see _march).
+    at each of taus, two rows at a time (see _march).  A tau asked for more
+    than once marches once, and each position that asked for it gets that
+    row.
 
     A row whose values go non-finite retires with a NumericalBlowupError
     naming its step, and the other rows march on.  Given reduce, each row
@@ -312,7 +318,8 @@ def solve(config: SolveConfig, *taus: float, reduce=None) -> SolveResult:
     and the first failed row's error is raised once the march is done.
     """
     grid, model = config.grid, config.model
-    row_taus = (config.tau, *(float(tau) for tau in taus))
+    asked = (config.tau, *(float(tau) for tau in taus))
+    row_taus = tuple(dict.fromkeys(asked))
     counts = [step_count(tau, config.z_final) for tau in row_taus]
     out: list = [None] * len(row_taus)
 
@@ -334,7 +341,7 @@ def solve(config: SolveConfig, *taus: float, reduce=None) -> SolveResult:
         for row in out:
             if isinstance(row, NumericalBlowupError):
                 raise row
-    return SolveResult(out, steps, walltime)
+    return SolveResult([out[row_taus.index(tau)] for tau in asked], steps, walltime)
 
 
 def free_solution(config: SolveConfig) -> SpectralField:

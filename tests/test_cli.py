@@ -491,7 +491,7 @@ def test_a_sweep_given_no_reference_key_echoes_and_certifies_the_truth_it_ran(tm
     assert (run["reference_scheme"], run["reference_tau"]) == ("strang", 2.0**-10)
     header, rows = read_rows(out1 / "reference.csv")
     assert header == ["scheme", "epsilon", "tau", "grid_n", "order", "observed_order",
-                      "fine_error", "self_error", "self_error_ratio"]
+                      "fine_error", "self_error", "self_error_ratio", "walltime_s"]
     assert [row[:5] for row in rows] == [["strang", "0.125", "0.0009765625", "256", "2"],
                                          ["strang", "0.25", "0.0009765625", "128", "2"]]
     _, results = read_rows(out1 / "results.csv")
@@ -517,9 +517,10 @@ def test_the_rules_truth_that_fails_its_certificate_exits_2_naming_the_cell(
         tmp_path, capsys, monkeypatch):
     real = harness.richardson_truth
 
-    def off_by_a_tenth(config, j=0):
-        field, reference = real(config, j)
-        return field, dataclasses.replace(reference, observed_order=reference.observed_order + 0.1)
+    def off_by_a_tenth(config, j=0, *ladder):
+        field, reference, *rows = real(config, j, *ladder)
+        return (field, dataclasses.replace(reference, observed_order=reference.observed_order + 0.1),
+                *rows)
 
     monkeypatch.setattr(harness, "richardson_truth", off_by_a_tenth)
     out = tmp_path / "out"

@@ -8,7 +8,7 @@ up to a 10% band, and normalized_error times the normalizer reproduces error_x.
 import functools
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -337,7 +337,7 @@ def test_a_row_that_blows_up_fails_only_its_own_cell_or_tau(monkeypatch):
     # against a finite truth, each scheme's finest row fails alone and its
     # coarsest is measured
     monkeypatch.setattr(harness, "richardson_truth",
-                        lambda config, j: (free_solution(config), None))
+                        lambda config, j, *ladder: (free_solution(config), None))
     result = convergence_sweep(cfg)
     assert [(r.scheme, r.tau) for r in result.records] == [("ei", 1.0), ("lri", 1.0)]
     assert [f.cell for f in result.failures] == ["scheme=ei,epsilon=0.5,tau=0.001",
@@ -345,6 +345,26 @@ def test_a_row_that_blows_up_fails_only_its_own_cell_or_tau(monkeypatch):
     for f, scheme in zip(result.failures, ("ei", "lri")):
         assert f.message.startswith("NumericalBlowupError: non-finite values at step ")
         assert f.message.endswith(f"scheme={scheme}, epsilon=0.5, tau=0.001)")
+
+
+def test_a_ladder_row_of_the_truths_scheme_that_blows_up_fails_only_its_own_tau():
+    # R = -2000 on half the grid: ei's rows up to 4e-4 damp it stably, while
+    # ei at 5e-3 amplifies about 9-fold a step and overflows before z = 2.
+    # That row marches in the truth's own solve, and fails alone
+    well = np.where(np.arange(128) < 64, -2000.0, 0.0)
+    cfg = small_sweep_config(potential=PotentialSpec.tabulated(well), taus=(4e-4, 5e-3),
+                             z_final=2.0, reference_tau=1e-4)
+    result = convergence_sweep(cfg)
+    assert [(r.scheme, r.tau) for r in result.records] == [("ei", 4e-4)]
+    (failure,) = result.failures
+    assert failure.cell == "scheme=ei,epsilon=0.5,tau=0.005"
+    assert failure.message.startswith("NumericalBlowupError: non-finite values at step ")
+    assert failure.message.endswith("scheme=ei, epsilon=0.5, tau=0.005)")
+    # the truth was built, and its certificate is reported
+    (reference,) = result.references
+    assert (reference.scheme, reference.tau) == ("ei", 1e-4)
+    assert math.isfinite(reference.observed_order) and reference.walltime_s > 0
+    assert reference.self_error_ratio == reference.self_error / result.records[0].error_x
 
 
 def test_sweep_config_refuses_a_grid_too_coarse_for_one_epsilon():
@@ -458,8 +478,8 @@ def test_compare_methods_shares_the_reference_exactly():
 
 def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatch):
     # per eps: one solve of the reference scheme with rows at reference_tau,
-    # twice it and four times it, then one solve per scheme with a row per
-    # tau, all through harness.solve
+    # twice it and four times it and a row per tau of its own ladder, then
+    # one solve per other scheme with a row per tau, all through harness.solve
     calls = Counter()
 
     def counting_solve(config, *taus, **kw):
@@ -470,9 +490,48 @@ def test_compare_solves_the_reference_pair_and_each_test_once_per_eps(monkeypatc
     cfg = small_sweep_config(epsilons=(0.5, 0.25), taus=(0.05, 0.025), schemes=("ei", "lt"))
     assert not compare_methods(cfg).failures
     tau_r = cfg.reference_tau
-    marches = [("ei", (tau_r, 2.0 * tau_r, 4.0 * tau_r)), ("ei", (0.05, 0.025)),
-               ("lt", (0.05, 0.025))]
+    marches = [("ei", (tau_r, 2.0 * tau_r, 4.0 * tau_r, 0.05, 0.025)), ("lt", (0.05, 0.025))]
     assert calls == Counter({(eps, s, rows): 1 for eps in (0.5, 0.25) for s, rows in marches})
+
+
+def test_a_cell_marches_its_truth_and_its_schemes_ladder_as_one_solve(monkeypatch):
+    # the desk kdv-a3/2 cell at eps 2^-4: the ei truth's rows at 2.5e-4,
+    # 5e-4 and 1e-3 and the desk ladder, whose 1e-3 is the third row's own,
+    # march as one solve of 4,000 + 2,000 + 1,000 + 880 row-steps
+    p, eps = get_preset("kdv-a3/2"), 2.0**-4
+    cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+                      initial=p.initial, half_width=p.half_width, epsilons=(eps,),
+                      taus=DESK_TAUS, grid_n=1024)
+    assert (cfg.reference_scheme, cfg.reference_tau) == (StepperKind.EI, REFERENCE_TAU)
+    assert 4.0 * REFERENCE_TAU == DESK_TAUS[0]
+    solves = []
+
+    def counting_solve(config, *taus, **kw):
+        res = solve(config, *taus, **kw)
+        solves.append(((config.tau, *taus), res.steps))
+        return res
+
+    monkeypatch.setattr(harness, "solve", counting_solve)
+    result = convergence_sweep(cfg)
+    monkeypatch.undo()
+    assert not result.failures
+    assert solves == [((REFERENCE_TAU, 2 * REFERENCE_TAU, 4 * REFERENCE_TAU, *DESK_TAUS), 7880)]
+    # the route of two solves, the truth's own and then the ladder's against
+    # it, gives the same bits outside walltime_s
+    base = cfg.cell(eps)
+    exact, reference = richardson_truth(base)
+    ladder = replace(base, tau=DESK_TAUS[0])
+    record = measure(ladder, exact, 0, error_normalizer(p.kappa, p.alpha, eps))
+    apart = solve(ladder, *DESK_TAUS[1:], reduce=record).rows
+    reference = replace(reference, self_error_ratio=reference.self_error
+                        / min(r.error_x for r in apart))
+
+    def timeless(record):
+        return astuple(replace(record, walltime_s=0.0))
+
+    assert [timeless(r) for r in result.records] == [timeless(r) for r in apart]
+    assert [timeless(r) for r in result.references] == [timeless(reference)]
+    assert result.references[0].walltime_s > 0
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +719,9 @@ def test_a_given_reference_key_keeps_the_truth_it_names():
 
 def certificate_off_by(delta):
     """harness.richardson_truth, with each observed order moved by delta."""
-    def truth(config, j=0):
-        field, reference = richardson_truth(config, j)
-        return field, replace(reference, observed_order=reference.observed_order + delta)
+    def truth(config, j=0, *ladder):
+        field, reference, *rows = richardson_truth(config, j, *ladder)
+        return field, replace(reference, observed_order=reference.observed_order + delta), *rows
     return truth
 
 

@@ -486,6 +486,24 @@ def test_stacked_ladder_is_bit_identical_to_lone_solves(scheme, model):
 
 
 @pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
+def test_a_tau_asked_twice_marches_once(scheme, model):
+    # 20 steps at 0.025, asked first and last, and 10 at 0.05: the repeat
+    # takes no lane, and both its positions get the one row, reduced once
+    cfg = make_config(model=model, scheme=scheme, tau=0.025)
+    reduced = []
+    res = solve(cfg, 0.05, 0.025, reduce=lambda tau, final, seconds: reduced.append(tau) or final)
+    assert res.steps == 20 + 10
+    first, coarse, again = res.rows
+    assert again is first and sorted(reduced) == [0.025, 0.05]
+    np.testing.assert_array_equal(first.values, solve(cfg).final.values)
+    np.testing.assert_array_equal(coarse.values, solve(replace(cfg, tau=0.05)).final.values)
+    # so with no reduce
+    res = solve(cfg, 0.025)
+    assert res.steps == 20 and res.rows[1] is res.rows[0]
+    np.testing.assert_array_equal(res.final.values, first.values)
+
+
+@pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
 def test_march_retires_a_row_of_no_steps_at_once(scheme, model):
     # rows of 3, 0 and 5 steps of different taus: the 0-step row retires
     # with mu itself, and each other row with the values of its lone march
