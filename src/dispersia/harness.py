@@ -9,10 +9,11 @@ extrapolation, which estimates the truth's own error.  Records normalize
 against the predicted eps-rate so that curves for different eps collapse.
 
 Each eps cell makes one solve per scheme with a row per tau of the ladder,
-each row measured against the truth.  The truth's three rows march in the
-solve of its own scheme's ladder when the cell measures that scheme, in a
-solve of their own otherwise (integrators.solve marches a solve's rows two at
-a time, and a tau asked for twice once).
+and measures every row against the truth in one loop.  The truth's three
+rows march in the solve of its own scheme's ladder when the cell measures
+that scheme, in a solve of their own otherwise (integrators.solve marches a
+solve's rows two at a time, and a tau asked for twice once); that scheme's
+rows are measured first, and dropped before the next solve.
 """
 
 from __future__ import annotations
@@ -347,15 +348,14 @@ def richardson_truth(config: SolveConfig, j: int = 0, *taus: float) -> tuple:
 
     The solve also marches a row at each of taus, a ladder of the same
     scheme, which follows the truth and its certificate in the returned
-    tuple as its (final, seconds) or its NumericalBlowupError.  A ladder tau
+    tuple as its (final or NumericalBlowupError, seconds).  A ladder tau
     equal to a truth row's is that row.  A truth row that fails raises its
     error, the first one's."""
-    rows = solve(config, 2.0 * config.tau, 4.0 * config.tau, *taus,
-                 reduce=lambda tau, final, seconds: (final, seconds)).rows
-    for row in rows[:3]:
+    res = solve(config, 2.0 * config.tau, 4.0 * config.tau, *taus)
+    for row in res.rows[:3]:
         if isinstance(row, Exception):
             raise row
-    (fine, t_fine), (coarse, t_coarse), (coarsest, t_coarsest) = rows[:3]
+    fine, coarse, coarsest = res.rows[:3]
     order = _ORDER[config.scheme]
     w_fine, w_coarse = _PAIR_WEIGHTS[order]
     truth = SpectralField(config.grid, values=w_fine * fine.values + w_coarse * coarse.values)
@@ -364,22 +364,23 @@ def richardson_truth(config: SolveConfig, j: int = 0, *taus: float) -> tuple:
                        values=a * fine.values + b * coarse.values + c * coarsest.values)
     near, far = error_x(coarse, fine, j), error_x(coarsest, coarse, j)
     observed = math.log2(far / near) if near > 0 and far > 0 else math.nan
-    return truth, ReferenceRecord(config.scheme.value, config.model.epsilon, config.tau,
-                                  config.grid.n, order, observed, error_x(fine, truth, j),
-                                  error_x(r3, truth, j), math.nan,
-                                  t_fine + t_coarse + t_coarsest), *rows[3:]
+    reference = ReferenceRecord(config.scheme.value, config.model.epsilon, config.tau,
+                                config.grid.n, order, observed, error_x(fine, truth, j),
+                                error_x(r3, truth, j), math.nan, sum(res.seconds[:3]))
+    return truth, reference, *zip(res.rows[3:], res.seconds[3:])
 
 
 def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
     """One eps cell: truth(base, *ladder) once, where base is cfg.cell(eps),
-    then per scheme one solve whose rows are the taus, each row measured
-    against that one truth as it retires, normalized by rate(eps).  truth
-    returns the field, its ReferenceRecord or None for a truth with no
-    certificate, and, if it solves, a row per tau of ladder marched in its
-    own solve: the ladder is taus when base's scheme is one of schemes, and
-    that scheme makes no other solve, its rows measured once the truth is
-    built.  The cell returns its records, its failures and that
-    ReferenceRecord, with its ratio to the cell's smallest error.
+    then per scheme the rows of a solve at the taus, each row measured
+    against that one truth, normalized by rate(eps).  truth returns the
+    field, its ReferenceRecord or None for a truth with no certificate, and,
+    if it solves, the (final or error, seconds) of a row per tau of ladder
+    marched in its own solve: the ladder is taus when base's scheme is one of
+    schemes, and that scheme then makes no solve of its own.  base's scheme
+    is measured first, so that its rows are dropped before the next solve.
+    The cell returns its records, its failures and that ReferenceRecord,
+    with its ratio to the cell's smallest error.
 
     A failure to build the truth, or a certificate that cfg gates and that
     fails, fails the cell once per scheme (keyed scheme=<s>,epsilon=<e>); a
@@ -397,17 +398,19 @@ def _sweep_cell(cfg: SweepConfig, eps: float, schemes, taus, truth, rate):
         msg = f"{type(exc).__name__}: {exc}"
         return recs, [CellFailure(f"scheme={s.value},epsilon={eps:.6g}", msg)
                       for s in schemes], reference
-    for scheme in schemes:
+    for scheme in sorted(schemes, key=lambda s: s is not base.scheme):
         try:
             config = replace(base, scheme=scheme, tau=taus[0])
+            if not marched:
+                res = solve(config, *taus[1:])
+                marched = zip(res.rows, res.seconds)
+                del res  # its finals go with marched, before the next solve
             record = measure(config, exact, cfg.deriv_order, rate(eps))
-            if marched and scheme is base.scheme:
-                rows = [row if isinstance(row, Exception) else record(tau, *row)
-                        for tau, row in zip(taus, marched)]
-            else:
-                rows = solve(config, *taus[1:], reduce=record).rows
+            rows = [final if isinstance(final, Exception) else record(tau, final, seconds)
+                    for tau, (final, seconds) in zip(taus, marched)]
         except Exception as exc:  # noqa: BLE001
             rows = [exc] * len(taus)
+        marched = ()
         for tau, row in zip(taus, rows):
             if isinstance(row, Exception):
                 fails.append(CellFailure(f"scheme={scheme.value},epsilon={eps:.6g},tau={tau:.6g}",

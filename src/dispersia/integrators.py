@@ -36,8 +36,8 @@ values.
 T is one of two transform pairs, run by the same kernels.  For odd kappa
 P is odd and R real, so every symbol is Hermitian (flow_phase's Nyquist rule
 sees to the mode n/2) and real data stays real: such a solve marches the n/2 + 1
-entries of T = rfft, with irfft as its inverse, and returns values whose
-imaginary part is exactly 0.  Every other solve marches T = fft.
+entries of T = rfft, with irfft as its inverse, and returns float64 values.
+Every other solve marches T = fft.
 """
 
 from __future__ import annotations
@@ -164,32 +164,32 @@ def precompute(model: DispersiveModel, grid: Grid, potential: PotentialSpec,
 LANES = 2  # the rows one march advances together
 
 
-def _march(mu: np.ndarray, real: bool, rows, retire) -> tuple[int, float]:
+def _march(mu: np.ndarray, real: bool, rows) -> list:
     """March rows from the values mu on a stack of at most LANES lanes, and
-    return the steps the rows took and the seconds the steps took.
+    return each row's (steps, values, seconds).
 
     rows holds each row's (step count, load), and load() builds its
     PrecomputedStep as it enters a lane.  The rows share one scheme, so one
     kernel advances the live slice v[:live].  Rows march longest first, each
-    entering as v = entry T(mu); when one retires, the next queued row takes
-    its lane, or the last live lane moves into it.  retire(i, k, values,
-    seconds) is called once per row: after its last step k with its values,
-    or at the step k whose state is not finite with values None (a row of
-    no steps retires at once with mu).  seconds is its share of the stepping
-    time, each stretch split evenly among the rows live in it.
+    entering as v = entry T(mu); when one ends, the next queued row takes
+    its lane, or the last live lane moves into it.  A row ends after its
+    last step with its values, or at the step whose state is not finite with
+    values None; a row of no steps ends at once with mu.  seconds is its
+    share of the stepping time, each stretch split evenly among the rows
+    live in it.
 
     T is rfft when real (kappa odd and mu real), with the symbols cut to
-    their n/2 + 1 entries and the weight to its real part; fft otherwise.
-    The weight takes the inverse's 1/n (exact, as n is a power of two), so
-    that the step's inverse runs unscaled and the product with the weight
-    casts nothing.
+    their n/2 + 1 entries and the weight to its real part, and the values
+    are real; fft otherwise.  The weight takes the inverse's 1/n (exact, as
+    n is a power of two), so that the step's inverse runs unscaled and the
+    product with the weight casts nothing.
     """
     queue = sorted(range(len(rows)), key=lambda i: -rows[i][0])
-    steps, seconds, shares = 0, 0.0, [0.0] * len(rows)
+    out, shares = [None] * len(rows), [0.0] * len(rows)
     while queue and rows[queue[-1]][0] == 0:
-        retire(queue.pop(), 0, mu, 0.0)
+        out[queue.pop()] = (0, mu, 0.0)
     if not queue:
-        return steps, seconds
+        return out
     n, height = mu.size, min(LANES, len(queue))
     if real:
         m, forward, inverse, rtype = n // 2 + 1, np.fft.rfft, np.fft.irfft, np.float64
@@ -244,7 +244,6 @@ def _march(mu: np.ndarray, real: bool, rows, retire) -> tuple[int, float]:
                     bad = []
                     break
         dt = time.perf_counter() - t0
-        seconds += dt
         for i, _, _ in lanes:
             shares[i] += dt / live
         for lane in reversed(range(live)):
@@ -252,11 +251,8 @@ def _march(mu: np.ndarray, real: bool, rows, retire) -> tuple[int, float]:
             failed = lane in bad
             if not failed and k < start + rows[i][0]:
                 continue
-            steps += k - start
-            values = None
-            if not failed:
-                values = inverse(np.conj(entry) * v[lane], n).astype(np.complex128, copy=False)
-            retire(i, k - start, values, shares[i])
+            values = None if failed else inverse(np.conj(entry) * v[lane], n)
+            out[i] = (k - start, values, shares[i])
             if queue:
                 lanes[lane] = load(lane, k)
                 continue
@@ -265,7 +261,7 @@ def _march(mu: np.ndarray, real: bool, rows, retire) -> tuple[int, float]:
                 for a in (v, weight, flow, gain):
                     a[lane] = a[len(lanes)]
                 lanes[lane] = last
-    return steps, seconds
+    return out
 
 
 def _all_finite(v: np.ndarray) -> bool:
@@ -280,68 +276,57 @@ def _all_finite(v: np.ndarray) -> bool:
 def step(mu: np.ndarray, pc: PrecomputedStep) -> np.ndarray:
     """One step from values mu through the kernel solve() marches; a step to
     non-finite values raises NumericalBlowupError."""
-    out = []
-    _march(mu, pc.odd and not mu.imag.any(), [(1, lambda: pc)],
-           lambda i, k, values, seconds: out.append(values))
-    if out[0] is None:
+    ((_, values, _),) = _march(mu, pc.odd and not mu.imag.any(), [(1, lambda: pc)])
+    if values is None:
         raise NumericalBlowupError(f"non-finite values at step 1/1 "
                                    f"(scheme={pc.scheme.value}, tau={pc.tau:.6g})")
-    return out[0]
+    return values
 
 
 @dataclass
 class SolveResult:
     """One march's rows, in the order solve was given them: each its final
-    field, what reduce made of it, or its NumericalBlowupError.  steps sums
-    the steps the rows took, and walltime is the time those steps took."""
+    field or its NumericalBlowupError, and seconds each its share of the
+    stepping time.  steps sums the steps the rows took, and walltime is the
+    time those steps took."""
 
     rows: list
+    seconds: list
     steps: int
     walltime: float
 
     @property
-    def final(self):
-        """The first row: a lone solve's final field."""
+    def final(self) -> SpectralField:
+        """The first row: a lone solve's final field.  A failed row raises
+        its error."""
+        if isinstance(self.rows[0], Exception):
+            raise self.rows[0]
         return self.rows[0]
 
 
-def solve(config: SolveConfig, *taus: float, reduce=None) -> SolveResult:
+def solve(config: SolveConfig, *taus: float) -> SolveResult:
     """March the configured scheme to z_final, one row at config.tau and one
     at each of taus, two rows at a time (see _march).  A tau asked for more
     than once marches once, and each position that asked for it gets that
-    row.
-
-    A row whose values go non-finite retires with a NumericalBlowupError
-    naming its step, and the other rows march on.  Given reduce, each row
-    keeps reduce(tau, final, seconds), made from its final field as it
-    retires, or its error.  With no reduce each row keeps its final field,
-    and the first failed row's error is raised once the march is done.
+    row.  A row whose values go non-finite keeps a NumericalBlowupError
+    naming its step, and the other rows march on.
     """
     grid, model = config.grid, config.model
     asked = (config.tau, *(float(tau) for tau in taus))
     row_taus = tuple(dict.fromkeys(asked))
     counts = [step_count(tau, config.z_final) for tau in row_taus]
-    out: list = [None] * len(row_taus)
-
-    def retire(i, k, values, seconds):
-        tau = row_taus[i]
-        if values is None:
-            out[i] = NumericalBlowupError(
-                f"non-finite values at step {k}/{counts[i]} (z={k * tau:.6g}, "
-                f"scheme={config.scheme.value}, epsilon={model.epsilon:.6g}, tau={tau:.6g})")
-        else:
-            final = SpectralField(grid, values=values)
-            out[i] = final if reduce is None else reduce(tau, final, seconds)
-
     mu = sample_initial(config.initial, grid)
     rows = [(count, partial(precompute, model, grid, config.potential, config.scheme, tau))
             for count, tau in zip(counts, row_taus)]
-    steps, walltime = _march(mu, bool(model.kappa % 2) and not mu.imag.any(), rows, retire)
-    if reduce is None:
-        for row in out:
-            if isinstance(row, NumericalBlowupError):
-                raise row
-    return SolveResult([out[row_taus.index(tau)] for tau in asked], steps, walltime)
+    marched = _march(mu, bool(model.kappa % 2) and not mu.imag.any(), rows)
+    finals = [SpectralField(grid, values=values) if values is not None else
+              NumericalBlowupError(f"non-finite values at step {k}/{count} (z={k * tau:.6g}, "
+                                   f"scheme={config.scheme.value}, "
+                                   f"epsilon={model.epsilon:.6g}, tau={tau:.6g})")
+              for (k, values, _), count, tau in zip(marched, counts, row_taus)]
+    at = [row_taus.index(tau) for tau in asked]
+    return SolveResult([finals[i] for i in at], [marched[i][2] for i in at],
+                       sum(k for k, _, _ in marched), sum(s for _, _, s in marched))
 
 
 def free_solution(config: SolveConfig) -> SpectralField:

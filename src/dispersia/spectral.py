@@ -75,13 +75,14 @@ def resolving_grid(half_width: float, epsilon: float, n: int | None = None) -> G
 
 
 class SpectralField:
-    """Complex field on a grid: its values, and their coefficients, formed
-    from them on each use."""
+    """Field on a grid: its values, float64 when real and complex128
+    otherwise, and their coefficients, formed from them on each use."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values):
-        values = np.ascontiguousarray(values, dtype=np.complex128)
+        values = np.ascontiguousarray(
+            values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
         if values.shape != (grid.n,):
             raise ValueError(f"values must have shape ({grid.n},), got {values.shape}")
         self.grid = grid

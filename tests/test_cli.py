@@ -7,6 +7,7 @@ failure naming the cell.  Reruns must be byte-identical except walltime_s.
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1132,12 +1133,15 @@ def test_console_script_runs(tmp_path):
     # the script entry declared in pyproject.toml, run as its own process
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'dispersia = "dispersia.cli:main"' in pyproject
+    # the process imports dispersia from where this one did, installed or not
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from dispersia.cli import main; sys.exit(main())",
          "reduce-moment", "--kappa", "3", "--beta", "1",
          "--sign", "-", "--lambda", "2", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "reduction.json").read_text())

@@ -367,6 +367,26 @@ def test_a_ladder_row_of_the_truths_scheme_that_blows_up_fails_only_its_own_tau(
     assert reference.self_error_ratio == reference.self_error / result.records[0].error_x
 
 
+def test_a_real_solve_keeps_float64_finals_and_their_errors():
+    # kdv-a3/2 from real data marches on rfft: its finals and its truth stay
+    # float64, and each error reads the bits of their complex128 casts
+    p = get_preset("kdv-a3/2")
+    cfg = SweepConfig(kappa=p.kappa, coeffs=p.coeffs, alpha=p.alpha, potential=p.potential,
+                      initial=p.initial, half_width=p.half_width, epsilons=(0.25,),
+                      taus=(0.1, 0.05), z_final=0.5, reference_tau=0.0125)
+    base = cfg.cell(0.25)
+    exact, _ = richardson_truth(base)
+    final = solve(replace(base, tau=0.05)).final
+    assert final.values.dtype == exact.values.dtype == np.float64
+
+    def cast(f):
+        return SpectralField(f.grid, values=f.values.astype(np.complex128))
+
+    for j in (0, 1):
+        assert error_x(final, exact, j) > 0
+        assert error_x(final, exact, j).hex() == error_x(cast(final), cast(exact), j).hex()
+
+
 def test_sweep_config_refuses_a_grid_too_coarse_for_one_epsilon():
     # h = 0.5 resolves eps 0.6 but exceeds 4 * 0.1: refused before any cell
     # runs, under grid_n; h in (eps, 4 eps] only warns
@@ -522,7 +542,8 @@ def test_a_cell_marches_its_truth_and_its_schemes_ladder_as_one_solve(monkeypatc
     exact, reference = richardson_truth(base)
     ladder = replace(base, tau=DESK_TAUS[0])
     record = measure(ladder, exact, 0, error_normalizer(p.kappa, p.alpha, eps))
-    apart = solve(ladder, *DESK_TAUS[1:], reduce=record).rows
+    res = solve(ladder, *DESK_TAUS[1:])
+    apart = [record(*row) for row in zip(DESK_TAUS, res.rows, res.seconds)]
     reference = replace(reference, self_error_ratio=reference.self_error
                         / min(r.error_x for r in apart))
 
@@ -756,6 +777,35 @@ def test_the_rules_truth_that_fails_its_certificate_fails_its_cell(monkeypatch):
     result = convergence_sweep(given)
     assert not result.failures and len(result.records) == 4
     assert result.references[0].scheme == "ei"
+
+
+def test_a_cell_measures_its_truths_scheme_before_any_other_solve(monkeypatch):
+    # a compare cell whose Strang truth marches the strang ladder: those rows
+    # are measured before the ei and lt solves start, so that no other march
+    # runs while they are held
+    log = []
+
+    def logging_solve(config, *taus, **kw):
+        log.append(("solve", config.scheme.value))
+        return solve(config, *taus, **kw)
+
+    def logging_measure(config, truth, j, rate):
+        record = measure(config, truth, j, rate)
+
+        def logging_record(tau, final, seconds):
+            log.append(("measure", config.scheme.value))
+            return record(tau, final, seconds)
+        return logging_record
+
+    monkeypatch.setattr(harness, "solve", logging_solve)
+    monkeypatch.setattr(harness, "measure", logging_measure)
+    cfg = preset_sweep("schrodinger-a1", **{**GATED, "schemes": ("ei", "lt", "strang")})
+    assert cfg.reference_scheme is StepperKind.STRANG
+    result = compare_methods(cfg)
+    assert not result.failures and len(result.records) == 6
+    assert log == [("solve", "strang"), ("measure", "strang"), ("measure", "strang"),
+                   ("solve", "ei"), ("measure", "ei"), ("measure", "ei"),
+                   ("solve", "lt"), ("measure", "lt"), ("measure", "lt")]
 
 
 # ---------------------------------------------------------------------------

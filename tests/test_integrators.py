@@ -396,7 +396,7 @@ def test_blowup_detection_names_the_step(scheme):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowupError,
                            match=rf"step {BLOWUP_STEP[scheme]}/200 .*scheme={scheme.value},"):
-            solve(cfg)
+            solve(cfg).final
 
 
 def test_all_finite_scans_only_when_the_sum_is_not_finite():
@@ -488,16 +488,15 @@ def test_stacked_ladder_is_bit_identical_to_lone_solves(scheme, model):
 @pytest.mark.parametrize("scheme,model", SCHEME_MODELS)
 def test_a_tau_asked_twice_marches_once(scheme, model):
     # 20 steps at 0.025, asked first and last, and 10 at 0.05: the repeat
-    # takes no lane, and both its positions get the one row, reduced once
+    # takes no lane, and both its positions get the one row and its seconds
     cfg = make_config(model=model, scheme=scheme, tau=0.025)
-    reduced = []
-    res = solve(cfg, 0.05, 0.025, reduce=lambda tau, final, seconds: reduced.append(tau) or final)
+    res = solve(cfg, 0.05, 0.025)
     assert res.steps == 20 + 10
     first, coarse, again = res.rows
-    assert again is first and sorted(reduced) == [0.025, 0.05]
+    assert again is first and res.seconds[2] == res.seconds[0]
     np.testing.assert_array_equal(first.values, solve(cfg).final.values)
     np.testing.assert_array_equal(coarse.values, solve(replace(cfg, tau=0.05)).final.values)
-    # so with no reduce
+    # so with the repeat alone
     res = solve(cfg, 0.025)
     assert res.steps == 20 and res.rows[1] is res.rows[0]
     np.testing.assert_array_equal(res.final.values, first.values)
@@ -513,9 +512,8 @@ def test_march_retires_a_row_of_no_steps_at_once(scheme, model):
             for count, tau in ((3, 0.05), (0, 0.02), (5, 0.01))]
 
     def march(rows):  # the steps taken, and per row its step and values
-        out = {}
-        steps, _ = _march(mu, real, rows, lambda i, k, values, s: out.setdefault(i, (k, values)))
-        return steps, out
+        out = dict(enumerate((k, values) for k, values, _ in _march(mu, real, rows)))
+        return sum(k for k, _ in out.values()), out
 
     steps, out = march(rows)
     assert steps == 8 and out[1][0] == 0 and out[1][1] is mu
@@ -531,16 +529,16 @@ def test_a_ladder_row_that_blows_up_retires_alone():
     # the coarsest, whose ei steps grow it about 701-fold each, marches on
     cfg = make_config(potential=PotentialSpec.tabulated(np.full(GRID.n, 700.0)), tau=1e-3,
                       z_final=2.0)
-    res = solve(cfg, 1.0, reduce=lambda tau, final, seconds: final)
+    res = solve(cfg, 1.0)
     fine, coarse = res.rows
     assert isinstance(fine, NumericalBlowupError)
     k = int(re.match(r"non-finite values at step (\d+)/2000 \(z=", str(fine)).group(1))
     assert 1000 < k < 2000 and res.steps == k + 2
     assert str(fine).endswith(f"(z={k * 1e-3:.6g}, scheme=ei, epsilon=0.5, tau=0.001)")
     np.testing.assert_array_equal(coarse.values, solve(replace(cfg, tau=1.0)).final.values)
-    # with no reduce the failed row's error is raised once the march is done
+    # a failed first row's error is raised by final
     with pytest.raises(NumericalBlowupError) as raised:
-        solve(cfg, 1.0)
+        res.final
     assert str(raised.value) == str(fine)
 
 
